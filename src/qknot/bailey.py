@@ -307,16 +307,27 @@ def andrews_pair(x: Mono = Mono(1, 1, 0)) -> BaileyPair:
         return -out if n % 2 else out
 
     def beta(n: int, window: int) -> QSeries:
-        num = qpochhammer(x, n + 1) * qpochhammer(Mono(1, 0, 1).times(x.inverse()), n)
+        # Each Pochhammer factor with a negative q-power lowers the window by
+        # that power; together they lower it by -val(num) <= -beta_floor(n).
+        # A window at or below the floor shows no term of beta: keep num
+        # exact there, so the result and the floor check are as unwindowed.
+        w = window - beta_floor(n)
+        trunc = w if w > 0 else None
+        num = qpochhammer(x, n + 1, trunc=trunc) * qpochhammer(
+            Mono(1, 0, 1).times(x.inverse()), n, trunc=trunc
+        )
         v = int(min(0, num._valuation()))
         return num * _exact(poch_q(2, 2 * n)).invert(window - v)
 
     def alpha_floor(n: int) -> int:
         return n * (n + 1) // 2 + min(0, -n * x.q_exp, (n + 1) * x.q_exp)
 
+    def beta_floor(n: int) -> int:
+        return min(0, n * x.q_exp, -n * x.q_exp)
+
     return BaileyPair(
         "andrews", 1, alpha, beta, "two-term alpha pair",
-        alpha_floor=alpha_floor, beta_floor=lambda n: min(0, n * x.q_exp, -n * x.q_exp),
+        alpha_floor=alpha_floor, beta_floor=beta_floor,
     )
 
 

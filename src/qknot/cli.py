@@ -185,13 +185,21 @@ def _cmd_check(args) -> int:
         _need(args, "m", "N")
         reports = [verify.check_habiro_roundtrip(args.t, args.m, args.N)]
     elif kind == "bailey":
-        nb, wb = args.n or 8, args.trunc or 40
+        t = 1 if args.t is None else args.t
+        nb = 8 if args.n is None else args.n
+        wb = 40 if args.trunc is None else args.trunc
+        if t < 1:
+            raise UsageError("--t must be a positive integer")
+        if nb < 0:
+            raise UsageError("--n must be a nonnegative integer")
+        if wb < 1:
+            raise UsageError("--trunc must be a positive integer")
         for name, kwargs in (
             ("unit", {}),
             ("andrews", {}),
-            ("jones", {"t": args.t or 1}),
-            ("lovejoy", {"t": args.t or 1}),
-            ("star", {"t": args.t or 1}),
+            ("jones", {"t": t}),
+            ("lovejoy", {"t": t}),
+            ("star", {"t": t}),
         ):
             reports.append(verify.check_bailey_named(name, nb, wb, **kwargs))
     else:  # pragma: no cover

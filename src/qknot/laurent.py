@@ -5,18 +5,22 @@ in q (Jones polynomials, cyclotomic expansion coefficients, Gaussian
 binomials, cyclotomic polynomials) and the x-Laurent coefficients carried by
 the two-variable series.  Coefficients are Python ints or Fractions; the
 zero polynomial is the empty map and no stored coefficient is ever zero.
+
+Products of integer operands with enough terms go through one packed kernel
+(Kronecker substitution, cf. Harvey, arXiv:0712.4046), shared with the
+bivariate ``QSeries`` product: each operand's terms ``(q^e, x^d)`` are laid
+into fixed-width signed slots of a single Python int, the two ints are
+multiplied once, and the product's slots are read back through a bias so no
+carry crosses a slot.  Rational, small or sparse operands use the schoolbook
+loops instead; the choice depends only on the operands' shape.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 Scalar = Union[int, Fraction]
 
@@ -43,9 +47,8 @@ def _norm(c: Scalar) -> Scalar:
     return c
 
 
-# Dense int64 convolution pays off only for dense integer operands of some size.
-_DENSE_MIN_OPS = 1 << 13
-_INT64_LIMIT = 1 << 62
+# The packed product beats the schoolbook loops from about 16x16 term pairs on.
+_PACK_MIN_OPS = 256
 
 
 class XLaurent:
@@ -172,10 +175,12 @@ class XLaurent:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return XLaurent()
-        if len(a) * len(b) >= _DENSE_MIN_OPS and _np is not None:
-            dense = _mul_dense(a, b)
-            if dense is not None:
-                return dense
+        if len(a) * len(b) >= _PACK_MIN_OPS:
+            packed = _packed_product({0: a}, {0: b})
+            if packed is not None:
+                res = XLaurent.__new__(XLaurent)
+                res.coeffs = packed.get(0, {})
+                return res
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, Scalar] = {}
@@ -283,32 +288,89 @@ class XLaurent:
         return res
 
 
-def _mul_dense(a: dict[int, Scalar], b: dict[int, Scalar]) -> "XLaurent | None":
-    """int64 convolution fast path; None when ineligible (then use dict path)."""
-    if not all(type(c) is int for c in a.values()):
+_Rows = Mapping[int, Mapping[int, Scalar]]
+
+
+def _packed_product(
+    a: _Rows, b: _Rows, limit: int | None = None
+) -> dict[int, dict[int, int]] | None:
+    """Product of two bivariate polynomials by one big-int multiply.
+
+    Operands map a q-exponent e to a nonempty row ``{d: c}`` of the terms
+    ``c * q^e * x^d``.  Returns the product's nonzero rows with ``e < limit``
+    in the same form, or None when the schoolbook loops should run instead:
+    too few term pairs, a packing with more than four product slots per
+    term pair, or a coefficient that is not an int.
+
+    A term goes to slot ``((e - e_min) / g) * dx + (d - d_min)``, where g is
+    the gcd of all q-offsets and dx the x-width of the product, so distinct
+    product terms land in distinct slots.  A slot holds a whole number of
+    bytes and at least one bit more than ``max|a| * max|b| * min(#a, #b)``,
+    which bounds every product coefficient; adding half the slot range to
+    every slot makes them all nonnegative, so each reads back without carries.
+    """
+    na = sum(map(len, a.values()))
+    nb = sum(map(len, b.values()))
+    if na * nb < _PACK_MIN_OPS:
         return None
-    if not all(type(c) is int for c in b.values()):
+    ea0, eb0 = min(a), min(b)
+    da0 = min(min(row) for row in a.values())
+    db0 = min(min(row) for row in b.values())
+    da1 = max(max(row) for row in a.values())
+    db1 = max(max(row) for row in b.values())
+    dx = da1 - da0 + db1 - db0 + 1
+    g = math.gcd(*(e - ea0 for e in a), *(e - eb0 for e in b)) or 1
+    rows_a, rows_b = (max(a) - ea0) // g + 1, (max(b) - eb0) // g + 1
+    if (rows_a + rows_b - 1) * dx * 4 > na * nb:
         return None
-    amin, amax = min(a), max(a)
-    bmin, bmax = min(b), max(b)
-    la, lb = amax - amin + 1, bmax - bmin + 1
-    if la * lb > 100 * len(a) * len(b) or la * lb > 1 << 26:
-        return None  # too sparse or too large for a dense detour
-    ma = max(abs(c) for c in a.values())
-    mb = max(abs(c) for c in b.values())
-    if ma * mb * min(len(a), len(b)) >= _INT64_LIMIT:
-        return None  # convolution could overflow int64
-    va = _np.zeros(la, dtype=_np.int64)
-    for e, c in a.items():
-        va[e - amin] = c
-    vb = _np.zeros(lb, dtype=_np.int64)
-    for e, c in b.items():
-        vb[e - bmin] = c
-    conv = _np.convolve(va, vb)
-    base = amin + bmin
-    res = XLaurent.__new__(XLaurent)
-    res.coeffs = {base + i: int(v) for i, v in enumerate(conv) if v}
-    return res
+    types: set[type] = set()
+    for row in (*a.values(), *b.values()):
+        types.update(map(type, row.values()))
+    if types != {int}:
+        return None
+    bound = (
+        max(max(map(abs, row.values())) for row in a.values())
+        * max(max(map(abs, row.values())) for row in b.values())
+        * min(na, nb)
+    )
+    wb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    product = _pack(a, ea0, da0, g, dx, wb, rows_a) * _pack(b, eb0, db0, g, dx, wb, rows_b)
+    e0, d0 = ea0 + eb0, da0 + db0
+    rows = rows_a + rows_b - 1
+    if limit is not None:
+        rows = min(rows, max(0, -((e0 - limit) // g)))
+    half = 1 << (8 * wb - 1)
+    zero = half.to_bytes(wb, "little")
+    width = rows * dx * wb
+    bias = int.from_bytes(zero * (rows * dx), "little")
+    buf = ((product + bias) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    out: dict[int, dict[int, int]] = {}
+    for r in range(rows):
+        row = {}
+        base = r * dx * wb
+        for col in range(dx):
+            i = base + col * wb
+            chunk = buf[i : i + wb]
+            if chunk != zero:
+                row[d0 + col] = int.from_bytes(chunk, "little") - half
+        if row:
+            out[e0 + r * g] = row
+    return out
+
+
+def _pack(terms: _Rows, e0: int, d0: int, g: int, dx: int, wb: int, rows: int) -> int:
+    """One operand as a signed big int; positive and negative parts packed apart."""
+    pos = bytearray(rows * dx * wb)
+    neg = bytearray(rows * dx * wb)
+    for e, row in terms.items():
+        base = (e - e0) // g * dx - d0
+        for d, c in row.items():
+            i = (base + d) * wb
+            if c > 0:
+                pos[i : i + wb] = c.to_bytes(wb, "little")
+            else:
+                neg[i : i + wb] = (-c).to_bytes(wb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 ZERO = XLaurent()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .laurent import ExactnessError, Scalar, XLaurent
+from .laurent import ExactnessError, Scalar, XLaurent, _packed_product
 
 __all__ = [
     "Mono",
@@ -265,23 +265,21 @@ class QSeries:
             cands.append(wb + a._valuation())
         w = min(cands) if cands else _INF
         trunc = None if w == _INF else int(w)
+        at, bt = a.terms, b.terms
+        if trunc is not None and at and bt:
+            amin, bmin = min(at), min(bt)
+            at = {e: c for e, c in at.items() if e + bmin < trunc}
+            bt = {e: c for e, c in bt.items() if e + amin < trunc}
+        rows = _packed_product(
+            {e: c.coeffs for e, c in at.items()}, {e: c.coeffs for e, c in bt.items()}, trunc
+        )
+        if rows is None:
+            rows = _schoolbook(at, bt, trunc)
         out: dict[int, XLaurent] = {}
-        bitems = sorted(b.terms.items())
-        bmin = bitems[0][0] if bitems else 0
-        for e1, c1 in sorted(a.terms.items()):
-            if trunc is not None and e1 + bmin >= trunc:
-                break
-            for e2, c2 in bitems:
-                e = e1 + e2
-                if trunc is not None and e >= trunc:
-                    break
-                v = c1 * c2
-                if e in out:
-                    v = out[e] + v
-                    if v.is_zero():
-                        del out[e]
-                        continue
-                out[e] = v
+        for e, row in rows.items():
+            if row:  # rows hold no zero coefficient; wrap them as they are
+                c = out[e] = XLaurent.__new__(XLaurent)
+                c.coeffs = row
         return QSeries(out, a.scale, trunc)
 
     __rmul__ = __mul__
@@ -386,6 +384,31 @@ class QSeries:
         n = len(self.terms)
         w = "exact" if self.trunc is None else f"<{Fraction(self.trunc, self.scale)}"
         return f"QSeries({n} terms, scale={self.scale}, {w})"
+
+
+def _schoolbook(
+    a: Mapping[int, XLaurent], b: Mapping[int, XLaurent], trunc: int | None
+) -> dict[int, dict[int, Scalar]]:
+    """Product term by term, below trunc, as q-exponent -> {x-exponent: coeff}."""
+    out: dict[int, dict[int, Scalar]] = {}
+    bitems = sorted(b.items())
+    for e1, c1 in sorted(a.items()):
+        for e2, c2 in bitems:
+            e = e1 + e2
+            if trunc is not None and e >= trunc:
+                break
+            row = out.get(e)
+            if row is None:
+                row = out[e] = {}
+            for d1, v1 in c1.coeffs.items():
+                for d2, v2 in c2.coeffs.items():
+                    d = d1 + d2
+                    v = row.get(d, 0) + v1 * v2
+                    if v:
+                        row[d] = v
+                    else:
+                        del row[d]
+    return out
 
 
 def series_invert(s: QSeries, trunc: int | None = None) -> QSeries:

@@ -106,6 +106,16 @@ def test_check_bailey(capsys):
     assert len(lines) == 5 and all(l["status"] == "pass" for l in lines)
 
 
+def test_check_bailey_keeps_explicit_zeros(capsys):
+    code, out, _ = run(capsys, "check", "bailey", "--t", "1", "--n", "0", "--trunc", "3")
+    assert code == 0
+    params = [json.loads(line)["params"] for line in out.strip().split("\n")]
+    assert all(p["n_max"] == 0 and p["trunc"] == 3 for p in params)
+    for flag, bad in (("--t", "0"), ("--n", "-1"), ("--trunc", "0")):
+        code, out, err = run(capsys, "check", "bailey", flag, bad)
+        assert code == 2 and flag in err and out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "check", "duality", "--t", "1", "--m", "5", "--N", "2")
     assert code == 2 and "1 <= m <= t" in err

@@ -1,14 +1,20 @@
 """Laurent-polynomial layer: hand values, independent oracles, ring laws."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qknot
 from qknot.laurent import (
     ExactnessError,
     XLaurent,
+    _packed_product,
     bernoulli_b2,
     cyclotomic_polynomial,
     poch_q,
@@ -159,12 +165,49 @@ def test_mirror_respects_products(a):
     assert (a * b).mirror() == a.mirror() * b.mirror()
 
 
-def test_dense_fastpath_agrees_with_dict_path():
-    # polynomials big enough to trip the int64 convolution route
-    a = lp({i: (i % 7) - 3 for i in range(150)})
-    b = lp({i: (i % 5) - 2 for i in range(140)})
-    fast = a * b
-    slow = XLaurent()
+def _schoolbook(a, b):
+    # reference product built without XLaurent.__mul__
+    out = XLaurent()
     for e, c in a.coeffs.items():
-        slow = slow + b.scaled(c).shift(e)
-    assert fast == slow
+        out = out + b.scaled(c).shift(e)
+    return out
+
+
+def test_kronecker_product_agrees_with_schoolbook():
+    big = 1 << 95
+    cases = [
+        # small dense coefficients
+        (lp({i: (i % 7) - 3 for i in range(150)}), lp({i: (i % 5) - 2 for i in range(140)})),
+        # wide signed coefficients, negative exponents
+        (
+            lp({i - 60: (-1) ** i * (big + 7 * i) for i in range(90)}),
+            lp({i - 20: (i % 3 - 1) * big - i for i in range(60)}),
+        ),
+        # strided exponents
+        (lp({3 * i: i - 10 for i in range(40)}), lp({3 * i + 1: 2 - i for i in range(30)})),
+        # a product coefficient equal to the slot bound 16 * (2^46 - 1)^2, 96 bits
+        (lp({i: (1 << 46) - 1 for i in range(16)}), lp({i: 1 - (1 << 46) for i in range(16)})),
+    ]
+    for a, b in cases:
+        assert _packed_product({0: a.coeffs}, {0: b.coeffs}) is not None
+        assert a * b == _schoolbook(a, b)
+        assert b * a == _schoolbook(a, b)
+
+
+def test_kronecker_declines_what_the_schoolbook_handles():
+    dense = lp({i: i - 9 for i in range(20)})
+    declined = [
+        lp({i: Fraction(1, i + 1) for i in range(20)}),  # rational coefficients
+        lp({i: 1 for i in range(12)}),  # 20 x 12 < 256 term pairs
+        lp({1000 * i: (-1) ** i for i in range(16)}),  # far more slots than term pairs
+    ]
+    for other in declined:
+        assert _packed_product({0: dense.coeffs}, {0: other.coeffs}) is None
+        assert dense * other == _schoolbook(dense, other)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(qknot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, qknot; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,12 +1,13 @@
 """Truncated-series layer: windows, inversion, Pochhammer products."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknot.laurent import XLaurent
+from qknot.laurent import XLaurent, _packed_product
 from qknot.series import Mono, QSeries, WindowError, first_difference, qpochhammer, series_invert
 
 
@@ -180,3 +181,58 @@ def test_invert_roundtrip(s):
     prod = s * inv
     one = QSeries.one(1, prod.trunc)
     assert first_difference(prod, one) is None
+
+
+@st.composite
+def kernel_operand(draw, scale):
+    """A series whose shape varies across the packed kernel's crossovers:
+    term count, slot density, stride, coefficient width and window."""
+    stride = draw(st.sampled_from([1, scale]))
+    start = draw(st.integers(-4, 4))
+    rows = draw(st.sampled_from([20, 12, 6, 3, 1]))
+    x_lo = draw(st.integers(-3, 1))
+    width = draw(st.sampled_from([4, 2, 1]))
+    spread = draw(st.sampled_from([1, 1, 7]))  # 7 leaves most slots empty
+    bits = draw(st.sampled_from([3, 95, 130]))
+    cells = [(start + stride * spread * r, x_lo + d) for r in range(rows) for d in range(width)]
+    digit = st.tuples(st.integers(-3, 3), st.integers(-9, 9))  # c = hi * 2^bits + lo
+    digits = draw(st.lists(digit, min_size=len(cells), max_size=len(cells)))
+    coeffs = [(hi << bits) + lo for hi, lo in digits]
+    terms: dict[int, dict[int, object]] = {}
+    for (e, d), c in zip(cells, coeffs):
+        terms.setdefault(e, {})[d] = c
+    if draw(st.integers(0, 9)) == 0:  # a rational coefficient
+        e = next(iter(terms))
+        terms[e][x_lo] = Fraction(1, 3)
+    cut = draw(st.one_of(st.none(), st.integers(0, rows)))  # rows dropped by the window
+    trunc = None if cut is None else start + stride * spread * (rows - cut)
+    return QSeries({e: XLaurent(xs) for e, xs in terms.items()}, scale, trunc)
+
+
+kernel_pairs = st.sampled_from([1, 2, 3]).flatmap(
+    lambda scale: st.tuples(kernel_operand(scale), kernel_operand(scale))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_pairs)
+def test_packed_product_matches_schoolbook(pair):
+    a, b = pair
+    for x, y in ((a, b), (a, a), (b, b)):
+        packed = x * y
+        with mock.patch("qknot.series._packed_product", return_value=None):
+            school = x * y
+        assert (packed.scale, packed.trunc) == (school.scale, school.trunc)
+        assert coeffs_of(packed) == coeffs_of(school)
+
+
+def test_packed_path_runs_on_dense_integer_products():
+    # q-exponents strided by 5: packed only if the stride is divided out
+    dense = QSeries({5 * e: XLaurent({d: e - d - 5 for d in range(-2, 2)}) for e in range(10)}, 5)
+    wide = dense.mul_mono(Mono(1 << 100, 1, 0))
+    for a, b in ((dense, dense), (dense, wide)):
+        rows = _packed_product(
+            {e: c.coeffs for e, c in a.terms.items()}, {e: c.coeffs for e, c in b.terms.items()}
+        )
+        assert rows is not None
+        assert coeffs_of(a * b) == rows
