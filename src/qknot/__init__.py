@@ -36,7 +36,7 @@ from .laurent import (
 )
 from .modular import bernoulli_lhs, bernoulli_rhs, chi_periodic, theta_phi
 from .report import CheckReport
-from .series import Mono, QSeries, WindowError, first_difference, qpochhammer, series_invert
+from .series import Mono, QSeries, WindowError, first_difference, qpochhammer
 from .useries import eval_f_at_root, u_eval_at_root, u_series
 from .verify import run_suite
 
@@ -80,7 +80,6 @@ __all__ = [
     "qbinomial",
     "qpochhammer",
     "run_suite",
-    "series_invert",
     "theta_phi",
     "u_eval_at_root",
     "u_series",

@@ -12,14 +12,13 @@ inversion instead of one per Pochhammer factor.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .cyclotomic_coeffs import c_product
 from .jones import jones_left
 from .laurent import XLaurent, poch_q, qbinomial
-from .report import CheckReport, diff_qseries
+from .report import CheckReport, _timed_report, diff_qseries
 from .series import Mono, QSeries, qpochhammer
 
 __all__ = [
@@ -389,8 +388,12 @@ def bailey_verify(pair: BaileyPair, n_max: int, trunc: int) -> CheckReport:
     The alpha-from-beta direction uses the rearranged prefactor
     (a)_n / (1-a) = (aq)_{n-1}, regular for every a including a = 1.
     """
-    started = time.perf_counter()
     params = {"pair": pair.label, "n_max": n_max, "trunc": trunc}
+    return _timed_report("bailey-verify", params, lambda: (_first_failure(pair, n_max, trunc), None))
+
+
+def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
+    """Witness of the first n at which either pair relation fails, or None."""
     a_exp = pair.a_exp
     for n in range(n_max + 1):
         rhs = QSeries.zero(1, trunc)
@@ -421,13 +424,8 @@ def bailey_verify(pair: BaileyPair, n_max: int, trunc: int) -> CheckReport:
             witness = diff_qseries(pair.alpha(n, trunc), rhs2, label=f"alpha relation at n={n}")
         if witness is not None:
             witness["n"] = n
-            return CheckReport(
-                "bailey-verify", params, "fail", witness,
-                (time.perf_counter() - started) * 1e3,
-            )
-    return CheckReport(
-        "bailey-verify", params, "pass", None, (time.perf_counter() - started) * 1e3
-    )
+            return witness
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +558,22 @@ def bailey_limit_identity(
     pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
 ) -> CheckReport:
     """Both sides of the limiting form of the lemma, compared below trunc."""
-    started = time.perf_counter()
     params = {
         "pair": pair.label,
         "b": "inf" if b is None else str(b),
         "c": "inf" if c is None else str(c),
         "trunc": trunc,
     }
+    return _timed_report(
+        "bailey-limit",
+        params,
+        lambda: (diff_qseries(*_limit_sides(pair, b, c, trunc), label="limit identity"), None),
+    )
+
+
+def _limit_sides(
+    pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
+) -> tuple[QSeries, QSeries]:
     if pair.alpha_floor is None or pair.beta_floor is None:
         raise ValueError("limit identity needs valuation floors on the pair")
     a_exp = pair.a_exp
@@ -636,20 +643,20 @@ def bailey_limit_identity(
         num = num * qpochhammer(_req(aq.divide(c), "aq/c"), None, trunc=w)
     if b is not None and c is not None:
         den = den * qpochhammer(_req(aq.divide(b.times(c)), "aq/bc"), None, trunc=w)
-    rhs = inner * num * den.invert()
-
-    witness = diff_qseries(lhs, rhs, label="limit identity")
-    status = "pass" if witness is None else "fail"
-    return CheckReport(
-        "bailey-limit", params, status, witness, (time.perf_counter() - started) * 1e3
-    )
+    return lhs, inner * num * den.invert()
 
 
 def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
     """Conjugate-pair identity: sum (aq)_{2n} q^n beta_n against the
     1/(q)_inf-weighted double sum over alpha, compared below trunc."""
-    started = time.perf_counter()
-    params = {"pair": pair.label, "trunc": trunc}
+    return _timed_report(
+        "bailey-conjugate",
+        {"pair": pair.label, "trunc": trunc},
+        lambda: (diff_qseries(*_conjugate_sides(pair, trunc), label="conjugate identity"), None),
+    )
+
+
+def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
     if pair.a_exp not in (0, 1):
         raise ValueError("conjugate identity applies to pairs relative to 1 or q")
     if pair.alpha_floor is None or pair.beta_floor is None:
@@ -681,13 +688,7 @@ def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
             r += 1
         n += 1
     v = int(min(0, inner._valuation()))
-    rhs = inner * qpochhammer(Mono(1, 0, 1), None, trunc=trunc - v).invert()
-
-    witness = diff_qseries(lhs, rhs, label="conjugate identity")
-    status = "pass" if witness is None else "fail"
-    return CheckReport(
-        "bailey-conjugate", params, status, witness, (time.perf_counter() - started) * 1e3
-    )
+    return lhs, inner * qpochhammer(Mono(1, 0, 1), None, trunc=trunc - v).invert()
 
 
 def perturbed_pair(pair: BaileyPair, which: str, n_target: int, mono: Mono) -> BaileyPair:

@@ -1,5 +1,12 @@
 """Command-line surface: compute series and run verification suites.
 
+``qknot series <object>`` emits a series, polynomial or field value.
+``qknot check <family>`` runs one check of every family in
+``verify.CHECK_FAMILIES`` whose required parameters all map onto the
+``--t --m --N --n --trunc`` flags (``hecke --double`` is an alias for
+``hecke-double``); ``check bailey`` verifies the five named Bailey pairs and
+``check suite`` runs a whole profile.
+
 Exit codes: 0 all requested checks pass (or series emitted), 1 a check
 failed, 2 usage or validation error.  Data goes to stdout, logs to stderr.
 The default check profile can be set with the QKNOT_PROFILE variable.
@@ -62,8 +69,11 @@ def _emit_series(series: QSeries, args) -> None:
 
 def _write(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -76,7 +86,7 @@ def _specialize(series: QSeries, args) -> QSeries:
         return series.substitute_x(-1)
     try:
         value = Fraction(mode)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read x specialization {mode!r}") from exc
     if value == 0:
         raise UsageError("x = 0 is outside the Laurent domain")
@@ -141,73 +151,66 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    reports = []
-    kind = args.what
-    if kind == "suite":
-        profile = verify.PROFILES.get(args.profile)
-        if profile is None:
-            raise UsageError(f"unknown profile {args.profile!r}")
-        started = time.monotonic()
-        reports = verify.run_suite(args.profile, args.parallelism)
-        elapsed = time.monotonic() - started
-        print(
-            f"suite '{profile.name}' finished in {elapsed:.1f}s "
-            f"(budget {profile.time_budget_s:.0f}s)",
-            file=sys.stderr,
-        )
-    elif kind == "duality":
-        _validate_tm(args)
-        _need(args, "m", "N")
-        reports = [verify.check_duality(args.t, args.m, args.N)]
-    elif kind == "jones-agreement":
-        _validate_tm(args)
-        _need(args, "m", "N")
-        reports = [verify.check_jones_f_agreement(args.t, args.m, args.N)]
-    elif kind == "bernoulli":
-        _validate_tm(args)
-        _need(args, "m", "N")
-        reports = [verify.check_bernoulli_formula(args.t, args.m, args.N)]
-    elif kind == "hecke":
-        if args.double:
-            _need(args, "trunc")
-            reports = [verify.check_hecke_double(args.trunc)]
-        else:
-            _validate_tm(args)
-            _need(args, "m", "trunc")
-            reports = [verify.check_hecke_match(args.t, args.m, args.trunc)]
-    elif kind == "cyclotomic":
-        _validate_tm(args)
-        _need(args, "m", "n")
-        reports = [verify.check_cyclotomic_coeffs(args.t, args.m, args.n)]
-    elif kind == "habiro":
-        _validate_tm(args)
-        _need(args, "m", "N")
-        reports = [verify.check_habiro_roundtrip(args.t, args.m, args.N)]
-    elif kind == "bailey":
-        t = 1 if args.t is None else args.t
-        nb = 8 if args.n is None else args.n
-        wb = 40 if args.trunc is None else args.trunc
-        if t < 1:
-            raise UsageError("--t must be a positive integer")
-        if nb < 0:
-            raise UsageError("--n must be a nonnegative integer")
-        if wb < 1:
-            raise UsageError("--trunc must be a positive integer")
+# Check families reachable from `qknot check`: every argument without a
+# default comes from one of the common flags.
+_CHECKS = [family.id for family in verify.CHECK_FAMILIES.values() if family.cli_ready]
+
+
+def _run_family(family_id: str, args) -> list:
+    family = verify.CHECK_FAMILIES[family_id]
+    flagged = [p for p in family.params if p.flag]
+    _need(args, *(p.flag for p in flagged))
+    check = getattr(verify, family.build.__name__)
+    return [check(**{p.arg: getattr(args, p.flag) for p in flagged})]
+
+
+def _run_bailey_pairs(args) -> list:
+    t = 1 if args.t is None else args.t
+    nb = 8 if args.n is None else args.n
+    wb = 40 if args.trunc is None else args.trunc
+    if t < 1:  # a pair parameter: the check family does not bound it
+        raise UsageError("--t must be a positive integer")
+    return [
+        verify.check_bailey_named(name, nb, wb, **kwargs)
         for name, kwargs in (
             ("unit", {}),
             ("andrews", {}),
             ("jones", {"t": t}),
             ("lovejoy", {"t": t}),
             ("star", {"t": t}),
-        ):
-            reports.append(verify.check_bailey_named(name, nb, wb, **kwargs))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown check {kind!r}")
-    lines = []
-    for report in reports:
-        lines.append(report.to_json_line())
-    _write("\n".join(lines) + "\n", args.output)
+        )
+    ]
+
+
+def _run_suite(args) -> list:
+    profile = verify.PROFILES.get(args.profile)
+    if profile is None:
+        raise UsageError(f"unknown profile {args.profile!r}")
+    workers = min(args.parallelism, os.cpu_count() or 1)
+    if workers < args.parallelism:
+        print(f"--parallelism {args.parallelism} capped at {workers} CPUs", file=sys.stderr)
+    started = time.monotonic()
+    reports = verify.run_suite(args.profile, workers)
+    elapsed = time.monotonic() - started
+    print(
+        f"suite '{profile.name}' finished in {elapsed:.1f}s "
+        f"(budget {profile.time_budget_s:.0f}s)",
+        file=sys.stderr,
+    )
+    return reports
+
+
+def _cmd_check(args) -> int:
+    if args.parallelism < 1:
+        raise UsageError("--parallelism must be at least 1")
+    if args.what == "suite":
+        reports = _run_suite(args)
+    elif args.what == "bailey":
+        reports = _run_bailey_pairs(args)
+    else:
+        double = args.what == "hecke" and args.double
+        reports = _run_family("hecke-double" if double else args.what, args)
+    _write("".join(report.to_json_line() + "\n" for report in reports), args.output)
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - failed}/{len(reports)} checks passed", file=sys.stderr)
     return 1 if failed else 0
@@ -244,11 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_series)
 
     cp = sub.add_parser("check", help="run identity checks; JSON-line reports on stdout")
-    cp.add_argument(
-        "what",
-        choices=["duality", "jones-agreement", "bernoulli", "hecke", "cyclotomic",
-                 "habiro", "bailey", "suite"],
-    )
+    cp.add_argument("what", choices=[*_CHECKS, "bailey", "suite"],
+                    help="a check family, the named Bailey pairs, or a suite profile")
     common(cp)
     cp.add_argument("--double", action="store_true",
                     help="hecke: check the two-index expansion instead")

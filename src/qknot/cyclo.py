@@ -11,24 +11,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .laurent import Scalar, XLaurent, cyclotomic_polynomial
+from .laurent import Scalar, XLaurent, _norm, cyclotomic_polynomial
 from .series import QSeries
 
-__all__ = ["CycloNum", "cyclo_eval", "euler_phi"]
-
-
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if _gcd(k, n) == 1:
-            count += 1
-    return count
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+__all__ = ["CycloNum", "cyclo_eval"]
 
 
 @lru_cache(maxsize=None)
@@ -252,12 +238,6 @@ class CycloNum:
                 if p:
                     vec[j] += c * p
         return CycloNum(new_order, vec)
-
-
-def _norm(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

@@ -226,14 +226,8 @@ class XLaurent:
         res.coeffs = {-e: c for e, c in self.coeffs.items()}
         return res
 
-    def upscale(self, f: int) -> "XLaurent":
-        """Substitute v -> v^f (exponents multiplied by f)."""
-        res = XLaurent.__new__(XLaurent)
-        res.coeffs = {e * f: c for e, c in self.coeffs.items()}
-        return res
-
     def descale(self, f: int) -> "XLaurent":
-        """Inverse of upscale; every exponent must be divisible by f."""
+        """Substitute v -> v^(1/f); every exponent must be divisible by f."""
         out = {}
         for e, c in self.coeffs.items():
             if e % f:

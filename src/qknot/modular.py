@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloNum
+from .cyclotomic_coeffs import _validate
 from .laurent import bernoulli_b2
 from .series import Mono, QSeries, qpochhammer
 from .useries import eval_f_at_root
@@ -22,11 +23,6 @@ __all__ = [
     "chi_periodic",
     "theta_phi",
 ]
-
-
-def _validate(t: int, m: int) -> None:
-    if t < 1 or not 1 <= m <= t:
-        raise ValueError("need 1 <= m <= t")
 
 
 def chi_periodic(t: int, m: int, k: int) -> int:

@@ -9,9 +9,10 @@ injected defect.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .cyclo import CycloNum
 from .laurent import XLaurent
@@ -55,8 +56,29 @@ class CheckReport:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
 
-def _coeff_str(c) -> str:
-    return str(c)
+def _timed_report(
+    check_id: str, params: dict[str, Any], body: Callable[[], tuple[dict | None, str | None]]
+) -> CheckReport:
+    """Time ``body``, which returns the witness of the first discrepancy (or
+    None) and the value a passing report carries (or None).  Every report in
+    the package is built here.  The name is private so that a profiler which
+    spans public functions (perfbench/tracer.py) charges a check's work to
+    the check, not to this wrapper."""
+    started = time.perf_counter()
+    witness, value = body()
+    return CheckReport(
+        check_id,
+        params,
+        "pass" if witness is None else "fail",
+        witness,
+        (time.perf_counter() - started) * 1e3,
+        value if witness is None else None,
+    )
+
+
+def _witness(label: str, **fields: Any) -> dict[str, Any]:
+    """A discrepancy, tagged with where it was found when there is a label."""
+    return {**fields, "where": label} if label else fields
 
 
 def diff_xlaurent(lhs: XLaurent, rhs: XLaurent, label: str = "") -> dict | None:
@@ -64,10 +86,7 @@ def diff_xlaurent(lhs: XLaurent, rhs: XLaurent, label: str = "") -> dict | None:
     for e in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
         a, b = lhs.coeff(e), rhs.coeff(e)
         if a != b:
-            out = {"q_exp": e, "actual": _coeff_str(a), "expected": _coeff_str(b)}
-            if label:
-                out["where"] = label
-            return out
+            return _witness(label, q_exp=e, actual=str(a), expected=str(b))
     return None
 
 
@@ -77,10 +96,7 @@ def diff_cyclo(lhs: CycloNum, rhs: CycloNum, label: str = "") -> dict | None:
         return {"where": label or "order", "actual": lhs.order, "expected": rhs.order}
     for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
         if a != b:
-            out = {"basis_exp": i, "actual": _coeff_str(a), "expected": _coeff_str(b)}
-            if label:
-                out["where"] = label
-            return out
+            return _witness(label, basis_exp=i, actual=str(a), expected=str(b))
     return None
 
 
@@ -92,12 +108,4 @@ def diff_qseries(
     if d is None:
         return None
     q_exp, x_exp, a, b = d
-    out = {
-        "q_exp": str(q_exp),
-        "x_exp": x_exp,
-        "actual": _coeff_str(a),
-        "expected": _coeff_str(b),
-    }
-    if label:
-        out["where"] = label
-    return out
+    return _witness(label, q_exp=str(q_exp), x_exp=x_exp, actual=str(a), expected=str(b))

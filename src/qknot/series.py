@@ -24,7 +24,6 @@ __all__ = [
     "WindowError",
     "first_difference",
     "qpochhammer",
-    "series_invert",
 ]
 
 _INF = math.inf
@@ -63,9 +62,6 @@ class Mono:
         if c.denominator == 1:
             c = c.numerator
         return Mono(c, self.x_exp * n, self.q_exp * n)
-
-    def neg(self) -> "Mono":
-        return Mono(-self.coeff, self.x_exp, self.q_exp)
 
 
 class QSeries:
@@ -409,11 +405,6 @@ def _schoolbook(
                     else:
                         del row[d]
     return out
-
-
-def series_invert(s: QSeries, trunc: int | None = None) -> QSeries:
-    """Inverse of a series whose lowest term is a monomial unit."""
-    return s.invert(trunc)
 
 
 def qpochhammer(

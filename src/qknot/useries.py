@@ -10,15 +10,10 @@ it collapses to a finite sum evaluated directly in the field.
 from __future__ import annotations
 
 from .cyclo import CycloNum
-from .cyclotomic_coeffs import c_series
+from .cyclotomic_coeffs import _validate, c_series
 from .series import QSeries
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
-
-
-def _validate(t: int, m: int) -> None:
-    if t < 1 or not 1 <= m <= t:
-        raise ValueError("need 1 <= m <= t")
 
 
 def _field_poch(order: int, eps: int, count: int) -> list[CycloNum]:

@@ -5,16 +5,22 @@ and reports a witness at the first discrepancy.  The mutation harness
 re-runs a check with one coefficient deliberately perturbed and demands
 both a failure and a witness pointing at the injected spot: this guards
 the whole suite against vacuous passes from mis-windowed truncation.
+
+Each check family is one entry of ``CHECK_FAMILIES``: its parameters (report
+key, CLI flag, lower bound), its evidence builder and its mutation
+arguments.  The public ``check_*`` functions, the suite dispatch, the
+negative controls and the ``qknot check`` subcommands are derived from it.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import bailey
 from .cyclo import CycloNum, cyclo_eval
@@ -23,12 +29,15 @@ from .hecke import hecke_u1_double, hecke_u_series_x
 from .jones import habiro_inverse, habiro_reconstruct, jones_hyper, jones_left, jones_morton, mirror
 from .laurent import XLaurent
 from .modular import bernoulli_lhs, bernoulli_rhs, theta_phi
-from .report import CheckReport, diff_cyclo, diff_qseries, diff_xlaurent
+from .report import CheckReport, _timed_report, diff_cyclo, diff_qseries, diff_xlaurent
 from .series import Mono, QSeries
 from .useries import eval_f_at_root, u_eval_at_root, u_series
 
 __all__ = [
+    "CHECK_FAMILIES",
     "PROFILES",
+    "CheckFamily",
+    "Param",
     "Profile",
     "check_bailey_conjugate",
     "check_bailey_limit",
@@ -51,143 +60,201 @@ __all__ = [
     "suite_tasks",
 ]
 
-# Evidence item: (label, kind, lhs, rhs, through) with kind in
-# {"cyclo", "xlaurent", "qseries"}; through bounds qseries comparisons.
-Evidence = tuple[str, str, Any, Any, Any]
+# Evidence item: (label, lhs, rhs) with both sides CycloNum, XLaurent or
+# QSeries; a QSeries item adds the exponent it is compared through.
+Evidence = tuple
 
 
-def _compare(item: Evidence) -> dict | None:
-    label, kind, lhs, rhs, through = item
-    if kind == "cyclo":
+def _compare(label: str, lhs: Any, rhs: Any, through: Any = None) -> dict | None:
+    if isinstance(lhs, CycloNum):
         return diff_cyclo(lhs, rhs, label)
-    if kind == "xlaurent":
+    if isinstance(lhs, XLaurent):
         return diff_xlaurent(lhs, rhs, label)
     return diff_qseries(lhs, rhs, through, label)
 
 
-def _finish(
-    check_id: str,
-    params: dict,
-    items: list[Evidence],
-    started: float,
-    value: str | None = None,
-) -> CheckReport:
-    witness = None
-    for item in items:
-        witness = _compare(item)
-        if witness is not None:
-            break
-    return CheckReport(
-        check_id,
-        params,
-        "pass" if witness is None else "fail",
-        witness,
-        (time.perf_counter() - started) * 1e3,
-        value if witness is None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# evidence builders (shared by the checks and the mutation harness)
+# the check-family table
 # ---------------------------------------------------------------------------
 
 
-def _ev_duality(t: int, m: int, n_root: int) -> list[Evidence]:
+class Param(NamedTuple):
+    """A validated argument of a check family: ``low`` is its smallest
+    admissible value, ``flag`` the ``qknot check`` option that supplies it,
+    and ``key`` its name in the report (default: ``arg``)."""
+
+    arg: str
+    low: int
+    flag: str | None = None
+    key: str = ""
+
+
+class CheckFamily(NamedTuple):
+    """One check family.  ``build`` is the body of the public check function
+    of the same name: it returns the two-route evidence, or, when
+    ``reports``, the Bailey pair machinery's own report.  A passing evidence
+    report carries the first left side's value when ``value``; ``mutation``
+    holds the arguments of the family's negative control."""
+
+    id: str
+    params: tuple[Param, ...]
+    build: Callable[..., Any]
+    reports: bool = False
+    value: bool = False
+    mutation: tuple | None = None
+
+    @property
+    def cli_ready(self) -> bool:
+        """Every argument without a default comes from a `qknot check` flag."""
+        flagged = {p.arg for p in self.params if p.flag}
+        return all(
+            a.name in flagged or a.default is not a.empty or a.kind is a.VAR_KEYWORD
+            for a in inspect.signature(self.build).parameters.values()
+        )
+
+
+CHECK_FAMILIES: dict[str, CheckFamily] = {}
+
+_T = Param("t", 1, "t")
+_M = Param("m", 1, "m")
+_ROOT = Param("n_root", 1, "N", "N")
+_ORDER = Param("order", 0, "trunc", "through")
+_N_MAX = Param("n_max", 0, "n")
+_TRUNC = Param("trunc", 1, "trunc")
+
+
+def _family(family_id: str, *params: Param, reports=False, value=False, mutation=None):
+    """Register ``build`` as a check family; return its public check function,
+    which has ``build``'s signature and returns a ``CheckReport``."""
+
+    def register(build: Callable[..., Any]) -> Callable[..., CheckReport]:
+        family = CheckFamily(family_id, params, build, reports, value, mutation)
+        CHECK_FAMILIES[family_id] = family
+        signature = inspect.signature(build)
+
+        @functools.wraps(build)
+        def check(*args, **kwargs) -> CheckReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return _run(family, bound)
+
+        check.__signature__ = signature.replace(return_annotation="CheckReport")
+        return check
+
+    return register
+
+
+def _run(family: CheckFamily, bound: inspect.BoundArguments) -> CheckReport:
+    """Validate the arguments once, then run the family's check."""
+    arguments = bound.arguments
+    for p in family.params:
+        if (v := arguments[p.arg]) < p.low:
+            via = f" (--{p.flag})" if p.flag else ""
+            raise ValueError(f"{family.id}: {p.arg}{via} must be at least {p.low}, got {v}")
+    if family.reports:
+        return family.build(*bound.args, **bound.kwargs)
+    params = {p.key or p.arg: arguments[p.arg] for p in family.params}
+    return _timed_report(family.id, params, lambda: _compare_evidence(family, bound))
+
+
+def _compare_evidence(family: CheckFamily, bound: inspect.BoundArguments) -> tuple:
+    """The first witness over the family's evidence, and the report value."""
+    items = family.build(*bound.args, **bound.kwargs)
+    if not items:
+        raise ValueError(f"{family.id}: these parameters leave nothing to compare")
+    witness = next((w for w in (_compare(*item) for item in items) if w is not None), None)
+    return witness, items[0][1].value_str() if family.value else None
+
+
+# ---------------------------------------------------------------------------
+# evidence families
+# ---------------------------------------------------------------------------
+
+
+@_family("duality", _T, _M, _ROOT, value=True, mutation=(2, 2, 5))
+def check_duality(t: int, m: int, n_root: int) -> list[Evidence]:
     lhs = u_eval_at_root(t, m, n_root)
     rhs = eval_f_at_root(t, m, n_root, inverse=True)
-    return [("U(-1; zeta_N) vs F(zeta_N^-1)", "cyclo", lhs, rhs, None)]
+    return [("U(-1; zeta_N) vs F(zeta_N^-1)", lhs, rhs)]
 
 
-def _ev_jones_f_agreement(t: int, m: int, n_root: int) -> list[Evidence]:
+@_family("jones-agreement", _T, _M, _ROOT, value=True, mutation=(2, 1, 4))
+def check_jones_f_agreement(t: int, m: int, n_root: int) -> list[Evidence]:
     items: list[Evidence] = [
         (
             "J^(t,m) at zeta_N vs F at zeta_N^-1",
-            "cyclo",
             cyclo_eval(jones_left(t, m, n_root), n_root, 1),
             eval_f_at_root(t, m, n_root, inverse=True),
-            None,
         )
     ]
     if m == 1:
         items.append(
             (
                 "right-handed J at zeta_N vs F at zeta_N",
-                "cyclo",
                 cyclo_eval(jones_hyper(t, n_root), n_root, 1),
                 eval_f_at_root(t, 1, n_root, inverse=False),
-                None,
             )
         )
     return items
 
 
-def _ev_bernoulli(t: int, m: int, n_root: int) -> list[Evidence]:
-    return [
-        (
-            "prefactored F value vs Bernoulli character sum",
-            "cyclo",
-            bernoulli_lhs(t, m, n_root),
-            bernoulli_rhs(t, m, n_root),
-            None,
-        )
-    ]
+@_family("bernoulli", _T, _M, _ROOT, value=True, mutation=(1, 1, 2))
+def check_bernoulli_formula(t: int, m: int, n_root: int) -> list[Evidence]:
+    lhs, rhs = bernoulli_lhs(t, m, n_root), bernoulli_rhs(t, m, n_root)
+    return [("prefactored F value vs Bernoulli character sum", lhs, rhs)]
 
 
-def _ev_hecke(t: int, m: int, order: int) -> list[Evidence]:
+@_family("hecke", _T, _M, _ORDER, mutation=(1, 1, 12))
+def check_hecke_match(t: int, m: int, order: int) -> list[Evidence]:
     w = order + 1
-    return [
-        (
-            "indefinite-theta route vs nested-sum route",
-            "qseries",
-            hecke_u_series_x(t, m, w),
-            u_series(t, m, w),
-            w,
-        )
-    ]
+    lhs, rhs = hecke_u_series_x(t, m, w), u_series(t, m, w)
+    return [("indefinite-theta route vs nested-sum route", lhs, rhs, w)]
 
 
-def _ev_hecke_double(order: int) -> list[Evidence]:
+@_family("hecke-double", _ORDER, mutation=(12,))
+def check_hecke_double(order: int) -> list[Evidence]:
     w = order + 1
     one_minus_x = QSeries({0: XLaurent({0: 1, 1: -1})})
     rhs = one_minus_x * u_series(1, 1, w).negate_x()
-    return [("double sum vs (1-x) U_1(-x;q)", "qseries", hecke_u1_double(w), rhs, w)]
+    return [("double sum vs (1-x) U_1(-x;q)", hecke_u1_double(w), rhs, w)]
 
 
-def _ev_cyclotomic(t: int, m: int, n_max: int) -> list[Evidence]:
-    items: list[Evidence] = []
-    for n in range(n_max + 1):
-        items.append(
-            (f"multisum vs product at n={n}", "xlaurent", c_multisum(t, m, n), c_product(t, m, n), None)
-        )
-    return items
+@_family("hecke-stability", _T, _M, _ORDER, Param("pad", 0))
+def check_hecke_stability(t: int, m: int, order: int, pad: int = 5) -> list[Evidence]:
+    """Region enumeration is exhaustive: padding the caps changes nothing."""
+    w = order + 1
+    lhs, rhs = hecke_u_series_x(t, m, w), hecke_u_series_x(t, m, w, pad=pad)
+    return [("enumeration radius stability", lhs, rhs, w)]
 
 
-def _ev_habiro(t: int, m: int, order: int) -> list[Evidence]:
+@_family("cyclotomic", _T, _M, _N_MAX, mutation=(2, 2, 5))
+def check_cyclotomic_coeffs(t: int, m: int, n_max: int) -> list[Evidence]:
+    return [
+        (f"multisum vs product at n={n}", c_multisum(t, m, n), c_product(t, m, n))
+        for n in range(n_max + 1)
+    ]
+
+
+@_family("habiro", _T, _M, Param("order", 0, "N", "max"), mutation=(2, 1, 4))
+def check_habiro_roundtrip(t: int, m: int, order: int) -> list[Evidence]:
     items: list[Evidence] = []
     family = lambda l: jones_left(t, m, l)
     coeffs = lambda i: c_product(t, m, i)
     for n in range(order + 1):
-        items.append(
-            (f"inverse transform at n={n}", "xlaurent", habiro_inverse(family, n), c_product(t, m, n), None)
-        )
+        items.append((f"inverse transform at n={n}", habiro_inverse(family, n), c_product(t, m, n)))
     for n_color in range(1, order + 1):
         items.append(
-            (
-                f"reconstruction at N={n_color}",
-                "xlaurent",
-                habiro_reconstruct(coeffs, n_color),
-                jones_left(t, m, n_color),
-                None,
-            )
+            (f"reconstruction at N={n_color}", habiro_reconstruct(coeffs, n_color), jones_left(t, m, n_color))
         )
     return items
 
 
-def _ev_jones_consistency(t: int, n_color: int) -> list[Evidence]:
+@_family("jones-consistency", _T, Param("n_color", 1, "N", "N"), mutation=(2, 4))
+def check_jones_consistency(t: int, n_color: int) -> list[Evidence]:
     morton = jones_morton(2, 2 * t + 1, n_color)
     return [
-        ("nested sum vs theta quotient", "xlaurent", jones_hyper(t, n_color), morton, None),
-        ("mirror of right vs left", "xlaurent", mirror(morton), jones_left(t, 1, n_color), None),
+        ("nested sum vs theta quotient", jones_hyper(t, n_color), morton),
+        ("mirror of right vs left", mirror(morton), jones_left(t, 1, n_color)),
     ]
 
 
@@ -202,146 +269,24 @@ GOLDEN_U: dict[tuple[int, int], tuple[int, dict[int, dict[int, int]]]] = {
 }
 
 
-def _ev_golden(t: int, m: int) -> list[Evidence]:
+@_family("golden", _T, _M, mutation=(2, 1))
+def check_golden_vectors(t: int, m: int) -> list[Evidence]:
+    if (t, m) not in GOLDEN_U:
+        raise ValueError(f"no golden vector for (t, m) = ({t}, {m}); have {sorted(GOLDEN_U)}")
     window, table = GOLDEN_U[(t, m)]
     expected = QSeries({e: XLaurent(xs) for e, xs in table.items()}, 1, window)
-    return [("printed low-order expansion", "qseries", u_series(t, m, window), expected, window)]
+    return [("printed low-order expansion", u_series(t, m, window), expected, window)]
 
 
-def _ev_theta(t: int, m: int, trunc_scaled: int) -> list[Evidence]:
-    scale = 8 * (2 * t + 1)
-    through = Fraction(trunc_scaled, scale)
-    return [
-        (
-            "character sum vs triple product",
-            "qseries",
-            theta_phi(t, m, trunc_scaled),
-            theta_phi(t, m, trunc_scaled, product_side=True),
-            through,
-        )
-    ]
+@_family("theta", _T, _M, Param("trunc_scaled", 1, "trunc"), mutation=(1, 1, 240))
+def check_theta_product(t: int, m: int, trunc_scaled: int) -> list[Evidence]:
+    lhs, rhs = theta_phi(t, m, trunc_scaled), theta_phi(t, m, trunc_scaled, product_side=True)
+    return [("character sum vs triple product", lhs, rhs, Fraction(trunc_scaled, 8 * (2 * t + 1)))]
 
 
-_EVIDENCE: dict[str, Callable[..., list[Evidence]]] = {
-    "duality": _ev_duality,
-    "jones-agreement": _ev_jones_f_agreement,
-    "bernoulli": _ev_bernoulli,
-    "hecke": _ev_hecke,
-    "hecke-double": _ev_hecke_double,
-    "cyclotomic": _ev_cyclotomic,
-    "habiro": _ev_habiro,
-    "jones-consistency": _ev_jones_consistency,
-    "golden": _ev_golden,
-    "theta": _ev_theta,
-}
-
-
-# ---------------------------------------------------------------------------
-# public checks
-# ---------------------------------------------------------------------------
-
-
-def check_duality(t: int, m: int, n_root: int) -> CheckReport:
-    started = time.perf_counter()
-    items = _ev_duality(t, m, n_root)
-    return _finish(
-        "duality", {"t": t, "m": m, "N": n_root}, items, started, items[0][2].value_str()
-    )
-
-
-def check_jones_f_agreement(t: int, m: int, n_root: int) -> CheckReport:
-    started = time.perf_counter()
-    items = _ev_jones_f_agreement(t, m, n_root)
-    return _finish(
-        "jones-agreement", {"t": t, "m": m, "N": n_root}, items, started,
-        items[0][2].value_str(),
-    )
-
-
-def check_bernoulli_formula(t: int, m: int, n_root: int) -> CheckReport:
-    started = time.perf_counter()
-    items = _ev_bernoulli(t, m, n_root)
-    return _finish(
-        "bernoulli", {"t": t, "m": m, "N": n_root}, items, started, items[0][2].value_str()
-    )
-
-
-def check_hecke_match(t: int, m: int, order: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish("hecke", {"t": t, "m": m, "through": order}, _ev_hecke(t, m, order), started)
-
-
-def check_hecke_double(order: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish("hecke-double", {"through": order}, _ev_hecke_double(order), started)
-
-
-def check_hecke_stability(t: int, m: int, order: int, pad: int = 5) -> CheckReport:
-    """Region enumeration is exhaustive: padding the caps changes nothing."""
-    started = time.perf_counter()
-    w = order + 1
-    items: list[Evidence] = [
-        (
-            "enumeration radius stability",
-            "qseries",
-            hecke_u_series_x(t, m, w),
-            hecke_u_series_x(t, m, w, pad=pad),
-            w,
-        )
-    ]
-    return _finish("hecke-stability", {"t": t, "m": m, "through": order, "pad": pad}, items, started)
-
-
-def check_cyclotomic_coeffs(t: int, m: int, n_max: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish(
-        "cyclotomic", {"t": t, "m": m, "n_max": n_max}, _ev_cyclotomic(t, m, n_max), started
-    )
-
-
-def check_habiro_roundtrip(t: int, m: int, order: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish("habiro", {"t": t, "m": m, "max": order}, _ev_habiro(t, m, order), started)
-
-
-def check_jones_consistency(t: int, n_color: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish(
-        "jones-consistency", {"t": t, "N": n_color}, _ev_jones_consistency(t, n_color), started
-    )
-
-
-def check_golden_vectors(t: int, m: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish("golden", {"t": t, "m": m}, _ev_golden(t, m), started)
-
-
-def check_theta_product(t: int, m: int, trunc_scaled: int) -> CheckReport:
-    started = time.perf_counter()
-    return _finish(
-        "theta", {"t": t, "m": m, "trunc_scaled": trunc_scaled},
-        _ev_theta(t, m, trunc_scaled), started,
-    )
-
-
-def check_bailey_named(name: str, n_max: int, trunc: int, **params) -> CheckReport:
-    return bailey.bailey_verify(bailey.make_named_pair(name, **params), n_max, trunc)
-
-
-def check_bailey_step(name: str, n_max: int, trunc: int, steps: str = "inf", **params) -> CheckReport:
-    pair = bailey.make_named_pair(name, **params)
-    if steps == "inf":
-        pair = bailey.bailey_step(pair, None, None)
-    elif steps == "x":
-        pair = bailey.bailey_step(pair, Mono(1, 1, 0), Mono(1, -1, 0))
-    else:
-        raise ValueError(f"unknown step recipe {steps!r}")
-    return bailey.bailey_verify(pair, n_max, trunc)
-
-
-def check_bailey_pipeline(t: int, n_max: int, trunc: int) -> CheckReport:
+@_family("bailey-pipeline", _T, _N_MAX, _TRUNC)
+def check_bailey_pipeline(t: int, n_max: int, trunc: int) -> list[Evidence]:
     """t-fold stepped seed minus staircase beta equals -q^{t-n} C_{n-1}."""
-    started = time.perf_counter()
     lov = bailey.make_named_pair("lovejoy", t=t)
     cur = bailey.make_named_pair("star", t=t)
     for _ in range(t):
@@ -353,20 +298,40 @@ def check_bailey_pipeline(t: int, n_max: int, trunc: int) -> CheckReport:
             want = QSeries.zero(1, trunc)
         else:
             want = QSeries.from_q_laurent(-c_multisum(t, 1, n - 1).shift(t - n), 1)
-        items.append((f"beta''-beta at n={n}", "qseries", got, want, trunc))
-    return _finish("bailey-pipeline", {"t": t, "n_max": n_max, "trunc": trunc}, items, started)
+        items.append((f"beta''-beta at n={n}", got, want, trunc))
+    return items
 
 
+# ---------------------------------------------------------------------------
+# Bailey pair families (their reports come from the pair machinery)
+# ---------------------------------------------------------------------------
+
+_STEPS = {"inf": (None, None), "x": (Mono(1, 1, 0), Mono(1, -1, 0))}
+_LIMITS = {"inf-inf": (None, None), "x-invx": (Mono(1, 1, 0), Mono(1, -1, 0))}
+
+
+@_family("bailey-verify", _N_MAX, _TRUNC, reports=True)
+def check_bailey_named(name: str, n_max: int, trunc: int, **params) -> CheckReport:
+    return bailey.bailey_verify(bailey.make_named_pair(name, **params), n_max, trunc)
+
+
+@_family("bailey-step", _N_MAX, _TRUNC, reports=True)
+def check_bailey_step(name: str, n_max: int, trunc: int, steps: str = "inf", **params) -> CheckReport:
+    pair = bailey.make_named_pair(name, **params)
+    if steps not in _STEPS:
+        raise ValueError(f"unknown step recipe {steps!r}")
+    return bailey.bailey_verify(bailey.bailey_step(pair, *_STEPS[steps]), n_max, trunc)
+
+
+@_family("bailey-limit", _TRUNC, reports=True)
 def check_bailey_limit(name: str, b_kind: str, trunc: int, **params) -> CheckReport:
     pair = bailey.make_named_pair(name, **params)
-    kinds = {
-        "inf-inf": (None, None),
-        "x-invx": (Mono(1, 1, 0), Mono(1, -1, 0)),
-    }
-    b, c = kinds[b_kind]
-    return bailey.bailey_limit_identity(pair, b, c, trunc)
+    if b_kind not in _LIMITS:
+        raise ValueError(f"unknown limit kind {b_kind!r}; know {sorted(_LIMITS)}")
+    return bailey.bailey_limit_identity(pair, *_LIMITS[b_kind], trunc)
 
 
+@_family("bailey-conjugate", _TRUNC, reports=True)
 def check_bailey_conjugate(name: str, trunc: int, **params) -> CheckReport:
     return bailey.conjugate_identity_check(bailey.make_named_pair(name, **params), trunc)
 
@@ -388,13 +353,11 @@ def _perturb(value: Any, rng: random.Random) -> tuple[Any, dict]:
         e = rng.choice(exps)
         return value + XLaurent.term(e), {"q_exp": e}
     if isinstance(value, QSeries):
-        exps = sorted(value.terms)
-        e = rng.choice(exps)
-        x_exps = sorted(value.terms[e].coeffs) or [0]
-        d = rng.choice(x_exps)
-        bumped = value.terms[e] + XLaurent.term(d)
+        e = rng.choice(sorted(value.terms) or [0])
+        coeff = value.terms.get(e, XLaurent())
+        d = rng.choice(sorted(coeff.coeffs) or [0])
         terms = dict(value.terms)
-        terms[e] = bumped
+        terms[e] = coeff + XLaurent.term(d)
         return QSeries(terms, value.scale, value.trunc), {
             "q_exp": str(Fraction(e, value.scale)),
             "x_exp": d,
@@ -402,70 +365,54 @@ def _perturb(value: Any, rng: random.Random) -> tuple[Any, dict]:
     raise TypeError(f"cannot perturb {type(value)!r}")
 
 
-# Representative parameters for each check family: small enough to be quick,
-# large enough that a silent truncation bug would have room to hide.
-_MUTATION_CATALOG: list[tuple[str, tuple]] = [
-    ("duality", (2, 2, 5)),
-    ("jones-agreement", (2, 1, 4)),
-    ("bernoulli", (1, 1, 2)),
-    ("hecke", (1, 1, 12)),
-    ("hecke-double", (12,)),
-    ("cyclotomic", (2, 2, 5)),
-    ("habiro", (2, 1, 4)),
-    ("jones-consistency", (2, 4)),
-    ("golden", (2, 1)),
-    ("theta", (1, 1, 240)),
-]
+def _mutation_report(family: CheckFamily, args: tuple, rng: random.Random) -> CheckReport:
+    """Perturb one coefficient of the first evidence item's left side; the
+    control passes iff the comparison then fails at the injected spot."""
+    params: dict[str, Any] = {"args": list(args)}
+
+    def body() -> tuple[dict | None, None]:
+        label, lhs, *rest = family.build(*args)[0]
+        mutated, locator = _perturb(lhs, rng)
+        params["injected"] = locator  # the report is built after the body
+        witness = _compare(label, mutated, *rest)
+        caught = witness is not None and all(
+            str(witness.get(k)) == str(v) for k, v in locator.items()
+        )
+        return (None if caught else {"expected_witness": locator, "got": witness}), None
+
+    return _timed_report(f"mutation:{family.id}", params, body)
+
+
+def _corrupted_unit_beta() -> tuple[dict | None, None]:
+    bad = bailey.perturbed_pair(bailey.make_named_pair("unit"), "beta", 3, Mono(1, 0, 1))
+    rep = bailey.bailey_verify(bad, 8, 40)
+    caught = not rep.passed and rep.witness.get("n") == 3
+    return (None if caught else {"got": rep.witness}), None
+
+
+def _corrupted_andrews_alpha() -> tuple[dict | None, None]:
+    bad = bailey.perturbed_pair(bailey.make_named_pair("andrews"), "alpha", 2, Mono(1, 0, 2))
+    rep = bailey.conjugate_identity_check(bad, 20)
+    caught = not rep.passed
+    return (None if caught else {"got": rep.witness}), None
 
 
 def mutation_controls(seed: int = 0) -> list[CheckReport]:
     """Negative controls: every check family must fail under a single
     injected coefficient perturbation, with a witness at the injected spot."""
-    reports: list[CheckReport] = []
     rng = random.Random(seed)
-    for check_id, args in _MUTATION_CATALOG:
-        started = time.perf_counter()
-        items = _EVIDENCE[check_id](*args)
-        label, kind, lhs, rhs, through = items[0]
-        mutated, locator = _perturb(lhs, rng)
-        witness = _compare((label, kind, mutated, rhs, through))
-        ok = witness is not None and all(
-            str(witness.get(k)) == str(v) for k, v in locator.items()
-        )
-        reports.append(
-            CheckReport(
-                f"mutation:{check_id}",
-                {"args": list(args), "injected": locator},
-                "pass" if ok else "fail",
-                None if ok else {"expected_witness": locator, "got": witness},
-                (time.perf_counter() - started) * 1e3,
-            )
-        )
+    reports = [
+        _mutation_report(family, family.mutation, rng)
+        for family in CHECK_FAMILIES.values()
+        if family.mutation is not None
+    ]
     # Bailey negative controls run through the pair machinery itself.
-    started = time.perf_counter()
-    bad = bailey.perturbed_pair(bailey.make_named_pair("unit"), "beta", 3, Mono(1, 0, 1))
-    rep = bailey.bailey_verify(bad, 8, 40)
-    ok = rep.status == "fail" and rep.witness is not None and rep.witness.get("n") == 3
     reports.append(
-        CheckReport(
-            "mutation:bailey-verify",
-            {"pair": "unit", "target": 3},
-            "pass" if ok else "fail",
-            None if ok else {"got": rep.witness},
-            (time.perf_counter() - started) * 1e3,
-        )
+        _timed_report("mutation:bailey-verify", {"pair": "unit", "target": 3}, _corrupted_unit_beta)
     )
-    started = time.perf_counter()
-    bad = bailey.perturbed_pair(bailey.make_named_pair("andrews"), "alpha", 2, Mono(1, 0, 2))
-    rep = bailey.conjugate_identity_check(bad, 20)
-    ok = rep.status == "fail" and rep.witness is not None
     reports.append(
-        CheckReport(
-            "mutation:bailey-conjugate",
-            {"pair": "andrews", "target": 2},
-            "pass" if ok else "fail",
-            None if ok else {"got": rep.witness},
-            (time.perf_counter() - started) * 1e3,
+        _timed_report(
+            "mutation:bailey-conjugate", {"pair": "andrews", "target": 2}, _corrupted_andrews_alpha
         )
     )
     return reports
@@ -508,29 +455,11 @@ PROFILES: dict[str, Profile] = {
     ),
 }
 
-_DISPATCH: dict[str, Callable[..., CheckReport]] = {
-    "duality": check_duality,
-    "jones-agreement": check_jones_f_agreement,
-    "bernoulli": check_bernoulli_formula,
-    "hecke": check_hecke_match,
-    "hecke-double": check_hecke_double,
-    "hecke-stability": check_hecke_stability,
-    "cyclotomic": check_cyclotomic_coeffs,
-    "habiro": check_habiro_roundtrip,
-    "jones-consistency": check_jones_consistency,
-    "golden": check_golden_vectors,
-    "theta": check_theta_product,
-    "bailey-verify": check_bailey_named,
-    "bailey-step": check_bailey_step,
-    "bailey-pipeline": check_bailey_pipeline,
-    "bailey-limit": check_bailey_limit,
-    "bailey-conjugate": check_bailey_conjugate,
-}
-
 
 def _run_task(task: tuple[str, dict]) -> CheckReport:
     name, kwargs = task
-    return _DISPATCH[name](**kwargs)
+    # Through the module global, so a profiler that rebinds it sees the call.
+    return globals()[CHECK_FAMILIES[name].build.__name__](**kwargs)
 
 
 def suite_tasks(profile: Profile) -> list[tuple[str, dict]]:

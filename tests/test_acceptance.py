@@ -8,9 +8,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 from qknot import bailey
-from qknot.cyclotomic_coeffs import c_multisum
-from qknot.series import Mono, QSeries, first_difference
 from qknot.verify import (
+    check_bailey_pipeline,
+    check_bailey_step,
     check_bernoulli_formula,
     check_cyclotomic_coeffs,
     check_duality,
@@ -134,31 +134,10 @@ def test_criterion_8_bailey_engine():
         for name, kwargs in named:
             pair = bailey.make_named_pair(name, **kwargs)
             reports.append(bailey.bailey_verify(pair, 8, 40))
-        stepped = bailey.bailey_step(bailey.make_named_pair("unit"), None, None)
-        reports.append(bailey.bailey_verify(stepped, 6, 35))
-        stepped2 = bailey.bailey_step(
-            bailey.make_named_pair("jones", t=1), Mono(1, 1, 0), Mono(1, -1, 0)
-        )
-        reports.append(bailey.bailey_verify(stepped2, 5, 30))
+        reports.append(check_bailey_step("unit", 6, 35))
+        reports.append(check_bailey_step("jones", 5, 30, steps="x", t=1))
         for t in range(1, 4):
-            lov = bailey.make_named_pair("lovejoy", t=t)
-            cur = bailey.make_named_pair("star", t=t)
-            for _ in range(t):
-                cur = bailey.bailey_step(cur, None, None)
-            ok = True
-            for n in range(0, 7):
-                got = cur.beta(n, 30) - lov.beta(n, 30)
-                want = (
-                    QSeries.zero(1, 30)
-                    if n == 0
-                    else QSeries.from_q_laurent(-c_multisum(t, 1, n - 1).shift(t - n), 1)
-                )
-                ok = ok and first_difference(got, want, through=30) is None
-            from qknot.report import CheckReport
-
-            reports.append(
-                CheckReport("bailey-pipeline", {"t": t}, "pass" if ok else "fail")
-            )
+            reports.append(check_bailey_pipeline(t, 6, 30))
         reports.append(bailey.conjugate_identity_check(bailey.make_named_pair("andrews"), 20))
         reports.append(
             bailey.conjugate_identity_check(bailey.make_named_pair("unit", a_exp=1), 20)

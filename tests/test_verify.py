@@ -1,13 +1,20 @@
 """Verifier: report structure, determinism, suite plumbing, negative controls."""
 
+import inspect
 import json
+import random
 
+import pytest
+
+from qknot import verify
 from qknot.verify import (
+    CHECK_FAMILIES,
     PROFILES,
     check_bernoulli_formula,
     check_cyclotomic_coeffs,
     check_duality,
     check_golden_vectors,
+    check_habiro_roundtrip,
     check_hecke_match,
     mutation_controls,
     run_suite,
@@ -81,3 +88,65 @@ def test_mutation_controls_seed_varies_target():
     a = [r.params for r in mutation_controls(seed=2)]
     b = [r.params for r in mutation_controls(seed=3)]
     assert a != b  # different injected spots, same verdicts
+
+
+def test_mutation_controls_keep_their_twelve_reports():
+    ids = [r.check_id for r in mutation_controls(seed=0)]
+    assert ids == [
+        "mutation:duality", "mutation:jones-agreement", "mutation:bernoulli",
+        "mutation:hecke", "mutation:hecke-double", "mutation:cyclotomic",
+        "mutation:habiro", "mutation:jones-consistency", "mutation:golden",
+        "mutation:theta", "mutation:bailey-verify", "mutation:bailey-conjugate",
+    ]
+
+
+# Evidence arguments for the families without a control in mutation_controls.
+_EXTRA_MUTATION_ARGS = {"hecke-stability": (2, 2, 10, 5), "bailey-pipeline": (2, 4, 20)}
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in CHECK_FAMILIES.values() if not f.reports], ids=lambda f: f.id
+)
+def test_every_evidence_family_catches_a_perturbation(family):
+    args = family.mutation or _EXTRA_MUTATION_ARGS[family.id]
+    for seed in range(3):
+        report = verify._mutation_report(family, args, random.Random(seed))
+        assert report.passed, report.witness
+        assert report.params["injected"]
+
+
+def test_public_checks_keep_their_signatures():
+    sig = lambda fn: str(inspect.signature(fn))
+    assert sig(check_duality) == "(t: 'int', m: 'int', n_root: 'int') -> 'CheckReport'"
+    assert sig(verify.check_hecke_stability).startswith(
+        "(t: 'int', m: 'int', order: 'int', pad: 'int' = 5)"
+    )
+    assert sig(verify.check_bailey_step) == (
+        "(name: 'str', n_max: 'int', trunc: 'int', steps: 'str' = 'inf', **params) -> 'CheckReport'"
+    )
+    assert check_duality.__name__ == "check_duality"
+    for family in CHECK_FAMILIES.values():
+        assert family.build.__name__ in verify.__all__
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda: check_cyclotomic_coeffs(1, 1, -1), "n_max"),
+        (lambda: check_habiro_roundtrip(1, 1, -1), "order"),
+        (lambda: check_duality(1, 1, 0), "n_root"),
+        (lambda: check_hecke_match(1, 1, -1), "order"),
+        (lambda: verify.check_bailey_named("unit", -1, 10), "n_max"),
+        (lambda: verify.check_bailey_pipeline(1, 2, 0), "trunc"),
+    ],
+)
+def test_parameters_below_their_bound_are_rejected(call, bound):
+    with pytest.raises(ValueError, match=f"{bound}.* must be at least"):
+        call()
+
+
+def test_runner_refuses_an_empty_evidence_list():
+    family = CHECK_FAMILIES["cyclotomic"]._replace(build=lambda t, m, n_max: [])
+    bound = inspect.signature(family.build).bind(1, 1, 3)
+    with pytest.raises(ValueError, match="nothing to compare"):
+        verify._run(family, bound)
