@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .cyclotomic_coeffs import c_product
 from .jones import jones_left
-from .laurent import XLaurent, poch_q, qbinomial
+from .laurent import ONE, XLaurent, _chain_step, poch_q, qbinomial
 from .report import CheckReport, _timed_report, diff_qseries
 from .series import Mono, QSeries, qpochhammer
 
@@ -91,40 +91,30 @@ def _chain_poly(
     length: int,
     bound: int,
     node_shift: Callable[[int, int], int],
-    edge_shift: Callable[[int, int, int], int],
+    coupled: int,
     sign_pos: int | None = None,
     fold_shift: Callable[[int], int] | None = None,
 ) -> XLaurent:
     """sum over chains v_1 <= ... <= v_length <= bound of
     (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
     which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
+    The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
+    v, from v_0 = 0; node shifts and the sign go on merged states.
     """
-    states: dict[int, XLaurent] = {}
-    for v in range(bound + 1):
-        p = XLaurent.const(-1 if (sign_pos == 1 and v % 2) else 1)
-        sh = node_shift(1, v)
-        states[v] = p.shift(sh) if sh else p
-    for pos in range(2, length + 1):
-        nxt: dict[int, XLaurent] = {}
-        for u, poly in states.items():
-            for v in range(u, bound + 1):
-                p = poly * qbinomial(v, u)
-                sh = node_shift(pos, v) + edge_shift(pos - 1, u, v)
-                if sh:
-                    p = p.shift(sh)
-                if sign_pos == pos and v % 2:
-                    p = -p
-                nxt[v] = nxt[v] + p if v in nxt else p
-        states = nxt
-    total = XLaurent()
-    for v, poly in states.items():
-        p = poly * qbinomial(bound, v)
-        if fold_shift is not None:
-            sh = fold_shift(v)
-            if sh:
-                p = p.shift(sh)
-        total = total + p
-    return total
+
+    def edges(u: int, value: XLaurent):
+        for v in range(u, bound + 1):
+            yield v, qbinomial(v, u).shift(-u * v if pos - 1 <= coupled else 0)
+
+    states: dict = {0: ONE}
+    for pos in range(1, length + 1):
+        states = {
+            v: (-p if pos == sign_pos and v % 2 else p).shift(node_shift(pos, v))
+            for v, p in _chain_step(states, edges).items()
+        }
+    fold = fold_shift or (lambda v: 0)
+    closing = lambda v, p: ((None, qbinomial(bound, v).shift(fold(v))),)
+    return _chain_step(states, closing).get(None, XLaurent())
 
 
 def _over_poch_n(poly: XLaurent, n: int, window: int) -> QSeries:
@@ -224,10 +214,7 @@ def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
             e += v * v
         return e
 
-    def edge(i: int, u: int, v: int) -> int:
-        return -u * v if i <= t - 1 else 0
-
-    return _chain_poly(length, n, node, edge, sign_pos=t)
+    return _chain_poly(length, n, node, t - 1, sign_pos=t)
 
 
 def lovejoy_pair(t: int, ell: int | None = None) -> BaileyPair:
@@ -286,10 +273,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         def node(pos: int, v: int) -> int:
             return -v if pos <= ell else 0
 
-        def edge(i: int, u: int, v: int) -> int:
-            return -u * v
-
-        s = _chain_poly(k - 1, n, node, edge, fold_shift=lambda v: -v * n)
+        s = _chain_poly(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
         return _over_poch_n(s, n, window - head.q_exp).mul_mono(head)
 
     return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta, "seed staircase pair")
@@ -370,10 +354,7 @@ def beta_chain_closed(t: int, tail_len: int, n: int, window: int) -> QSeries:
             e += v * v
         return e
 
-    def edge(i: int, u: int, v: int) -> int:
-        return -u * v if i <= t - 1 else 0
-
-    s = _chain_poly(length, n, node, edge, sign_pos=t)
+    s = _chain_poly(length, n, node, t - 1, sign_pos=t)
     return _over_poch_n(s, n, window)
 
 

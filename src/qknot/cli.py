@@ -67,15 +67,24 @@ def _emit_series(series: QSeries, args) -> None:
     _write(text, args.output)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None, mode: str = "w") -> None:
     if path:
         try:
-            with open(path, "w") as fh:
+            with open(path, mode) as fh:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --output {path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _probe_output(path: str | None) -> None:
+    """Refuse an unwritable --output before any work; leave no new file behind."""
+    if path:
+        fresh = not os.path.exists(path)
+        _write("", path, "a")
+        if fresh:
+            os.remove(path)
 
 
 def _specialize(series: QSeries, args) -> QSeries:
@@ -264,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _probe_output(args.output)
         return args.handler(args)
     except UsageError as exc:
         print(f"qknot: {exc}", file=sys.stderr)

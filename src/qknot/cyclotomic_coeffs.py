@@ -7,14 +7,15 @@ Two independent routes to the same Laurent polynomials C_n:
 * c_multisum: the (2t-1)-fold alternating multisum, assembled over a single
   denominator (q)_{n+1} via Gaussian multinomials and divided exactly once.
 
-Their agreement is one of the library's main verification targets.
+Both walk their chains with ``laurent._chain_step`` but keep their own
+states and summands, so their agreement remains a main verification target.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import ExactnessError, XLaurent, poch_q, qbinomial
+from .laurent import ONE, ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
 
 __all__ = ["CyclotomicCoeffs", "c_multisum", "c_product", "c_series"]
 
@@ -29,45 +30,38 @@ def _validate(t: int, m: int) -> None:
 def _c_sum(t: int, m: int, n: int, cutoff: int | None) -> XLaurent:
     """The inner sum of the product form (no q^{n+1-t} prefactor applied).
 
-    Sums over n+1 = k_t >= k_{t-1} >= ... >= k_1 >= 0 with k_m >= 1 the
-    product of q^{k_i^2} times the coupled Gaussian binomials.  cutoff, when
-    given, bounds the *full* C_n exponent: branches whose minimal
-    contribution (n+1-t) + sum k_j^2 reaches it are pruned, which is sound
-    because every remaining factor has nonnegative valuation.
+    Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
+    q^{k_i^2} (i < t) and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i], where the
+    chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  The step
+    into level t-1 also applies its q^{k^2} and the closing binomial, so the
+    widest level is never held.  cutoff, when given, bounds the *full* C_n
+    exponent: an edge whose minimal contribution (n+1-t) + val + k^2 reaches
+    it is pruned, sound because every factor has nonnegative valuation.
     """
     base = n + 1 - t
     kt = n + 1
     if t == 1:
-        if cutoff is not None and base >= cutoff:
-            return XLaurent()
-        return XLaurent.const(1)
-    total = XLaurent()
+        return XLaurent() if cutoff is not None and base >= cutoff else XLaurent.const(1)
 
-    def rec(i: int, k_i: int, prefix: int, sqsum: int, running: XLaurent) -> None:
-        # k_i just chosen; running holds the factors of indices < i
-        nonlocal total
-        sq = sqsum + k_i * k_i
-        if cutoff is not None and base + sq >= cutoff:
-            return
-        pref = prefix + 2 * k_i + (1 if m > i else 0)
-        if i == t - 1:
-            b = qbinomial(kt - k_i - i + pref, kt - k_i)
-            if not b.is_zero():
-                total = total + running * b.shift(k_i * k_i)
-            return
-        lo = max(k_i, 1) if i + 1 == m else k_i
-        for k2 in range(lo, kt + 1):
-            if cutoff is not None and base + sq + k2 * k2 >= cutoff:
+    def edges(state: tuple[int, int], value: XLaurent):
+        k, pref = state
+        floor = base + value.min_exp() if cutoff is not None else 0
+        for k2 in range(max(k, 1) if i + 1 == m else k, kt + 1):
+            if cutoff is not None and floor + k2 * k2 >= cutoff:
                 break
-            b = qbinomial(k2 - k_i - i + pref, k2 - k_i)
-            if b.is_zero():
-                continue
-            rec(i + 1, k2, pref, sq, running * b.shift(k_i * k_i))
+            b = qbinomial(k2 - k - i + pref, k2 - k)
+            p2 = pref + 2 * k2 + (1 if m > i + 1 else 0)
+            if i + 1 < t - 1:
+                yield (k2, p2), b
+            else:
+                yield None, b.shift(k2 * k2) * qbinomial(kt - k2 - i - 1 + p2, kt - k2)
 
-    lo1 = 1 if m == 1 else 0
-    for k1 in range(lo1, kt + 1):
-        rec(1, k1, 0, 0, XLaurent.const(1))
-    return total
+    states: dict = {(0, 0): ONE}
+    for i in range(t - 1):
+        states = _chain_step(states, edges)
+        if i < t - 2:  # the node factor q^{k^2} of each merged state
+            states = {s: p.shift(s[0] * s[0]) for s, p in states.items()}
+    return states.get(None, XLaurent())
 
 
 @lru_cache(maxsize=None)
@@ -95,61 +89,38 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
 def c_multisum(t: int, m: int, n: int) -> XLaurent:
     """C_n via the (2t-1)-fold alternating multisum.
 
-    The chain v_1 <= ... <= v_{2t-1} <= n+1 is swept by a forward DP whose
-    state carries the current value (and, between positions t-m and t, the
-    remembered v_{t-m} needed by the center factor).  All inverse Pochhammer
-    denominators combine into Gaussian multinomials times 1/(q)_{n+1}; the
-    single division at the end must be exact and land in Z[q, 1/q].
+    The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
+    position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
+    the centre factor 1 - q^{v_t - v_{t-m}} needs (an edge weight, like
+    q^{-v_{i-1} v_i}).  All inverse Pochhammer denominators combine into
+    Gaussian multinomials times 1/(q)_{n+1}; the single division at the end
+    must be exact and land in Z[q, 1/q].
     """
     _validate(t, m)
     if n < 0:
         return XLaurent()
     bound = n + 1
-    length = 2 * t - 1
-    store_pos = t - m if m < t else None
+    store = t - m
 
-    def node(pos: int, v: int, w: int | None, poly: XLaurent) -> XLaurent:
-        shift = 0
-        if pos <= t - m - 1:
-            shift -= v
-        if pos > t:
-            shift += v * v
+    def edges(state: tuple[int, int | None], value: XLaurent):
+        u, w = state
+        for v in range(u, bound + 1):
+            b = qbinomial(v, u).shift(-u * v if pos <= t else 0)
+            if pos == t:
+                b = b * (ONE - XLaurent.term(v - w))
+            yield (v, v if pos == store else w if pos < t else None), b
+
+    def node(v: int, p: XLaurent) -> XLaurent:
         if pos == t:
-            shift += v * (v - 1) // 2
-            delta = v - (w if store_pos is not None else 0)
-            factor = XLaurent.const(1) - XLaurent.term(delta)
-            poly = poly * factor
-            if v % 2:
-                poly = -poly
-        return poly.shift(shift) if shift else poly
+            p = p.shift(v * (v - 1) // 2)
+            return -p if v % 2 else p
+        return p.shift(-v if pos < store else v * v if pos > t else 0)
 
-    def carry(pos: int) -> bool:
-        return store_pos is not None and store_pos <= pos <= t - 1
-
-    states: dict[tuple[int, int | None], XLaurent] = {}
-    for v in range(bound + 1):
-        w = v if store_pos == 1 else None
-        poly = node(1, v, w, XLaurent.const(1))
-        key = (v, w if carry(1) else None)
-        states[key] = states[key] + poly if key in states else poly
-
-    for pos in range(2, length + 1):
-        nxt: dict[tuple[int, int | None], XLaurent] = {}
-        for (u, w), poly in states.items():
-            for v in range(u, bound + 1):
-                p = poly * qbinomial(v, u)
-                if pos - 1 <= t - 1:
-                    p = p.shift(-u * v)
-                win = v if pos == store_pos else w
-                p = node(pos, v, win, p)
-                wkey = win if carry(pos) else None
-                key = (v, wkey)
-                nxt[key] = nxt[key] + p if key in nxt else p
-        states = nxt
-
-    total = XLaurent()
-    for (v, _), poly in states.items():
-        total = total + poly * qbinomial(bound, v)
+    states: dict = {(0, 0 if store == 0 else None): ONE}
+    for pos in range(1, 2 * t):
+        states = {s: node(s[0], p) for s, p in _chain_step(states, edges).items()}
+    closing = lambda s, p: ((None, qbinomial(bound, s[0])),)
+    total = _chain_step(states, closing).get(None, XLaurent())
 
     quot = total.divexact(poch_q(1, bound))
     out = (-quot).shift(bound - t)

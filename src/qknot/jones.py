@@ -3,7 +3,8 @@
 Quarter- and half-integer exponents arising in the closed formulas are kept
 as scaled integers; every final division (by q^{N/2} - q^{-N/2} or 1 - q^N)
 must be exact and must leave integer exponents only, otherwise the routines
-raise instead of returning silently wrong values.
+raise instead of returning silently wrong values.  The nested sum of
+jones_hyper is walked level by level with ``laurent._chain_step``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .laurent import XLaurent, poch_q, qbinomial
+from .laurent import XLaurent, _chain_step, poch_q, qbinomial
 
 __all__ = [
     "habiro_inverse",
@@ -56,28 +57,19 @@ def jones_morton(s: int, t2: int, n_color: int) -> XLaurent:
 def jones_hyper(t: int, n_color: int) -> XLaurent:
     """Colored Jones of T(2, 2t+1) from the nested q-hypergeometric sum.
 
-    The sum terminates because (q^{1-N})_k vanishes for k >= N.
+    The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
+    is k_i, the head (q^{1-N})_{k_t} q^{-N k_t}, the edge weight
+    [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  The sum
+    terminates because (q^{1-N})_k vanishes for k >= N.
     """
     if t < 1 or n_color < 1:
         raise ValueError("need t >= 1 and a positive color")
     n = n_color
-    total = XLaurent()
-
-    def rec(i: int, k_next: int, running: XLaurent) -> None:
-        # choose k_i <= k_{i+1}; i counts down from t-1 to 1
-        nonlocal total
-        if i == 0:
-            total = total + running
-            return
-        for k in range(0, k_next + 1):
-            b = qbinomial(k_next, k)
-            factor = b.shift(k * (k + 1 - 2 * n))
-            rec(i - 1, k, running * factor)
-
-    for kt in range(0, n):
-        head = poch_q(1 - n, kt).shift(-n * kt)
-        rec(t - 1, kt, head)
-    return total.shift(t * (1 - n))
+    states = {kt: poch_q(1 - n, kt).shift(-n * kt) for kt in range(n)}
+    edges = lambda k_next, p: ((k, qbinomial(k_next, k)) for k in range(k_next + 1))
+    for _ in range(t - 1):
+        states = {k: p.shift(k * (k + 1 - 2 * n)) for k, p in _chain_step(states, edges).items()}
+    return sum(states.values(), XLaurent()).shift(t * (1 - n))
 
 
 def jones_left(t: int, m: int, n_color: int) -> XLaurent:

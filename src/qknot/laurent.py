@@ -398,6 +398,19 @@ def qbinomial(n: int, k: int) -> XLaurent:
     return out
 
 
+def _chain_step(states: dict, edges) -> dict:
+    """One transfer-matrix step of a chain sum over k_1 <= ... <= k_t: with
+    ``edges(state, value)`` yielding ``(next_state, weight)`` pairs, return
+    ``{next_state: sum of value * weight}`` over any ring with ``*`` and
+    ``+``.  Callers define ``edges`` inside their level loop, which it reads."""
+    out: dict = {}
+    for state, value in states.items():
+        for nxt, weight in edges(state, value):
+            p = value * weight
+            out[nxt] = out[nxt] + p if nxt in out else p
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> XLaurent:
     """The cyclotomic polynomial of the given order, with integer coefficients."""

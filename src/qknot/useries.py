@@ -4,13 +4,15 @@ F_t^{(m)} diverges off roots of unity, so it only ever appears here as an
 exact cyclotomic-field value (the q-Pochhammer factor kills all but finitely
 many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
-it collapses to a finite sum evaluated directly in the field.
+it collapses to a finite sum evaluated directly in the field.  Both field
+values sum their nested chains with ``laurent._chain_step``.
 """
 
 from __future__ import annotations
 
 from .cyclo import CycloNum
 from .cyclotomic_coeffs import _validate, c_series
+from .laurent import _chain_step
 from .series import QSeries
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
@@ -49,38 +51,37 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
     """F_t^{(m)} evaluated exactly at zeta_N (or zeta_N^{-1} when inverse).
 
     The nested sum truncates at k_t <= N-1 because (q)_{k_t} vanishes at an
-    N-th root of unity from k_t = N onward.
+    N-th root of unity from k_t = N onward.  The chain is summed from the
+    top: the state is k_i, the edge weight [k_{i+1} + [i = m-1] choose k_i]
+    and the node factor zeta^{k_i^2 + [i >= m] k_i}.
     """
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     order = n_root
     eps = -1 if inverse else 1
-    poch = _field_poch(order, eps, order - 1)
     binom = _field_qbinomials(order, eps, order + 1)
-    total = CycloNum.zero(order)
 
-    def rec(i: int, k_next: int, exponent: int, acc: CycloNum) -> None:
-        # i runs t-1 .. 1, choosing k_i <= k_{i+1} + [i == m-1]
-        nonlocal total
-        if i == 0:
-            total = total + acc * CycloNum.zeta(order, eps * exponent)
-            return
+    def edges(k_next: int, acc: CycloNum):
         hi = k_next + (1 if i == m - 1 else 0)
-        for k in range(0, hi + 1):
-            e = exponent + k * k + (k if i >= m else 0)
-            rec(i - 1, k, e, acc * _binom_at(binom, order, hi, k))
+        return ((k, binom[hi][k]) for k in range(hi + 1) if not binom[hi][k].is_zero())
 
-    for kt in range(0, order):
-        rec(t - 1, kt, t, poch[kt])
-    return total
+    states = dict(enumerate(_field_poch(order, eps, order - 1)))
+    for i in range(t - 1, 0, -1):
+        states = {
+            k: acc * CycloNum.zeta(order, eps * (k * k + (k if i >= m else 0)))
+            for k, acc in _chain_step(states, edges).items()
+        }
+    return sum(states.values(), CycloNum.zero(order)) * CycloNum.zeta(order, eps * t)
 
 
 def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     """U_t^{(m)}(-1; zeta_N) as an exact field element.
 
     At x = -1 the two Pochhammers square to (q)_{k_t-1}^2, which vanishes
-    once k_t - 1 >= N, so the nested sum is finite (k_t <= N).
+    once k_t - 1 >= N, so the nested sum is finite (k_t <= N).  Below the
+    top the chain has the product form's states (k_i, p_i) and binomials,
+    with zeta^{k_i^2} per merged state; the top keeps k_t alone.
     """
     _validate(t, m)
     if n_root < 1:
@@ -89,37 +90,23 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     poch = _field_poch(order, 1, max(order - 1, 0))
     max_top = (2 * t + 1) * (order + 1) + t
     binom = _field_qbinomials(order, 1, max_top)
-    total = CycloNum.zero(order)
 
-    def close(k_t: int, sqsum: int, acc: CycloNum) -> None:
-        nonlocal total
-        head = poch[k_t - 1]
-        total = total + acc * head * head * CycloNum.zeta(order, sqsum + k_t)
-
-    def rec(i: int, k_i: int, prefix: int, sqsum: int, acc: CycloNum) -> None:
-        # k_i chosen for i <= t-1; prefix/sqsum aggregate indices j < i
-        pref = prefix + 2 * k_i + (1 if m > i else 0)
-        sq = sqsum + k_i * k_i
-        if i == t - 1:
-            for kt in range(max(k_i, 1), order + 1):
-                b = _binom_at(binom, order, kt - k_i - i + pref, kt - k_i)
-                if not b.is_zero():
-                    close(kt, sq, acc * b)
-            return
-        lo = max(k_i, 1) if i + 1 == m else k_i
-        for k2 in range(lo, order + 1):
-            b = _binom_at(binom, order, k2 - k_i - i + pref, k2 - k_i)
+    def edges(state: tuple[int, int], acc: CycloNum):
+        k, pref = state
+        for k2 in range(max(k, 1) if i + 1 == m else k, order + 1):
+            b = _binom_at(binom, order, k2 - k - i + pref, k2 - k)
             if not b.is_zero():
-                rec(i + 1, k2, pref, sq, acc * b)
+                yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0) if i < t - 1 else None), b
 
-    if t == 1:
-        for kt in range(1, order + 1):
-            close(kt, 0, CycloNum.one(order))
-    else:
-        lo1 = 1 if m == 1 else 0
-        for k1 in range(lo1, order + 1):
-            rec(1, k1, 0, 0, CycloNum.one(order))
-    return total * CycloNum.zeta(order, -t)
+    states: dict = {(0, 0): CycloNum.one(order)}
+    for i in range(t):
+        states = _chain_step(states, edges)
+        if i < t - 1:  # the node factor zeta^{k^2} of each merged state
+            states = {s: acc * CycloNum.zeta(order, s[0] * s[0]) for s, acc in states.items()}
+    total = CycloNum.zero(order)
+    for (k_t, _), acc in states.items():
+        total = total + acc * poch[k_t - 1] * poch[k_t - 1] * CycloNum.zeta(order, k_t - t)
+    return total
 
 
 def u_series(t: int, m: int, trunc: int) -> QSeries:

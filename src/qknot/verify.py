@@ -280,6 +280,10 @@ def check_golden_vectors(t: int, m: int) -> list[Evidence]:
 
 @_family("theta", _T, _M, Param("trunc_scaled", 1, "trunc"), mutation=(1, 1, 240))
 def check_theta_product(t: int, m: int, trunc_scaled: int) -> list[Evidence]:
+    lead = (2 * t + 1 - 2 * m) ** 2  # the lowest exponent of both sides
+    if m <= t and trunc_scaled <= lead:
+        raise ValueError(f"theta: trunc_scaled (--trunc) must exceed (2t+1-2m)^2 = {lead}, "
+                         f"got {trunc_scaled}")
     lhs, rhs = theta_phi(t, m, trunc_scaled), theta_phi(t, m, trunc_scaled, product_side=True)
     return [("character sum vs triple product", lhs, rhs, Fraction(trunc_scaled, 8 * (2 * t + 1)))]
 

@@ -1,0 +1,372 @@
+"""The chain-sum engine against the recursions and dynamic programs it replaced.
+
+Each function below is a verbatim copy of an implementation that walked one of
+the library's nested chains k_1 <= ... <= k_t on its own (four exponential
+recursions and two hand-rolled dynamic programs).  They serve as reference
+oracles: every rewrite on ``laurent._chain_step`` must reproduce them exactly.
+The one change is that the oracle ``c_multisum`` is not cached.
+"""
+
+from typing import Callable
+
+import pytest
+
+from qknot import bailey, cyclotomic_coeffs, jones, useries
+from qknot.cyclo import CycloNum
+from qknot.cyclotomic_coeffs import _validate
+from qknot.laurent import ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
+from qknot.useries import _binom_at, _field_poch, _field_qbinomials
+
+# ---------------------------------------------------------------------------
+# reference oracles: the replaced implementations, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _c_sum(t: int, m: int, n: int, cutoff: int | None) -> XLaurent:
+    """The inner sum of the product form (no q^{n+1-t} prefactor applied).
+
+    Sums over n+1 = k_t >= k_{t-1} >= ... >= k_1 >= 0 with k_m >= 1 the
+    product of q^{k_i^2} times the coupled Gaussian binomials.  cutoff, when
+    given, bounds the *full* C_n exponent: branches whose minimal
+    contribution (n+1-t) + sum k_j^2 reaches it are pruned, which is sound
+    because every remaining factor has nonnegative valuation.
+    """
+    base = n + 1 - t
+    kt = n + 1
+    if t == 1:
+        if cutoff is not None and base >= cutoff:
+            return XLaurent()
+        return XLaurent.const(1)
+    total = XLaurent()
+
+    def rec(i: int, k_i: int, prefix: int, sqsum: int, running: XLaurent) -> None:
+        # k_i just chosen; running holds the factors of indices < i
+        nonlocal total
+        sq = sqsum + k_i * k_i
+        if cutoff is not None and base + sq >= cutoff:
+            return
+        pref = prefix + 2 * k_i + (1 if m > i else 0)
+        if i == t - 1:
+            b = qbinomial(kt - k_i - i + pref, kt - k_i)
+            if not b.is_zero():
+                total = total + running * b.shift(k_i * k_i)
+            return
+        lo = max(k_i, 1) if i + 1 == m else k_i
+        for k2 in range(lo, kt + 1):
+            if cutoff is not None and base + sq + k2 * k2 >= cutoff:
+                break
+            b = qbinomial(k2 - k_i - i + pref, k2 - k_i)
+            if b.is_zero():
+                continue
+            rec(i + 1, k2, pref, sq, running * b.shift(k_i * k_i))
+
+    lo1 = 1 if m == 1 else 0
+    for k1 in range(lo1, kt + 1):
+        rec(1, k1, 0, 0, XLaurent.const(1))
+    return total
+
+
+def c_multisum(t: int, m: int, n: int) -> XLaurent:
+    """C_n via the (2t-1)-fold alternating multisum.
+
+    The chain v_1 <= ... <= v_{2t-1} <= n+1 is swept by a forward DP whose
+    state carries the current value (and, between positions t-m and t, the
+    remembered v_{t-m} needed by the center factor).  All inverse Pochhammer
+    denominators combine into Gaussian multinomials times 1/(q)_{n+1}; the
+    single division at the end must be exact and land in Z[q, 1/q].
+    """
+    _validate(t, m)
+    if n < 0:
+        return XLaurent()
+    bound = n + 1
+    length = 2 * t - 1
+    store_pos = t - m if m < t else None
+
+    def node(pos: int, v: int, w: int | None, poly: XLaurent) -> XLaurent:
+        shift = 0
+        if pos <= t - m - 1:
+            shift -= v
+        if pos > t:
+            shift += v * v
+        if pos == t:
+            shift += v * (v - 1) // 2
+            delta = v - (w if store_pos is not None else 0)
+            factor = XLaurent.const(1) - XLaurent.term(delta)
+            poly = poly * factor
+            if v % 2:
+                poly = -poly
+        return poly.shift(shift) if shift else poly
+
+    def carry(pos: int) -> bool:
+        return store_pos is not None and store_pos <= pos <= t - 1
+
+    states: dict[tuple[int, int | None], XLaurent] = {}
+    for v in range(bound + 1):
+        w = v if store_pos == 1 else None
+        poly = node(1, v, w, XLaurent.const(1))
+        key = (v, w if carry(1) else None)
+        states[key] = states[key] + poly if key in states else poly
+
+    for pos in range(2, length + 1):
+        nxt: dict[tuple[int, int | None], XLaurent] = {}
+        for (u, w), poly in states.items():
+            for v in range(u, bound + 1):
+                p = poly * qbinomial(v, u)
+                if pos - 1 <= t - 1:
+                    p = p.shift(-u * v)
+                win = v if pos == store_pos else w
+                p = node(pos, v, win, p)
+                wkey = win if carry(pos) else None
+                key = (v, wkey)
+                nxt[key] = nxt[key] + p if key in nxt else p
+        states = nxt
+
+    total = XLaurent()
+    for (v, _), poly in states.items():
+        total = total + poly * qbinomial(bound, v)
+
+    quot = total.divexact(poch_q(1, bound))
+    out = (-quot).shift(bound - t)
+    if not out.has_integer_coeffs():
+        raise ExactnessError(
+            f"multisum C_{n} for (t={t}, m={m}) is not an integer Laurent polynomial"
+        )
+    return out
+
+
+def jones_hyper(t: int, n_color: int) -> XLaurent:
+    """Colored Jones of T(2, 2t+1) from the nested q-hypergeometric sum.
+
+    The sum terminates because (q^{1-N})_k vanishes for k >= N.
+    """
+    if t < 1 or n_color < 1:
+        raise ValueError("need t >= 1 and a positive color")
+    n = n_color
+    total = XLaurent()
+
+    def rec(i: int, k_next: int, running: XLaurent) -> None:
+        # choose k_i <= k_{i+1}; i counts down from t-1 to 1
+        nonlocal total
+        if i == 0:
+            total = total + running
+            return
+        for k in range(0, k_next + 1):
+            b = qbinomial(k_next, k)
+            factor = b.shift(k * (k + 1 - 2 * n))
+            rec(i - 1, k, running * factor)
+
+    for kt in range(0, n):
+        head = poch_q(1 - n, kt).shift(-n * kt)
+        rec(t - 1, kt, head)
+    return total.shift(t * (1 - n))
+
+
+def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloNum:
+    """F_t^{(m)} evaluated exactly at zeta_N (or zeta_N^{-1} when inverse).
+
+    The nested sum truncates at k_t <= N-1 because (q)_{k_t} vanishes at an
+    N-th root of unity from k_t = N onward.
+    """
+    _validate(t, m)
+    if n_root < 1:
+        raise ValueError("root order must be positive")
+    order = n_root
+    eps = -1 if inverse else 1
+    poch = _field_poch(order, eps, order - 1)
+    binom = _field_qbinomials(order, eps, order + 1)
+    total = CycloNum.zero(order)
+
+    def rec(i: int, k_next: int, exponent: int, acc: CycloNum) -> None:
+        # i runs t-1 .. 1, choosing k_i <= k_{i+1} + [i == m-1]
+        nonlocal total
+        if i == 0:
+            total = total + acc * CycloNum.zeta(order, eps * exponent)
+            return
+        hi = k_next + (1 if i == m - 1 else 0)
+        for k in range(0, hi + 1):
+            e = exponent + k * k + (k if i >= m else 0)
+            rec(i - 1, k, e, acc * _binom_at(binom, order, hi, k))
+
+    for kt in range(0, order):
+        rec(t - 1, kt, t, poch[kt])
+    return total
+
+
+def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
+    """U_t^{(m)}(-1; zeta_N) as an exact field element.
+
+    At x = -1 the two Pochhammers square to (q)_{k_t-1}^2, which vanishes
+    once k_t - 1 >= N, so the nested sum is finite (k_t <= N).
+    """
+    _validate(t, m)
+    if n_root < 1:
+        raise ValueError("root order must be positive")
+    order = n_root
+    poch = _field_poch(order, 1, max(order - 1, 0))
+    max_top = (2 * t + 1) * (order + 1) + t
+    binom = _field_qbinomials(order, 1, max_top)
+    total = CycloNum.zero(order)
+
+    def close(k_t: int, sqsum: int, acc: CycloNum) -> None:
+        nonlocal total
+        head = poch[k_t - 1]
+        total = total + acc * head * head * CycloNum.zeta(order, sqsum + k_t)
+
+    def rec(i: int, k_i: int, prefix: int, sqsum: int, acc: CycloNum) -> None:
+        # k_i chosen for i <= t-1; prefix/sqsum aggregate indices j < i
+        pref = prefix + 2 * k_i + (1 if m > i else 0)
+        sq = sqsum + k_i * k_i
+        if i == t - 1:
+            for kt in range(max(k_i, 1), order + 1):
+                b = _binom_at(binom, order, kt - k_i - i + pref, kt - k_i)
+                if not b.is_zero():
+                    close(kt, sq, acc * b)
+            return
+        lo = max(k_i, 1) if i + 1 == m else k_i
+        for k2 in range(lo, order + 1):
+            b = _binom_at(binom, order, k2 - k_i - i + pref, k2 - k_i)
+            if not b.is_zero():
+                rec(i + 1, k2, pref, sq, acc * b)
+
+    if t == 1:
+        for kt in range(1, order + 1):
+            close(kt, 0, CycloNum.one(order))
+    else:
+        lo1 = 1 if m == 1 else 0
+        for k1 in range(lo1, order + 1):
+            rec(1, k1, 0, 0, CycloNum.one(order))
+    return total * CycloNum.zeta(order, -t)
+
+
+def _chain_poly(
+    length: int,
+    bound: int,
+    node_shift: Callable[[int, int], int],
+    edge_shift: Callable[[int, int, int], int],
+    sign_pos: int | None = None,
+    fold_shift: Callable[[int], int] | None = None,
+) -> XLaurent:
+    """sum over chains v_1 <= ... <= v_length <= bound of
+    (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
+    which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
+    """
+    states: dict[int, XLaurent] = {}
+    for v in range(bound + 1):
+        p = XLaurent.const(-1 if (sign_pos == 1 and v % 2) else 1)
+        sh = node_shift(1, v)
+        states[v] = p.shift(sh) if sh else p
+    for pos in range(2, length + 1):
+        nxt: dict[int, XLaurent] = {}
+        for u, poly in states.items():
+            for v in range(u, bound + 1):
+                p = poly * qbinomial(v, u)
+                sh = node_shift(pos, v) + edge_shift(pos - 1, u, v)
+                if sh:
+                    p = p.shift(sh)
+                if sign_pos == pos and v % 2:
+                    p = -p
+                nxt[v] = nxt[v] + p if v in nxt else p
+        states = nxt
+    total = XLaurent()
+    for v, poly in states.items():
+        p = poly * qbinomial(bound, v)
+        if fold_shift is not None:
+            sh = fold_shift(v)
+            if sh:
+                p = p.shift(sh)
+        total = total + p
+    return total
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+# ---------------------------------------------------------------------------
+
+_TM = [(t, m) for t in range(1, 5) for m in range(1, t + 1)]
+
+
+def test_chain_step_merges_states_and_sums_weights():
+    states = {"a": 2, "b": 3}
+
+    def edges(state, value):
+        yield "x", 10
+        if state == "b":
+            yield "y", value
+
+    assert _chain_step(states, edges) == {"x": 50, "y": 9}
+    assert _chain_step({}, edges) == {}
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_product_and_multisum_match_their_oracles(t, m):
+    for n in range(-1, 7):
+        old_product = _c_sum(t, m, n, None).shift(n + 1 - t) if n >= 0 else XLaurent()
+        assert cyclotomic_coeffs.c_product(t, m, n) == old_product, n
+        old_multisum = c_multisum(t, m, n) if n >= 0 else XLaurent()
+        assert cyclotomic_coeffs.c_multisum(t, m, n) == old_multisum, n
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_c_series_matches_its_oracle_below_the_window(t, m):
+    for n in range(7):
+        for window in range(21):
+            new = cyclotomic_coeffs.c_series(t, m, n, window)
+            old = _c_sum(t, m, n, window).shift(n + 1 - t)
+            below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
+            assert below(new) == below(old), (n, window)
+
+
+@pytest.mark.parametrize("t", range(1, 5))
+def test_jones_hyper_matches_its_oracle(t):
+    for n_color in range(1, 9):
+        assert jones.jones_hyper(t, n_color) == jones_hyper(t, n_color), n_color
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_root_values_match_their_oracles(t, m):
+    for n_root in range(1, 13):
+        for inverse in (False, True):
+            new = useries.eval_f_at_root(t, m, n_root, inverse=inverse)
+            assert new == eval_f_at_root(t, m, n_root, inverse=inverse), (n_root, inverse)
+        assert useries.u_eval_at_root(t, m, n_root) == u_eval_at_root(t, m, n_root), n_root
+
+
+@pytest.fixture
+def old_chain_poly(monkeypatch):
+    """Route the Bailey chain betas through the oracle _chain_poly.
+
+    The callers now pass the number of coupled edges, which the oracle took
+    as the edge shift -u*v on edges i <= coupled (0 after them).
+    """
+
+    def oracle(length, bound, node_shift, coupled, sign_pos=None, fold_shift=None):
+        edge_shift = lambda i, u, v: -u * v if i <= coupled else 0
+        return _chain_poly(length, bound, node_shift, edge_shift, sign_pos, fold_shift)
+
+    monkeypatch.setattr(bailey, "_chain_poly", oracle)
+
+
+def _bailey_chains():
+    lovejoy = {
+        (t, ell, n): bailey._lovejoy_s.__wrapped__(t, ell, n)
+        for t in range(1, 5) for ell in range(t) for n in range(7)
+    }
+    star = {
+        (k, ell, n): bailey.star_pair(k, ell).beta(n, 25)
+        for k in range(1, 5) for ell in range(k) for n in range(7)
+    }
+    closed = {
+        (t, tail, n): bailey.beta_chain_closed(t, tail, n, 25)
+        for t in range(1, 4) for tail in range(t) for n in range(7)
+    }
+    return lovejoy, star, closed
+
+
+def test_bailey_chain_betas_match_the_oracle(request):
+    new = _bailey_chains()
+    request.getfixturevalue("old_chain_poly")
+    old = _bailey_chains()
+    for new_family, old_family in zip(new, old):
+        assert new_family.keys() == old_family.keys()
+        for key, value in new_family.items():
+            assert value == old_family[key], key

@@ -201,6 +201,7 @@ def test_check_hecke_double_flag_is_the_hecke_double_family(capsys):
         "check cyclotomic --t 1 --m 1 --n -1",
         "check habiro --t 1 --m 1 --N -1",
         "check theta --t 1 --m 1 --trunc 0",
+        "check theta --t 1 --m 1 --trunc 1",
         "check golden --t 4 --m 1",
         "check jones-consistency --t 1",
     ],
@@ -215,6 +216,27 @@ def test_unwritable_output_is_a_usage_error(capsys):
                          "--output", "/nonexistent/dir/x.json")
     assert code == 2 and out == ""
     assert "cannot write --output" in err and "Traceback" not in err
+
+
+def test_unwritable_output_is_refused_before_any_work(capsys, monkeypatch):
+    def run_suite(profile, workers):
+        raise AssertionError("the suite ran before --output was checked")
+
+    monkeypatch.setattr("qknot.verify.run_suite", run_suite)
+    code, out, err = run(capsys, "check", "suite", "--profile", "quick",
+                         "--output", "/nonexistent/dir/x.json")
+    assert code == 2 and out == ""
+    assert "cannot write --output" in err and "Traceback" not in err
+
+
+def test_output_probe_leaves_files_as_they_were(capsys, tmp_path):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier run\n")
+    for path in (fresh, kept):
+        code, _, _ = run(capsys, "check", "theta", "--t", "1", "--m", "1", "--trunc", "1",
+                         "--output", str(path))
+        assert code == 2
+    assert not fresh.exists() and kept.read_text() == "earlier run\n"
 
 
 @pytest.mark.parametrize("bad", ["0", "-3"])

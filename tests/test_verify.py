@@ -16,6 +16,7 @@ from qknot.verify import (
     check_golden_vectors,
     check_habiro_roundtrip,
     check_hecke_match,
+    check_jones_consistency,
     mutation_controls,
     run_suite,
     suite_tasks,
@@ -46,6 +47,10 @@ def test_individual_checks_pass():
     assert check_golden_vectors(2, 1).passed
     assert check_cyclotomic_coeffs(2, 2, 4).passed
     assert check_bernoulli_formula(1, 1, 2).passed
+    # chains of four and five binomials: t = 4 and 5
+    assert check_jones_consistency(4, 16).passed
+    assert check_jones_consistency(5, 12).passed
+    assert check_duality(5, 2, 12).passed
 
 
 def test_suite_tasks_cover_families():
@@ -143,6 +148,14 @@ def test_public_checks_keep_their_signatures():
 def test_parameters_below_their_bound_are_rejected(call, bound):
     with pytest.raises(ValueError, match=f"{bound}.* must be at least"):
         call()
+
+
+def test_theta_window_below_the_lowest_exponent_is_rejected():
+    # both sides start at q^((2t+1-2m)^2 / (8(2t+1))): a window there compares nothing
+    for t, m, lead in ((1, 1, 1), (2, 1, 9), (3, 1, 25)):
+        with pytest.raises(ValueError, match="trunc_scaled.* must exceed"):
+            verify.check_theta_product(t, m, lead)
+        assert verify.check_theta_product(t, m, lead + 1).passed
 
 
 def test_runner_refuses_an_empty_evidence_list():
