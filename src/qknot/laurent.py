@@ -42,6 +42,8 @@ class ExactnessError(ArithmeticError):
 
 
 def _norm(c: Scalar) -> Scalar:
+    if type(c) is int:  # skips the ABC machinery of isinstance on the common case
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c

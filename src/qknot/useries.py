@@ -5,10 +5,14 @@ exact cyclotomic-field value (the q-Pochhammer factor kills all but finitely
 many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
 it collapses to a finite sum evaluated directly in the field.  Both field
-values sum their nested chains with ``laurent._chain_step``.
+values sum their nested chains with ``laurent._chain_step``, and read their
+Gaussian binomials at q = zeta_N by the q-Lucas theorem
+[a choose b] = C(a // N, b // N) [a mod N choose b mod N] from one N-row table.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .cyclo import CycloNum
 from .cyclotomic_coeffs import _validate, c_series
@@ -41,10 +45,19 @@ def _field_qbinomials(order: int, eps: int, max_n: int) -> list[list[CycloNum]]:
     return table
 
 
-def _binom_at(table: list[list[CycloNum]], order: int, n: int, k: int) -> CycloNum:
-    if k < 0 or n < 0 or k > n:
-        return CycloNum.zero(order)
-    return table[n][k]
+def _root_binomial(order: int, eps: int):
+    """[a choose b] at q = zeta^eps (zeta primitive of this order) by q-Lucas."""
+    small = _field_qbinomials(order, eps, order - 1)
+    zero = CycloNum.zero(order)
+
+    def binom(a: int, b: int) -> CycloNum:
+        if b < 0 or b > a or b % order > a % order:
+            return zero
+        c = comb(a // order, b // order)
+        entry = small[a % order][b % order]
+        return entry if c == 1 else entry * c
+
+    return binom
 
 
 def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloNum:
@@ -53,18 +66,18 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
     The nested sum truncates at k_t <= N-1 because (q)_{k_t} vanishes at an
     N-th root of unity from k_t = N onward.  The chain is summed from the
     top: the state is k_i, the edge weight [k_{i+1} + [i = m-1] choose k_i]
-    and the node factor zeta^{k_i^2 + [i >= m] k_i}.
+    (q-Lucas, N-row table) and the node factor zeta^{k_i^2 + [i >= m] k_i}.
     """
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     order = n_root
     eps = -1 if inverse else 1
-    binom = _field_qbinomials(order, eps, order + 1)
+    binom = _root_binomial(order, eps)
 
     def edges(k_next: int, acc: CycloNum):
         hi = k_next + (1 if i == m - 1 else 0)
-        return ((k, binom[hi][k]) for k in range(hi + 1) if not binom[hi][k].is_zero())
+        return ((k, b) for k in range(hi + 1) if not (b := binom(hi, k)).is_zero())
 
     states = dict(enumerate(_field_poch(order, eps, order - 1)))
     for i in range(t - 1, 0, -1):
@@ -80,7 +93,8 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
 
     At x = -1 the two Pochhammers square to (q)_{k_t-1}^2, which vanishes
     once k_t - 1 >= N, so the nested sum is finite (k_t <= N).  Below the
-    top the chain has the product form's states (k_i, p_i) and binomials,
+    top the chain has the product form's states (k_i, p_i) and binomials
+    (tops up to about (2t+1)N, so read by q-Lucas from an N-row table),
     with zeta^{k_i^2} per merged state; the top keeps k_t alone.
     """
     _validate(t, m)
@@ -88,13 +102,12 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
         raise ValueError("root order must be positive")
     order = n_root
     poch = _field_poch(order, 1, max(order - 1, 0))
-    max_top = (2 * t + 1) * (order + 1) + t
-    binom = _field_qbinomials(order, 1, max_top)
+    binom = _root_binomial(order, 1)
 
     def edges(state: tuple[int, int], acc: CycloNum):
         k, pref = state
         for k2 in range(max(k, 1) if i + 1 == m else k, order + 1):
-            b = _binom_at(binom, order, k2 - k - i + pref, k2 - k)
+            b = binom(k2 - k - i + pref, k2 - k)
             if not b.is_zero():
                 yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0) if i < t - 1 else None), b
 

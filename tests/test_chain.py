@@ -4,7 +4,10 @@ Each function below is a verbatim copy of an implementation that walked one of
 the library's nested chains k_1 <= ... <= k_t on its own (four exponential
 recursions and two hand-rolled dynamic programs).  They serve as reference
 oracles: every rewrite on ``laurent._chain_step`` must reproduce them exactly.
-The one change is that the oracle ``c_multisum`` is not cached.
+The one change is that the oracle ``c_multisum`` is not cached.  The root-of-
+unity oracles read their Gaussian binomials from the full q-Pascal table
+(``_field_qbinomials`` and ``_binom_at``, also verbatim), not from the
+library's q-Lucas lookup.
 """
 
 from typing import Callable
@@ -15,7 +18,7 @@ from qknot import bailey, cyclotomic_coeffs, jones, useries
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate
 from qknot.laurent import ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
-from qknot.useries import _binom_at, _field_poch, _field_qbinomials
+from qknot.useries import _field_poch
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -159,6 +162,26 @@ def jones_hyper(t: int, n_color: int) -> XLaurent:
         head = poch_q(1 - n, kt).shift(-n * kt)
         rec(t - 1, kt, head)
     return total.shift(t * (1 - n))
+
+
+def _field_qbinomials(order: int, eps: int, max_n: int) -> list[list[CycloNum]]:
+    """Gaussian binomials at q = zeta^eps via the q-Pascal recurrence."""
+    one = CycloNum.one(order)
+    table = [[one]]
+    for n in range(1, max_n + 1):
+        row = [one]
+        prev = table[n - 1]
+        for k in range(1, n):
+            row.append(prev[k - 1] + CycloNum.zeta(order, eps * k) * prev[k])
+        row.append(one)
+        table.append(row)
+    return table
+
+
+def _binom_at(table: list[list[CycloNum]], order: int, n: int, k: int) -> CycloNum:
+    if k < 0 or n < 0 or k > n:
+        return CycloNum.zero(order)
+    return table[n][k]
 
 
 def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloNum:
@@ -329,6 +352,38 @@ def test_root_values_match_their_oracles(t, m):
             new = useries.eval_f_at_root(t, m, n_root, inverse=inverse)
             assert new == eval_f_at_root(t, m, n_root, inverse=inverse), (n_root, inverse)
         assert useries.u_eval_at_root(t, m, n_root) == u_eval_at_root(t, m, n_root), n_root
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_q_lucas_binomials_match_q_pascal(order):
+    max_top = 7 * (order + 1) + 3  # the longest table the oracle builds, at t = 3
+    for eps in (1, -1):
+        table = _field_qbinomials(order, eps, max_top)
+        binom = useries._root_binomial(order, eps)
+        for a in range(max_top + 1):
+            for b in range(a + 1):
+                assert binom(a, b) == table[a][b], (eps, a, b)
+        zero = CycloNum.zero(order)
+        for a, b in ((-1, 0), (-3, -1), (5, -1), (0, -2), (0, 1), (4, 5), (2, 3 * order)):
+            assert binom(a, b) == zero == _binom_at(table, order, a, b), (eps, a, b)
+
+
+def test_root_values_read_at_most_n_pascal_rows(monkeypatch):
+    assert not hasattr(useries, "_binom_at")
+    asked = []
+    real = useries._field_qbinomials
+
+    def spy(order, eps, max_n):
+        asked.append((order, max_n))
+        return real(order, eps, max_n)
+
+    monkeypatch.setattr(useries, "_field_qbinomials", spy)
+    for n_root in (1, 2, 7, 24):
+        useries.eval_f_at_root(3, 1, n_root)
+        useries.eval_f_at_root(2, 2, n_root, inverse=True)
+        useries.u_eval_at_root(3, 2, n_root)
+    assert len(asked) == 12
+    assert all(max_n + 1 <= order for order, max_n in asked), asked
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknot.cyclo import CycloNum, cyclo_eval
-from qknot.laurent import XLaurent
+from qknot.laurent import XLaurent, _norm
+from qknot.serialize import cyclo_to_json_dict
 from qknot.series import QSeries
 
 
@@ -88,3 +89,18 @@ def test_rational_scalar_mixing():
     assert (z * Fraction(1, 2)) + (z * Fraction(1, 2)) == z
     assert z - z == 0
     assert (z * 0).is_zero()
+
+
+def test_norm_keeps_ints_and_lowers_integral_fractions():
+    big = 10**40 + 7
+    assert _norm(big) is big
+    two = _norm(Fraction(6, 3))
+    assert two == 2 and type(two) is int
+    half = _norm(Fraction(1, 2))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    ints = [3, -1, 0, 10**30, 5, -2]
+    from_ints = CycloNum(7, ints)
+    from_fractions = CycloNum(7, [Fraction(k, 1) for k in ints])
+    assert from_fractions == from_ints
+    assert all(type(c) is int for c in from_fractions.coeffs)
+    assert cyclo_to_json_dict(from_fractions) == cyclo_to_json_dict(from_ints)

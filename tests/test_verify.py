@@ -51,6 +51,9 @@ def test_individual_checks_pass():
     assert check_jones_consistency(4, 16).passed
     assert check_jones_consistency(5, 12).passed
     assert check_duality(5, 2, 12).passed
+    # root orders past the desk profile
+    assert check_duality(2, 1, 60).passed
+    assert check_duality(3, 2, 48).passed
 
 
 def test_suite_tasks_cover_families():
