@@ -6,8 +6,10 @@ A pair carries term *generators*, not arrays: alpha(n, window) and
 beta(n, window) produce exact-or-truncated series on demand, so one pair
 serves every truncation level.  Pairs are relative to a = q^a_exp with
 a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
-denominator (q)_n via Gaussian multinomials, so each term costs one series
-inversion instead of one per Pochhammer factor.
+denominator (q)_n via Gaussian multinomials.  Every q-Pochhammer denominator,
+finite or infinite, is divided out factor by factor (``series._by_binomials``),
+which keeps the numerator's window, so each term is built at exactly the
+window it is asked for.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .cyclotomic_coeffs import c_product
 from .jones import jones_left
 from .laurent import ONE, XLaurent, _chain_step, poch_q, qbinomial
 from .report import CheckReport, _timed_report, diff_qseries
-from .series import Mono, QSeries, qpochhammer
+from .series import Mono, QSeries, _by_binomials, _poch
 
 __all__ = [
     "BaileyPair",
@@ -65,6 +67,11 @@ class BaileyPair:
         out = self._cache.get(key)
         if out is None:
             out = fn(n, window)
+            if out.trunc is not None and out.trunc < window:
+                raise ArithmeticError(
+                    f"{self.label}: {kind}_{n} came back below q^{out.trunc}, "
+                    f"asked for below q^{window}"
+                )
             if floor is not None and out.terms and out.min_exp() < floor(n):
                 raise ArithmeticError(
                     f"{self.label}: {kind}_{n} valuation {out.min_exp()} below "
@@ -117,12 +124,9 @@ def _chain_poly(
     return _chain_step(states, closing).get(None, XLaurent())
 
 
-def _over_poch_n(poly: XLaurent, n: int, window: int) -> QSeries:
-    """poly / (q)_n as a series valid strictly below window."""
-    if poly.is_zero():
-        return QSeries.zero(1, window)
-    v = min(0, poly.min_exp())
-    return (_exact(poly) * _exact(poch_q(1, n)).invert(window - v)).with_trunc(window)
+def _q(first: int, count: int) -> list[Mono]:
+    """The factors of poch_q(first, count)."""
+    return _poch(Mono(1, 0, first), count)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +141,7 @@ def unit_pair(a_exp: int = 0) -> BaileyPair:
         return QSeries.one() if n == 0 else QSeries.zero()
 
     def beta(n: int, window: int) -> QSeries:
-        d = poch_q(1, n) * poch_q(a_exp + 1, n)
-        return _exact(d).invert(window)
+        return _by_binomials(QSeries.one(), over=_q(1, n) + _q(a_exp + 1, n), trunc=window)
 
     return BaileyPair("unit", a_exp, alpha, beta, "delta pair",
                       alpha_floor=lambda n: 0, beta_floor=lambda n: 0)
@@ -201,7 +204,9 @@ def lovejoy_alpha_parts(t: int, ell: int, n: int) -> tuple[XLaurent, XLaurent]:
 
 
 @lru_cache(maxsize=None)
-def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
+def _lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
+    """(q)_n times the (2t-1)-fold staircase chain sum: q^{-v} on the first
+    ell positions, q^{v(v + centre)/2} at position t and q^{v^2} beyond."""
     length = 2 * t - 1
 
     def node(pos: int, v: int) -> int:
@@ -209,7 +214,7 @@ def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
         if pos <= ell:
             e -= v
         if pos == t:
-            e += v * (v + 1) // 2
+            e += v * (v + centre) // 2
         if pos > t:
             e += v * v
         return e
@@ -234,7 +239,7 @@ def lovejoy_pair(t: int, ell: int | None = None) -> BaileyPair:
         return _exact(second - prime)
 
     def beta(n: int, window: int) -> QSeries:
-        return _over_poch_n(_lovejoy_s(t, ell, n), n, window)
+        return _by_binomials(_exact(_lovejoy_s(t, ell, n)), over=_q(1, n), trunc=window)
 
     def alpha_floor(n: int) -> int:
         return (n * n - (2 * ell + 3) * n) // 2
@@ -267,14 +272,12 @@ def star_pair(k: int, ell: int) -> BaileyPair:
 
     def beta(n: int, window: int) -> QSeries:
         head = Mono(-1 if n % 2 else 1, 0, -n * (n + 1) // 2)
-        if k == 1:
-            return _exact(poch_q(1, n)).invert(window - head.q_exp).mul_mono(head)
 
         def node(pos: int, v: int) -> int:
             return -v if pos <= ell else 0
 
-        s = _chain_poly(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
-        return _over_poch_n(s, n, window - head.q_exp).mul_mono(head)
+        s = ONE if k == 1 else _chain_poly(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
+        return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=window)
 
     return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta, "seed staircase pair")
 
@@ -289,24 +292,17 @@ def andrews_pair(x: Mono = Mono(1, 1, 0)) -> BaileyPair:
         )
         return -out if n % 2 else out
 
+    def numerator(n: int) -> list[Mono]:
+        return _poch(x, n + 1) + _poch(Mono(1, 0, 1).times(x.inverse()), n)
+
     def beta(n: int, window: int) -> QSeries:
-        # Each Pochhammer factor with a negative q-power lowers the window by
-        # that power; together they lower it by -val(num) <= -beta_floor(n).
-        # A window at or below the floor shows no term of beta: keep num
-        # exact there, so the result and the floor check are as unwindowed.
-        w = window - beta_floor(n)
-        trunc = w if w > 0 else None
-        num = qpochhammer(x, n + 1, trunc=trunc) * qpochhammer(
-            Mono(1, 0, 1).times(x.inverse()), n, trunc=trunc
-        )
-        v = int(min(0, num._valuation()))
-        return num * _exact(poch_q(2, 2 * n)).invert(window - v)
+        return _by_binomials(QSeries.one(), numerator(n), _q(2, 2 * n), trunc=window)
 
     def alpha_floor(n: int) -> int:
         return n * (n + 1) // 2 + min(0, -n * x.q_exp, (n + 1) * x.q_exp)
 
-    def beta_floor(n: int) -> int:
-        return min(0, n * x.q_exp, -n * x.q_exp)
+    def beta_floor(n: int) -> int:  # each numerator factor (1 - f) has valuation min(0, k)
+        return sum(min(0, f.q_exp) for f in numerator(n))
 
     return BaileyPair(
         "andrews", 1, alpha, beta, "two-term alpha pair",
@@ -342,20 +338,8 @@ def make_named_pair(name: str, **params) -> BaileyPair:
 def beta_chain_closed(t: int, tail_len: int, n: int, window: int) -> QSeries:
     """Closed chain form of the t-fold-stepped seed beta: center carries
     binom(v_t, 2) and the linear tail has tail_len terms."""
-    length = 2 * t - 1
-
-    def node(pos: int, v: int) -> int:
-        e = 0
-        if pos <= tail_len:
-            e -= v
-        if pos == t:
-            e += v * (v - 1) // 2
-        if pos > t:
-            e += v * v
-        return e
-
-    s = _chain_poly(length, n, node, t - 1, sign_pos=t)
-    return _over_poch_n(s, n, window)
+    s = _lovejoy_s(t, tail_len, n, -1)
+    return _by_binomials(_exact(s), over=_q(1, n), trunc=window)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +366,8 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
             alpha_j = pair.alpha(j, trunc)
             if not alpha_j.terms:
                 continue
-            den = poch_q(1, n - j) * poch_q(a_exp + 1, n + j)
-            v = min(0, alpha_j.min_exp())
-            rhs = rhs + alpha_j * _exact(den).invert(trunc - v)
+            den = _q(1, n - j) + _q(a_exp + 1, n + j)
+            rhs = rhs + _by_binomials(alpha_j, over=den, trunc=trunc)
         witness = diff_qseries(pair.beta(n, trunc), rhs, label=f"beta relation at n={n}")
         if witness is None and n > 0:
             inner = QSeries.zero(1, trunc)
@@ -394,14 +377,9 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
                     continue
                 beta_j = pair.beta(j, trunc - min(0, piece.min_exp()))
                 inner = inner + beta_j * _exact(piece)
-            pref = (XLaurent.const(1) - XLaurent.term(a_exp + 2 * n)) * poch_q(
-                a_exp + 1, n - 1
-            )
-            pref = pref.shift(n * (n - 1) // 2)
-            if n % 2:
-                pref = -pref
-            v = int(min(0, inner._valuation()))
-            rhs2 = inner * _exact(poch_q(1, n)).invert(trunc - v) * _exact(pref)
+            sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
+            pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
+            rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
             witness = diff_qseries(pair.alpha(n, trunc), rhs2, label=f"alpha relation at n={n}")
         if witness is not None:
             witness["n"] = n
@@ -420,104 +398,75 @@ def _req(mono: Mono, what: str) -> Mono:
     return mono
 
 
+def _lemma(a_exp: int, b: Mono | None, c: Mono | None):
+    """The lemma with parameters b, c (None is a limit) as (head, den):
+    alpha'_n = head(n, n) alpha_n / den(n) and
+    beta'_n = sum_k head(k, n) beta_k / ((q)_{n-k} den(n)), where den(n)
+    lists the factors of (aq/b)_n (aq/c)_n over the parameters that are set.
+    """
+    aq = Mono(1, 0, a_exp + 1)
+    quos = [aq.divide(p) for p in (b, c) if p is not None]
+    if b is None and c is None:
+
+        def head(k: int, n: int) -> QSeries:
+            return QSeries.from_mono(Mono(1, 0, a_exp * k + k * k))
+
+    elif b is not None and c is not None:
+        ratio = aq.divide(b.times(c))
+
+        def head(k: int, n: int) -> QSeries:
+            factors = _poch(b, k) + _poch(c, k) + _poch(ratio, n - k)
+            return _by_binomials(QSeries.one(), factors).mul_mono(ratio.power(k))
+
+    else:
+        fin = b if b is not None else c
+
+        def head(k: int, n: int) -> QSeries:
+            sign = Mono((-1) ** k, 0, k * (k - 1) // 2).times(quos[0].power(k))
+            return _by_binomials(QSeries.one(), _poch(fin, k)).mul_mono(sign)
+
+    return head, lambda n: [f for quo in quos for f in _poch(quo, n)]
+
+
 def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
     """One application of the lemma; b, c are monomials or None (a limit).
 
     With both limits the step is alpha -> a^n q^{n^2} alpha; otherwise the
-    generic transform.  Degenerate parameter choices surface as inversion
-    failures (the relevant product's lowest term stops being a unit
-    monomial), which is the rejection the caller sees.
+    generic transform.  Degenerate parameter choices surface when a term
+    divides by a Pochhammer factor that is not a unit: (1 - q^0) raises
+    ZeroDivisionError and a factor with no q-power but an x-power raises
+    ExactnessError, which is the rejection the caller sees.  Every alpha and
+    beta term of the stepped pair comes back at exactly the window asked for.
     """
     a_exp = pair.a_exp
-    aq = Mono(1, 0, a_exp + 1)
+    head, den = _lemma(a_exp, b, c)
 
-    if b is None and c is None:
-
-        def alpha(n: int, window: int) -> QSeries:
-            shift = a_exp * n + n * n
-            return pair.alpha(n, window - shift).mul_mono(Mono(1, 0, shift))
-
-        def beta(n: int, window: int) -> QSeries:
-            out = QSeries.zero(1, window)
-            for k in range(n + 1):
-                shift = a_exp * k + k * k
-                bk = pair.beta(k, window - shift)
-                v = int(min(0, bk._valuation()))
-                inv = _exact(poch_q(1, n - k)).invert(window - shift - v)
-                out = out + (bk * inv).mul_mono(Mono(1, 0, shift))
-            return out
-
-        floor_a = floor_b = None
-        if pair.alpha_floor is not None:
-            base_a = pair.alpha_floor
-            floor_a = lambda n: base_a(n) + a_exp * n + n * n
-        if pair.beta_floor is not None:
-            base_b = pair.beta_floor
-            floor_b = lambda n: min(base_b(k) + a_exp * k + k * k for k in range(n + 1))
-        return BaileyPair(
-            pair.label + "+step(inf,inf)", a_exp, alpha, beta, pair.provenance,
-            alpha_floor=floor_a, beta_floor=floor_b,
-        )
-
-    if b is not None and c is not None:
-        ratio = aq.divide(b.times(c))
-        quo_b, quo_c = aq.divide(b), aq.divide(c)
-
-        def alpha(n: int, window: int) -> QSeries:
-            den = qpochhammer(quo_b, n) * qpochhammer(quo_c, n)
-            num = qpochhammer(b, n) * qpochhammer(c, n)
-            prod = num.mul_mono(ratio.power(n)) * pair.alpha(n, window)
-            v = int(min(0, prod._valuation()))
-            return (prod * den.invert(window - v)).with_trunc(window)
-
-        def beta(n: int, window: int) -> QSeries:
-            den = qpochhammer(quo_b, n) * qpochhammer(quo_c, n)
-            out: QSeries | None = None
-            for k in range(n + 1):
-                head = qpochhammer(b, k) * qpochhammer(c, k) * qpochhammer(ratio, n - k)
-                head = head.mul_mono(ratio.power(k))
-                hv = int(min(0, head._valuation()))
-                bk = pair.beta(k, window - hv + 8)
-                bv = int(min(0, bk._valuation()))
-                inv = _exact(poch_q(1, n - k)).invert(window - hv - bv + 8)
-                term = head * bk * inv
-                out = term if out is None else out + term
-            assert out is not None
-            v = int(min(0, out._valuation()))
-            return (out * den.invert(window - v)).with_trunc(window)
-
-        return BaileyPair(
-            pair.label + f"+step({b},{c})", a_exp, alpha, beta, pair.provenance
-        )
-
-    fin = b if b is not None else c
-    quo = aq.divide(fin)
+    def headed(term: TermFn, k: int, n: int, window: int) -> QSeries:
+        h = head(k, n)  # exact, so term k is needed below window - val(h) only
+        return h * term(k, window - h.min_exp()) if h.terms else h
 
     def alpha(n: int, window: int) -> QSeries:
-        head = qpochhammer(fin, n).mul_mono(
-            quo.power(n).times(Mono((-1) ** n, 0, n * (n - 1) // 2))
-        )
-        prod = head * pair.alpha(n, window)
-        v = int(min(0, prod._valuation()))
-        return (prod * qpochhammer(quo, n).invert(window - v)).with_trunc(window)
+        return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
 
     def beta(n: int, window: int) -> QSeries:
-        out: QSeries | None = None
+        out = QSeries.zero(1, window)
         for k in range(n + 1):
-            head = qpochhammer(fin, k).mul_mono(
-                quo.power(k).times(Mono((-1) ** k, 0, k * (k - 1) // 2))
-            )
-            hv = int(min(0, head._valuation()))
-            bk = pair.beta(k, window - hv + 8)
-            bv = int(min(0, bk._valuation()))
-            inv = _exact(poch_q(1, n - k)).invert(window - hv - bv + 8)
-            term = head * bk * inv
-            out = term if out is None else out + term
-        assert out is not None
-        v = int(min(0, out._valuation()))
-        return (out * qpochhammer(quo, n).invert(window - v)).with_trunc(window)
+            term = headed(pair.beta, k, n, window)
+            out = out + _by_binomials(term, over=_q(1, n - k), trunc=window)
+        return _by_binomials(out, over=den(n), trunc=window)
 
-    return BaileyPair(pair.label + f"+step({fin},inf)", a_exp, alpha, beta, pair.provenance)
+    floor_a = floor_b = None  # floors are carried through the (inf, inf) step only
+    if b is None and c is None and pair.alpha_floor is not None:
+        base_a = pair.alpha_floor
+        floor_a = lambda n: base_a(n) + a_exp * n + n * n
+    if b is None and c is None and pair.beta_floor is not None:
+        base_b = pair.beta_floor
+        floor_b = lambda n: min(base_b(k) + a_exp * k + k * k for k in range(n + 1))
+    names = [str(p) for p in (b, c) if p is not None] + ["inf", "inf"]
+    return BaileyPair(
+        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta, pair.provenance,
+        alpha_floor=floor_a, beta_floor=floor_b,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +523,7 @@ def _limit_sides(
         quo = aq.divide(fin)
         return n * (n - 1) // 2 + n * quo.q_exp + _neg_val_bound(fin) + floor(n)
 
-    def head_series(n: int) -> QSeries:
-        if b is None and c is None:
-            return QSeries.from_mono(Mono(1, 0, n * n + a_exp * n))
-        if b is not None and c is not None:
-            out = qpochhammer(b, n) * qpochhammer(c, n)
-            return out.mul_mono(aq.divide(b.times(c)).power(n))
-        fin = b if b is not None else c
-        quo = aq.divide(fin)
-        return qpochhammer(fin, n).mul_mono(
-            quo.power(n).times(Mono((-1) ** n, 0, n * (n - 1) // 2))
-        )
+    head, den = _lemma(a_exp, b, c)
 
     lhs = QSeries.zero(1, trunc)
     n = 0
@@ -592,7 +531,7 @@ def _limit_sides(
         low = term_low(n, pair.beta_floor)
         if low >= trunc:
             break
-        lhs = lhs + head_series(n) * pair.beta(n, trunc - min(0, low))
+        lhs = lhs + head(n, n) * pair.beta(n, trunc - min(0, low))
         n += 1
 
     inner = QSeries.zero(1, trunc)
@@ -601,30 +540,25 @@ def _limit_sides(
         low = term_low(n, pair.alpha_floor)
         if low >= trunc:
             break
-        prod = head_series(n) * pair.alpha(n, trunc - min(0, low))
-        if b is None and c is None:
-            inner = inner + prod
-        else:
-            den = QSeries.one()
-            if b is not None:
-                den = den * qpochhammer(aq.divide(b), n)
-            if c is not None:
-                den = den * qpochhammer(aq.divide(c), n)
-            v = int(min(0, prod._valuation()))
-            inner = inner + prod * den.invert(trunc - v)
+        prod = head(n, n) * pair.alpha(n, trunc - min(0, low))
+        inner = inner + _by_binomials(prod, over=den(n), trunc=trunc)
         n += 1
 
     v = int(min(0, inner._valuation()))
     w = trunc - v
-    num = QSeries.one(1, w)
-    den = qpochhammer(aq, None, trunc=w)
+
+    def below(mono: Mono, what: str) -> list[Mono]:
+        """The factors of the infinite product (mono)_inf that reach q^w."""
+        return _poch(_req(mono, what), w - mono.q_exp)
+
+    num, den = [], below(aq, "aq")
     if b is not None:
-        num = num * qpochhammer(_req(aq.divide(b), "aq/b"), None, trunc=w)
+        num += below(aq.divide(b), "aq/b")
     if c is not None:
-        num = num * qpochhammer(_req(aq.divide(c), "aq/c"), None, trunc=w)
+        num += below(aq.divide(c), "aq/c")
     if b is not None and c is not None:
-        den = den * qpochhammer(_req(aq.divide(b.times(c)), "aq/bc"), None, trunc=w)
-    return lhs, inner * num * den.invert()
+        den += below(aq.divide(b.times(c)), "aq/bc")
+    return lhs, _by_binomials(inner, num, den)
 
 
 def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
@@ -669,7 +603,7 @@ def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
             r += 1
         n += 1
     v = int(min(0, inner._valuation()))
-    return lhs, inner * qpochhammer(Mono(1, 0, 1), None, trunc=trunc - v).invert()
+    return lhs, _by_binomials(inner, over=_q(1, trunc - v))
 
 
 def perturbed_pair(pair: BaileyPair, which: str, n_target: int, mono: Mono) -> BaileyPair:

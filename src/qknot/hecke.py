@@ -16,7 +16,7 @@ module free of rational-function arithmetic.
 from __future__ import annotations
 
 from .laurent import XLaurent
-from .series import Mono, QSeries, qpochhammer
+from .series import Mono, QSeries, _by_binomials
 
 __all__ = ["hecke_u1_double", "hecke_u_series", "hecke_u_series_x"]
 
@@ -110,16 +110,9 @@ def hecke_u_series(t: int, m: int, trunc: int, pad: int = 0) -> QSeries:
     if trunc < 1:
         raise ValueError("need a positive window")
     core = _triple_sum(t, m, trunc, pad)
-    if not core.terms:
-        return QSeries.zero(1, trunc)
-    vs = min(core.min_exp(), 0)
-    wp = trunc - vs
-    prefactor = (
-        qpochhammer(Mono(1, 1, 1), None, trunc=wp)
-        * qpochhammer(Mono(1, -1, 1), None, trunc=wp)
-        * qpochhammer(Mono(1, 0, 1), None, trunc=wp).invert() ** 2
-    )
-    return -(prefactor * core)
+    ks = range(1, trunc - int(min(0, core._valuation())))  # the factors reaching the window
+    times = [Mono(1, 1, k) for k in ks] + [Mono(1, -1, k) for k in ks]
+    return -_by_binomials(core, times, [Mono(1, 0, k) for k in ks] * 2)
 
 
 def hecke_u_series_x(t: int, m: int, trunc: int, pad: int = 0) -> QSeries:
@@ -166,4 +159,7 @@ def hecke_u1_double(trunc: int, pad: int = 0) -> QSeries:
             add(-1 - a, -1 - b, -1)
 
     core = QSeries({e: XLaurent(xs) for e, xs in acc.items()}, 1, trunc)
-    return qpochhammer(Mono(1, 0, 1), None, trunc=trunc).invert() * core
+    # 1/(q)_inf carries no x: one packed product with the dense core beats
+    # a pass per factor over it
+    inverse = _by_binomials(QSeries.one(1, trunc), over=[Mono(1, 0, k) for k in range(1, trunc)])
+    return inverse * core

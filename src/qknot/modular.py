@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclo import CycloNum
 from .cyclotomic_coeffs import _validate
 from .laurent import bernoulli_b2
-from .series import Mono, QSeries, qpochhammer
+from .series import Mono, QSeries, _by_binomials, _poch
 from .useries import eval_f_at_root
 
 __all__ = [
@@ -60,14 +60,11 @@ def theta_phi(t: int, m: int, trunc: int, product_side: bool = False) -> QSeries
                 terms[n * n] = terms.get(n * n, 0) + ch
             n += 1
         return QSeries(terms, scale, trunc)
+    lead = QSeries.monomial(1, 0, (2 * t + 1 - 2 * m) ** 2, scale, trunc)
     base = Mono(1, 0, (2 * t + 1) * scale)
-    lead = (2 * t + 1 - 2 * m) ** 2
-    out = QSeries.monomial(1, 0, lead, scale, trunc)
-    for a_exp in (m, 2 * t + 1 - m, 2 * t + 1):
-        out = out * qpochhammer(
-            Mono(1, 0, a_exp * scale), None, scale=scale, trunc=trunc - lead, base=base
-        )
-    return out.with_trunc(trunc)
+    reach = trunc // base.q_exp + 1  # the pass skips the factors past the window
+    firsts = [Mono(1, 0, a * scale) for a in (m, 2 * t + 1 - m, 2 * t + 1)]
+    return _by_binomials(lead, [f for a in firsts for f in _poch(a, reach, base)])
 
 
 def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:

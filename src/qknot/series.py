@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .laurent import ExactnessError, Scalar, XLaurent, _packed_product
+from .laurent import ExactnessError, Scalar, XLaurent, _norm, _packed_product
 
 __all__ = [
     "Mono",
@@ -176,15 +176,19 @@ class QSeries:
         return QSeries({e * f: c for e, c in self.terms.items()}, new_scale, trunc)
 
     def reduce_scale(self) -> "QSeries":
-        """Smallest equivalent scale (gcd of scale and all exponents)."""
-        g = self.scale
+        """Smallest equivalent scale (gcd of scale, window and all exponents).
+
+        The window is part of the gcd, so it lands exactly on the new grid:
+        no unknown exponent is claimed absent and no known one is dropped.
+        """
+        g = self.scale if self.trunc is None else math.gcd(self.scale, self.trunc)
         for e in self.terms:
             g = math.gcd(g, e)
             if g == 1:
                 break
         if g == 1:
             return self
-        trunc = None if self.trunc is None else -((-self.trunc) // g)
+        trunc = None if self.trunc is None else self.trunc // g
         return QSeries({e // g: c for e, c in self.terms.items()}, self.scale // g, trunc)
 
     def is_integral(self) -> bool:
@@ -282,7 +286,7 @@ class QSeries:
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
-            raise ValueError("use invert for negative powers")
+            raise ValueError("negative powers need a window: use invert(trunc)")
         out = QSeries.one(self.scale)
         for _ in range(n):
             out = out * self
@@ -419,7 +423,9 @@ def qpochhammer(
 
     base defaults to q itself (scaled exponent = scale).  n=None is the
     formal infinite product, which requires a strictly positive q-exponent
-    on both a and base, plus a truncation window.
+    on both a and base, plus a truncation window; it is the finite product of
+    the factors below the window.  Both are one multiplication pass of
+    ``_by_binomials``, so the window follows its rule.
     """
     if base is None:
         base = Mono(1, 0, scale)
@@ -430,20 +436,88 @@ def qpochhammer(
             raise ValueError("infinite product needs a base with positive q-exponent")
         if trunc is None:
             raise WindowError("infinite product needs a truncation window")
-        out = QSeries.one(scale, trunc)
-        k = 0
-        while a.q_exp + k * base.q_exp < trunc:
-            f = a.times(base.power(k))
-            out = out * (QSeries.one(scale) - QSeries.from_mono(f, scale))
-            k += 1
-        return out
+        n = max(0, -((a.q_exp - trunc) // base.q_exp))
     if n < 0:
         raise ValueError("negative Pochhammer length")
-    out = QSeries.one(scale, trunc)
-    for k in range(n):
-        f = a.times(base.power(k))
-        out = out * (QSeries.one(scale) - QSeries.from_mono(f, scale))
-    return out
+    return _by_binomials(QSeries.one(scale, trunc), _poch(a, n, base))
+
+
+def _poch(a: Mono, n: int, base: Mono = Mono(1, 0, 1)) -> list[Mono]:
+    """The factors a, a*base, ..., a*base^(n-1) of (a; base)_n."""
+    return [a.times(base.power(k)) for k in range(n)]
+
+
+_UNIT = Mono(1, 0, 0)
+
+
+def _by_binomials(
+    s: QSeries, times: Iterable[Mono] = (), over: Iterable[Mono] = (), trunc: int | None = None
+) -> QSeries:
+    """s * prod(1 - f for f in times) / prod(1 - f for f in over), one stride
+    pass per factor.
+
+    Window rule, with k the q-exponent of f: multiplying by (1 - f) lowers the
+    window by -min(0, k).  Dividing by (1 - f) with k > 0 is
+    r_e = s_e + f r_{e-k} in ascending e and keeps the window exactly, since
+    every r_e below it reads only s below it; k < 0 goes through
+    1/(1 - f) = -f^{-1}/(1 - f^{-1}) and so raises the window by -k.  A
+    factor with k > 0 that cannot reach the window is skipped.  trunc, when
+    given, is the result's window: the input is cut (never widened) where it
+    yields that.  Dividing an exact nonzero series needs a window.
+    """
+    head, divs = _UNIT, []
+    for f in over:
+        if f.q_exp > 0:
+            divs.append(f)
+        elif f.q_exp < 0:
+            head = head.times(f.inverse()).times(Mono(-1))
+            divs.append(f.inverse())
+        elif f.x_exp:
+            raise ExactnessError(f"(1 - {f}): lowest coefficient is not a single monomial in x")
+        elif f == _UNIT:
+            raise ZeroDivisionError(f"division by the zero factor (1 - {f})")
+        else:
+            head = head.divide(Mono(1 - f.coeff))
+    times = list(times)
+    if _UNIT in times:
+        return QSeries.zero(s.scale)
+    if trunc is not None:
+        s = s.with_trunc(trunc - sum(min(0, f.q_exp) for f in times) - head.q_exp)
+    if divs and s.is_exact() and s.terms:
+        raise WindowError("dividing an exact series needs an explicit window")
+    if head != _UNIT:
+        s = s.mul_mono(head)
+    rows = {e: dict(c.coeffs) for e, c in s.terms.items()}
+    w = s._window()
+    for f in times:
+        k = f.q_exp
+        if k > 0 and (not rows or min(rows) + k >= w):
+            continue
+        w += min(0, k)
+        for e in sorted(rows, reverse=k > 0):  # every source row is read before it is written
+            if e + k < w:
+                _axpy(rows.setdefault(e + k, {}), rows[e], -f.coeff, f.x_exp)
+        if k < 0:
+            rows = {e: row for e, row in rows.items() if e < w}
+    for f in divs:
+        k = f.q_exp
+        if rows and min(rows) + k < w:
+            for e in range(min(rows) + k, w):
+                src = rows.get(e - k)
+                if src:
+                    _axpy(rows.setdefault(e, {}), src, f.coeff, f.x_exp)
+    return QSeries({e: XLaurent(row) for e, row in rows.items()}, s.scale, None if w == _INF else w)
+
+
+def _axpy(target: dict[int, Scalar], source: dict[int, Scalar], c: Scalar, dx: int) -> None:
+    """target += c * x^dx * source, on x-exponent -> coefficient rows."""
+    for d, v in tuple(source.items()):
+        d += dx
+        v = _norm(target.get(d, 0) + c * v)
+        if v:
+            target[d] = v
+        else:
+            target.pop(d, None)
 
 
 def first_difference(

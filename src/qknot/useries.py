@@ -17,7 +17,7 @@ from math import comb
 from .cyclo import CycloNum
 from .cyclotomic_coeffs import _validate, c_series
 from .laurent import _chain_step
-from .series import QSeries
+from .series import Mono, QSeries, _by_binomials
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
 
@@ -138,10 +138,7 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
     g = QSeries.one(1, wg)
     for n in range(0, window + m - 1):
         if n > 0:
-            step = (QSeries.one(1) + QSeries.monomial(1, 1, n)) * (
-                QSeries.one(1) + QSeries.monomial(1, -1, n)
-            )
-            g = g * step
+            g = _by_binomials(g, [Mono(-1, 1, n), Mono(-1, -1, n)])
         c = c_series(t, m, n, window)
         if c.is_zero():
             continue

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from qknot.bailey import (
+    BaileyPair,
+    andrews_pair,
     bailey_limit_identity,
     bailey_step,
     bailey_verify,
@@ -16,7 +18,7 @@ from qknot.bailey import (
     _exact,
 )
 from qknot.cyclotomic_coeffs import c_multisum
-from qknot.laurent import XLaurent, poch_q
+from qknot.laurent import ExactnessError, XLaurent, poch_q
 from qknot.series import Mono, QSeries, first_difference, qpochhammer
 
 
@@ -103,11 +105,45 @@ def test_step_preserves_pair_property():
 
 
 def test_step_rejects_degenerate_quotient():
-    # aq/b collapsing onto a non-monomial constant cannot be inverted
+    # aq/b collapsing onto the non-unit factor (1 - x^-1) cannot be divided by
     base = make_named_pair("unit")
     stepped = bailey_step(base, Mono(1, 1, 1), Mono(1, 0, -1))
-    with pytest.raises(Exception):
+    with pytest.raises(ExactnessError, match="not a single monomial in x"):
         stepped.beta(2, 20)
+
+
+def test_step_rejects_a_zero_factor_by_name():
+    # (aq/b)_3 = (q^-2)_3 contains (1 - q^0)
+    stepped = bailey_step(make_named_pair("unit"), Mono(1, 0, 3), Mono(1, 0, -1))
+    with pytest.raises(ZeroDivisionError, match=r"zero factor \(1 - Mono\(coeff=1, x_exp=0, q_exp=0\)\)"):
+        stepped.alpha(3, 20)
+
+
+def test_term_below_its_requested_window_is_rejected():
+    short = BaileyPair("short", 0, lambda n, w: QSeries.one(), lambda n, w: QSeries.one(1, w - 1))
+    assert short.alpha(2, 10) == QSeries.one()
+    with pytest.raises(ArithmeticError, match="asked for below q\\^10"):
+        short.beta(2, 10)
+
+
+def test_terms_come_back_at_exactly_their_window():
+    unit, lov = make_named_pair("unit"), make_named_pair("lovejoy", t=2)
+    named = [
+        unit, lov, make_named_pair("star", t=1), make_named_pair("star", t=3),
+        make_named_pair("andrews"), andrews_pair(Mono(1, 1, 2)), andrews_pair(Mono(-1, 0, -1)),
+    ]
+    # a step divides both sides by its factors in one pass, so neither an
+    # alpha nor a beta of a stepped pair is ever exact, not even at n = 0
+    steps = [
+        bailey_step(lov, None, None), bailey_step(unit, None, None),
+        bailey_step(unit, Mono(1, 1, 0), None), bailey_step(unit, Mono(-1, 1, -1), Mono(1, 0, -2)),
+    ]
+    for pair in named + steps:
+        for n in range(5):
+            for window in (-3, 0, 7, 20):
+                allowed = (None, window) if pair in named else (window,)
+                for term in (pair.alpha(n, window), pair.beta(n, window)):
+                    assert term.trunc in allowed, (pair, n, window, term)
 
 
 def test_mixed_step_preserves_pair_property():
@@ -219,3 +255,14 @@ def test_corrupted_alpha_fails_conjugate():
     bad = perturbed_pair(make_named_pair("andrews"), "alpha", 2, Mono(1, 0, 2))
     report = conjugate_identity_check(bad, 20)
     assert not report.passed and report.witness is not None
+
+
+def test_andrews_beta_floor_is_the_valuation_for_any_x():
+    # x with a q-power: the floor is the sum of the numerator factors'
+    # valuations; a floor that only falls with n kept the conjugate sum open
+    for x in (Mono(-1, 0, -1), Mono(1, 0, -3), Mono(1, 0, 3), Mono(1, 1, 2)):
+        pair = andrews_pair(x)
+        for n in range(4):
+            beta = pair.beta(n, 12)  # zero once (x)_{n+1} or (q/x)_n meets 1 - q^0
+            assert not beta.terms or beta.min_exp() == pair.beta_floor(n), (x, n)
+    assert conjugate_identity_check(andrews_pair(Mono(1, 0, 3)), 15).passed

@@ -55,6 +55,17 @@ def test_theta_sum_equals_product():
         assert d is None, (t, m, d)
 
 
+def test_theta_sides_carry_the_same_window():
+    # windows at and below the lead exponent (2t+1-2m)^2 included: there the
+    # product side is a windowed zero, like the sum side
+    for t, m in [(1, 1), (2, 1), (3, 1), (3, 2)]:
+        for trunc in (1, 2, 9, 25, 26, 100):
+            sums = theta_phi(t, m, trunc)
+            prods = theta_phi(t, m, trunc, product_side=True)
+            assert (prods.scale, prods.trunc) == (sums.scale, trunc)
+            assert prods == sums, (t, m, trunc)
+
+
 def test_bernoulli_rhs_anchor_is_one():
     assert bernoulli_rhs(1, 1, 1) == 1
     assert bernoulli_lhs(1, 1, 1) == 1

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknot.laurent import XLaurent, _packed_product
-from qknot.series import Mono, QSeries, WindowError, first_difference, qpochhammer
+from qknot.laurent import ExactnessError, XLaurent, _packed_product
+from qknot.series import (
+    Mono,
+    QSeries,
+    WindowError,
+    _by_binomials,
+    first_difference,
+    qpochhammer,
+)
 
 
 def coeffs_of(s):
@@ -236,3 +243,246 @@ def test_packed_path_runs_on_dense_integer_products():
         )
         assert rows is not None
         assert coeffs_of(a * b) == rows
+
+
+# -- window soundness: each operation on truncated copies of exact series ---
+
+
+def _window(s):
+    return s._window()  # inf for an exact series
+
+
+def _sound(result, exact):
+    """The result equals the exact value strictly below its own window."""
+    assert first_difference(result, exact) is None
+
+
+@st.composite
+def cut_series(draw, scale=1, stride=1, exact_ok=True):
+    """(an exact random series, a copy truncated anywhere around its terms)."""
+    terms = draw(st.dictionaries(st.integers(-3, 8), xpolys, max_size=5))
+    exact = QSeries({stride * e: c for e, c in terms.items()}, scale)
+    w = draw(st.one_of(st.none(), st.integers(-4, 10)) if exact_ok else st.integers(-4, 10))
+    return exact, exact.with_trunc(None if w is None else stride * w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_series(), cut_series(), monos, st.one_of(st.none(), st.integers(-4, 12)))
+def test_ring_and_substitution_windows_are_sound(ab, cd, m, w):
+    A, a = ab
+    B, b = cd
+    wa, wb = _window(a), _window(b)
+    cases = [
+        (a + b, A + B, min(wa, wb)),
+        (a - b, A - B, min(wa, wb)),
+        (a * b, A * B, min(wa + b._valuation(), wb + a._valuation())),
+        (a.mul_mono(m), A.mul_mono(m), wa + m.q_exp),
+        (a.with_trunc(w), A, min(wa, _window(QSeries.zero(1, w)))),
+        (-a, -A, wa),
+        (a.negate_x(), A.negate_x(), wa),
+        (a.swap_x(), A.swap_x(), wa),
+        (a.substitute_x(Fraction(-2, 3)), A.substitute_x(Fraction(-2, 3)), wa),
+    ]
+    for got, want, rule in cases:
+        assert _window(got) >= rule  # not vacuous: no window lost beyond the rule
+        _sound(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 6]),
+    st.sampled_from([1, 2, 3]),
+    st.data(),
+    st.integers(1, 3),
+)
+def test_scale_windows_are_sound(scale, stride, data, f):
+    A, a = data.draw(cut_series(scale, stride, exact_ok=False))
+    up = a.rescale(scale * f)
+    assert up.trunc == a.trunc * f
+    _sound(up, A)
+    red = a.reduce_scale()
+    g = scale // red.scale
+    assert red.trunc * g == a.trunc  # the same window, exactly on the new grid
+    assert red.rescale(scale) == a and red.rescale(scale).terms == a.terms
+    _sound(red, A)
+
+
+def test_reduce_scale_keeps_a_window_off_the_coarser_grid():
+    # scale 2, window 3 (true exponent 3/2): a scale-1 copy would have to
+    # claim q^(3/2) absent (window 2) or drop the known q^1 (window 1)
+    A = QSeries({0: 1, 2: 1, 3: 1}, 2)
+    red = A.with_trunc(3).reduce_scale()
+    assert (red.scale, red.trunc) == (2, 3)
+    _sound(red, A)
+    assert QSeries({0: 1, 2: 1}, 2, 3) != QSeries({0: 1}, 2, 3)
+    assert QSeries({0: 1, 2: 1}, 2, 4).reduce_scale().trunc == 2
+
+
+@st.composite
+def unit_headed_cut(draw):
+    e0 = draw(st.integers(-3, 3))
+    lead = XLaurent({draw(st.integers(-2, 2)): draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))})
+    tail = draw(st.dictionaries(st.integers(1, 6), xpolys, max_size=4))
+    exact = QSeries({e0: lead, **{e0 + e: c for e, c in tail.items()}})
+    return exact, exact.with_trunc(e0 + draw(st.integers(1, 10))), e0
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_headed_cut(), st.one_of(st.none(), st.integers(-6, 14)))
+def test_invert_windows_are_sound(case, trunc):
+    A, a, e0 = case
+    inv = a.invert(trunc)
+    rule = a.trunc - 2 * e0 if trunc is None else min(a.trunc - 2 * e0, trunc)
+    assert inv.trunc >= rule
+    # multiplying by the exact A is invertible (unit lowest term), so inv is
+    # right below its window iff inv * A is 1 below inv's window + e0
+    check = inv * A
+    assert check.trunc == inv.trunc + e0
+    _sound(check, QSeries.one())
+
+
+# factors (1 - f) for the binomial passes; a divisor needs a nonzero
+# q-exponent or else a constant other than 1
+binomials = st.builds(
+    Mono, st.sampled_from([1, -1, 2, Fraction(1, 2)]), st.integers(-1, 1), st.integers(-2, 4)
+)
+divisors = binomials.filter(lambda f: f.q_exp != 0 or (f.x_exp == 0 and f.coeff != 1))
+
+
+def _product(factors, scale=1):
+    out = QSeries.one(scale)
+    for f in factors:
+        out = out * (QSeries.one(scale) - QSeries.from_mono(f, scale))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cut_series(exact_ok=False),
+    st.lists(binomials, max_size=4),
+    st.lists(divisors, max_size=4),
+    st.one_of(st.none(), st.integers(-4, 12)),
+)
+def test_binomial_pass_windows_are_sound(ab, times, over, trunc):
+    A, a = ab
+    got = _by_binomials(a, times, over, trunc)
+    rule = a.trunc + sum(min(0, f.q_exp) for f in times) - sum(min(0, f.q_exp) for f in over)
+    if trunc is not None:
+        rule = min(rule, trunc)
+    assert _window(got) >= rule
+    if got.trunc is not None:
+        assert got.trunc == rule  # the window is exactly the documented one
+    # the exact divisor product has a unit lowest term, so got is right
+    # below its window iff got * den equals A * num below window + val(den)
+    den = _product(over)
+    check = got * den
+    assert _window(check) == _window(got) + den.min_exp()
+    _sound(check, A * _product(times))
+
+
+# -- differential tests of the binomial passes ------------------------------
+
+
+def _qpochhammer_oracle(a, n, *, scale=1, trunc=None, base=None):
+    """The full-product qpochhammer that the binomial pass replaced, verbatim."""
+    if base is None:
+        base = Mono(1, 0, scale)
+    if n is None:
+        if a.q_exp <= 0:
+            raise ValueError("infinite product needs a monomial with positive q-exponent")
+        if base.q_exp <= 0:
+            raise ValueError("infinite product needs a base with positive q-exponent")
+        if trunc is None:
+            raise WindowError("infinite product needs a truncation window")
+        out = QSeries.one(scale, trunc)
+        k = 0
+        while a.q_exp + k * base.q_exp < trunc:
+            f = a.times(base.power(k))
+            out = out * (QSeries.one(scale) - QSeries.from_mono(f, scale))
+            k += 1
+        return out
+    if n < 0:
+        raise ValueError("negative Pochhammer length")
+    out = QSeries.one(scale, trunc)
+    for k in range(n):
+        f = a.times(base.power(k))
+        out = out * (QSeries.one(scale) - QSeries.from_mono(f, scale))
+    return out
+
+
+def _same(a, b):
+    assert (a.scale, a.trunc) == (b.scale, b.trunc)
+    assert coeffs_of(a) == coeffs_of(b)
+
+
+scales = st.sampled_from([1, 8 * 3, 8 * 7])  # 1 and 8(2t+1) for t = 1, 3
+
+
+@st.composite
+def scaled_factor(draw, scale, positive=False):
+    """c x^d q^k with k a small multiple of the scale plus a fractional part."""
+    k = draw(st.integers(0 if positive else -2, 3)) * scale + draw(st.sampled_from([0, 0, 1, scale // 2]))
+    if positive and k == 0:
+        k = scale
+    return Mono(draw(st.sampled_from([1, -1, 2])), draw(st.integers(-1, 1)), k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scales, st.data())
+def test_qpochhammer_matches_the_full_product_loop(scale, data):
+    a = data.draw(scaled_factor(scale))
+    base = data.draw(st.one_of(st.none(), scaled_factor(scale, positive=True)))
+    trunc = data.draw(st.one_of(st.none(), st.integers(-2, 6 * scale)))
+    n = data.draw(st.integers(0, 5))
+    _same(
+        qpochhammer(a, n, scale=scale, trunc=trunc, base=base),
+        _qpochhammer_oracle(a, n, scale=scale, trunc=trunc, base=base),
+    )
+    if a.q_exp > 0 and trunc is not None and (base is None or base.q_exp > 0):
+        _same(
+            qpochhammer(a, None, scale=scale, trunc=trunc, base=base),
+            _qpochhammer_oracle(a, None, scale=scale, trunc=trunc, base=base),
+        )
+
+
+@settings(max_examples=120, deadline=None)
+@given(scales, st.data())
+def test_multiply_pass_matches_the_full_product_loop(scale, data):
+    start = data.draw(kernel_operand(scale))
+    factors = data.draw(st.lists(scaled_factor(scale), max_size=5))
+    want = start
+    for f in factors:  # the loop body of the old qpochhammer
+        want = want * (QSeries.one(scale) - QSeries.from_mono(f, scale))
+    _same(_by_binomials(start, factors), want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scales, st.data())
+def test_divide_pass_matches_invert_then_multiply(scale, data):
+    num = data.draw(kernel_operand(scale))
+    if data.draw(st.booleans()):
+        num = QSeries(num.terms, scale)  # the exact numerator of the Bailey call sites
+    nonzero_q = scaled_factor(scale).filter(lambda f: f.q_exp != 0)
+    factors = data.draw(st.lists(nonzero_q, min_size=1, max_size=4))
+    window = data.draw(st.integers(-scale, 4 * scale))
+    den = _product(factors, scale)
+    v = int(min(0, num._valuation()))
+    want = (num * den.invert(window - v)).with_trunc(window)
+    _same(_by_binomials(num, over=factors, trunc=window), want)
+
+
+def test_dividing_an_exact_series_needs_a_window():
+    with pytest.raises(WindowError):
+        _by_binomials(QSeries({0: 1, 1: 2}), over=[Mono(1, 0, 1)])
+    zero = _by_binomials(QSeries.zero(), over=[Mono(1, 0, 1)])
+    assert zero.is_exact() and not zero.terms
+
+
+def test_division_by_a_non_unit_factor_names_it():
+    one = QSeries.one(1, 10)
+    with pytest.raises(ZeroDivisionError, match=r"zero factor \(1 - Mono\(coeff=1, x_exp=0, q_exp=0\)\)"):
+        _by_binomials(one, over=[Mono(1, 0, 2), Mono(1, 0, 0)])
+    with pytest.raises(ExactnessError, match="not a single monomial in x"):
+        _by_binomials(one, over=[Mono(1, 1, 0)])
+    halved = _by_binomials(one, over=[Mono(3, 0, 0)])  # (1 - 3) is a unit
+    assert coeffs_of(halved) == {0: {0: Fraction(-1, 2)}}
