@@ -129,6 +129,8 @@ def _cmd_series(args) -> int:
     elif kind == "C":
         _validate_tm(args)
         _need(args, "m", "n")
+        if args.n < 0:
+            raise UsageError(f"--n must be at least 0, got {args.n}")
         poly = c_product(args.t, args.m, args.n)
         _emit_series(xlaurent_to_qseries(poly), args)
     elif kind == "jones":

@@ -5,17 +5,23 @@ Two independent routes to the same Laurent polynomials C_n:
 * c_product: the nested q-binomial product form, manifestly a Laurent
   polynomial with integer coefficients;
 * c_multisum: the (2t-1)-fold alternating multisum, assembled over a single
-  denominator (q)_{n+1} via Gaussian multinomials and divided exactly once.
+  denominator (q)_{n+1} via Gaussian multinomials and divided exactly by it.
 
-Both walk their chains with ``laurent._chain_step`` but keep their own
-states and summands, so their agreement remains a main verification target.
+Both are ``laurent._kronecker`` routes: each writes its edges once, as an int
+weight (a Gaussian binomial, or a product with 1 - q^d), an exponent shift
+and a sign, and the route runs twice, first on l1 norms (||[a, b]||_1 =
+C(a, b), ||1 - q^d||_1 <= 2, a monomial has norm 1) to bound every
+coefficient of the result, then on exact ints at q = 2^w, whose result is read back once
+as balanced digits.  The read-back is exact because the bound leaves a sign
+bit in every slot.  The two routes keep their own states and summands, so
+their agreement remains a main verification target.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .laurent import ONE, ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
+from .laurent import XLaurent, _kronecker, _over_q_poch
 
 __all__ = ["CyclotomicCoeffs", "c_multisum", "c_product", "c_series"]
 
@@ -27,41 +33,47 @@ def _validate(t: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= t, got m={m}, t={t}")
 
 
-def _c_sum(t: int, m: int, n: int, cutoff: int | None) -> XLaurent:
-    """The inner sum of the product form (no q^{n+1-t} prefactor applied).
+def _c_sum(t: int, m: int, n: int, cutoff: int | None, binom, one_minus, step):
+    """The inner sum of the product form (no q^{n+1-t} prefactor applied), as
+    a ``laurent._kronecker`` route.
 
     Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
     q^{k_i^2} (i < t) and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i], where the
-    chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  The step
-    into level t-1 also applies its q^{k^2} and the closing binomial, so the
-    widest level is never held.  cutoff, when given, bounds the *full* C_n
-    exponent: an edge whose minimal contribution (n+1-t) + val + k^2 reaches
-    it is pruned, sound because every factor has nonnegative valuation.
+    chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  Each edge
+    carries the q^{k^2} of the state it enters; the step into level t-1 also
+    carries the closing binomial, so the widest level is never held.
+
+    cutoff, when given, bounds the *full* C_n exponent: an edge whose minimal
+    contribution (n+1-t) + o + k^2 reaches it is pruned, o the offset of the
+    state it leaves.  Every summand has nonnegative coefficients and every
+    nonzero binomial has constant term 1, so nothing cancels and o is the
+    exact minimal exponent of the state's value (the lowest set bit of its
+    image); pruning is sound because every factor has nonnegative valuation.
+    The l1 pass tracks the same offsets, prunes the same edges and so bounds
+    exactly the pruned sum.
     """
     base = n + 1 - t
     kt = n + 1
     if t == 1:
-        return XLaurent() if cutoff is not None and base >= cutoff else XLaurent.const(1)
+        return (0, 0) if cutoff is not None and base >= cutoff else (1, 0)
 
-    def edges(state: tuple[int, int], value: XLaurent):
+    def edges(state: tuple[int, int], low: int):
         k, pref = state
-        floor = base + value.min_exp() if cutoff is not None else 0
         for k2 in range(max(k, 1) if i + 1 == m else k, kt + 1):
-            if cutoff is not None and floor + k2 * k2 >= cutoff:
+            sq = k2 * k2
+            if cutoff is not None and base + low + sq >= cutoff:
                 break
-            b = qbinomial(k2 - k - i + pref, k2 - k)
+            b = binom(k2 - k - i + pref, k2 - k)
             p2 = pref + 2 * k2 + (1 if m > i + 1 else 0)
             if i + 1 < t - 1:
-                yield (k2, p2), b
+                yield (k2, p2), b, sq, False
             else:
-                yield None, b.shift(k2 * k2) * qbinomial(kt - k2 - i - 1 + p2, kt - k2)
+                yield None, b * binom(kt - k2 - i - 1 + p2, kt - k2), sq, False
 
-    states: dict = {(0, 0): ONE}
+    states: dict = {(0, 0): (1, 0)}
     for i in range(t - 1):
-        states = _chain_step(states, edges)
-        if i < t - 2:  # the node factor q^{k^2} of each merged state
-            states = {s: p.shift(s[0] * s[0]) for s, p in states.items()}
-    return states.get(None, XLaurent())
+        states = step(states, edges)
+    return states.get(None, (0, 0))
 
 
 @lru_cache(maxsize=None)
@@ -70,11 +82,7 @@ def c_product(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    inner = _c_sum(t, m, n, None)
-    out = inner.shift(n + 1 - t)
-    if not out.has_integer_coeffs():  # pragma: no cover - structurally integral
-        raise ExactnessError("cyclotomic coefficient left rational coefficients")
-    return out
+    return _kronecker(partial(_c_sum, t, m, n, None))[0].shift(n + 1 - t)
 
 
 def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
@@ -82,53 +90,54 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _c_sum(t, m, n, window).shift(n + 1 - t)
+    return _kronecker(partial(_c_sum, t, m, n, window))[0].shift(n + 1 - t)
+
+
+def _multisum(t: int, m: int, n: int, binom, one_minus, step):
+    """(q)_{n+1} times the multisum of c_multisum, as a ``laurent._kronecker`` route.
+
+    The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
+    position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
+    the centre factor 1 - q^{v_t - v_{t-m}} needs.  An edge u -> v carries
+    [v choose u], q^{-uv} at positions up to t, and the node factor of v:
+    q^{-v} before position t-m, q^{v(v-1)/2} and the sign (-1)^v at t, and
+    q^{v^2} after it.
+    """
+    bound = n + 1
+    store = t - m
+
+    def edges(state: tuple[int, int | None], low: int):
+        u, w = state
+        for v in range(u, bound + 1):
+            nxt = (v, v if pos == store else w if pos < t else None)
+            if pos < t:
+                yield nxt, binom(v, u), -u * v - (v if pos < store else 0), False
+            elif pos == t:
+                yield nxt, binom(v, u) * one_minus(v - w), v * (v - 1) // 2 - u * v, v % 2 == 1
+            else:
+                yield nxt, binom(v, u), v * v, False
+
+    states: dict = {(0, 0 if store == 0 else None): (1, 0)}
+    for pos in range(1, 2 * t):
+        states = step(states, edges)
+    closing = lambda s, low: ((None, binom(bound, s[0]), 0, False),)
+    return step(states, closing).get(None, (0, 0))
 
 
 @lru_cache(maxsize=None)
 def c_multisum(t: int, m: int, n: int) -> XLaurent:
     """C_n via the (2t-1)-fold alternating multisum.
 
-    The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
-    position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
-    the centre factor 1 - q^{v_t - v_{t-m}} needs (an edge weight, like
-    q^{-v_{i-1} v_i}).  All inverse Pochhammer denominators combine into
-    Gaussian multinomials times 1/(q)_{n+1}; the single division at the end
-    must be exact and land in Z[q, 1/q].
+    All inverse Pochhammer denominators combine into Gaussian multinomials
+    times 1/(q)_{n+1}: the chain sum runs in the image, is read back once,
+    and is divided by (q)_{n+1} one factor at a time; every division must be
+    exact.
     """
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    bound = n + 1
-    store = t - m
-
-    def edges(state: tuple[int, int | None], value: XLaurent):
-        u, w = state
-        for v in range(u, bound + 1):
-            b = qbinomial(v, u).shift(-u * v if pos <= t else 0)
-            if pos == t:
-                b = b * (ONE - XLaurent.term(v - w))
-            yield (v, v if pos == store else w if pos < t else None), b
-
-    def node(v: int, p: XLaurent) -> XLaurent:
-        if pos == t:
-            p = p.shift(v * (v - 1) // 2)
-            return -p if v % 2 else p
-        return p.shift(-v if pos < store else v * v if pos > t else 0)
-
-    states: dict = {(0, 0 if store == 0 else None): ONE}
-    for pos in range(1, 2 * t):
-        states = {s: node(s[0], p) for s, p in _chain_step(states, edges).items()}
-    closing = lambda s, p: ((None, qbinomial(bound, s[0])),)
-    total = _chain_step(states, closing).get(None, XLaurent())
-
-    quot = total.divexact(poch_q(1, bound))
-    out = (-quot).shift(bound - t)
-    if not out.has_integer_coeffs():
-        raise ExactnessError(
-            f"multisum C_{n} for (t={t}, m={m}) is not an integer Laurent polynomial"
-        )
-    return out
+    total = _kronecker(partial(_multisum, t, m, n))[0]
+    return (-_over_q_poch(total, n + 1)).shift(n + 1 - t)
 
 
 class CyclotomicCoeffs:

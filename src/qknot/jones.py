@@ -3,16 +3,23 @@
 Quarter- and half-integer exponents arising in the closed formulas are kept
 as scaled integers; every final division (by q^{N/2} - q^{-N/2} or 1 - q^N)
 must be exact and must leave integer exponents only, otherwise the routines
-raise instead of returning silently wrong values.  The nested sum of
-jones_hyper is walked level by level with ``laurent._chain_step``.
+raise instead of returning silently wrong values.
+
+The nested sum of jones_hyper is a ``laurent._kronecker`` route: it is summed
+level by level on l1 norms for a coefficient bound (||[a, b]||_1 = C(a, b),
+each head factor 1 - q^e has norm 2), then on exact ints at q = 2^w, which
+map Z[q] into Z as a ring homomorphism, with the negative exponents kept in an
+offset.  The result is read back once as balanced base-2^w digits, exact
+because w leaves a sign bit above the bound.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
-from .laurent import XLaurent, _chain_step, poch_q, qbinomial
+from .laurent import XLaurent, _kronecker, _over_q_poch, poch_q, qbinomial
 
 __all__ = [
     "habiro_inverse",
@@ -54,22 +61,40 @@ def jones_morton(s: int, t2: int, n_color: int) -> XLaurent:
     return quotient.descale(4)
 
 
+def _jones_chain(t: int, n: int, binom, one_minus, step):
+    """The nested sum of jones_hyper, as a ``laurent._kronecker`` route.
+
+    The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
+    is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the edge into k_i
+    carries [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  Each
+    head factor 1 - q^{-e} (e = N-1-j >= 1) is written -q^{-e}(1 - q^e).
+    """
+
+    def heads(_, low: int):
+        weight, shift = 1, 0
+        for k in range(n):
+            yield k, weight, shift - n * k, k % 2 == 1
+            weight *= one_minus(n - 1 - k)
+            shift -= n - 1 - k
+
+    edges = lambda k_next, low: (
+        (k, binom(k_next, k), k * (k + 1 - 2 * n), False) for k in range(k_next + 1)
+    )
+    states = step({None: (1, 0)}, heads)
+    for _ in range(t - 1):
+        states = step(states, edges)
+    return step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))
+
+
 def jones_hyper(t: int, n_color: int) -> XLaurent:
     """Colored Jones of T(2, 2t+1) from the nested q-hypergeometric sum.
 
-    The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
-    is k_i, the head (q^{1-N})_{k_t} q^{-N k_t}, the edge weight
-    [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  The sum
-    terminates because (q^{1-N})_k vanishes for k >= N.
+    The sum terminates because (q^{1-N})_k vanishes for k >= N; it runs in
+    the image at q = 2^w and is read back once.
     """
     if t < 1 or n_color < 1:
         raise ValueError("need t >= 1 and a positive color")
-    n = n_color
-    states = {kt: poch_q(1 - n, kt).shift(-n * kt) for kt in range(n)}
-    edges = lambda k_next, p: ((k, qbinomial(k_next, k)) for k in range(k_next + 1))
-    for _ in range(t - 1):
-        states = {k: p.shift(k * (k + 1 - 2 * n)) for k, p in _chain_step(states, edges).items()}
-    return sum(states.values(), XLaurent()).shift(t * (1 - n))
+    return _kronecker(partial(_jones_chain, t, n_color))[0].shift(t * (1 - n_color))
 
 
 def jones_left(t: int, m: int, n_color: int) -> XLaurent:
@@ -131,5 +156,5 @@ def habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLaurent:
         if ell % 2:
             piece = -piece
         total = total + piece
-    quotient = total.divexact(poch_q(1, 2 * n + 2))
+    quotient = _over_q_poch(total, 2 * n + 2)
     return (-quotient).shift(n + 1)

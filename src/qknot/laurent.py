@@ -13,11 +13,23 @@ into fixed-width signed slots of a single Python int, the two ints are
 multiplied once, and the product's slots are read back through a bias so no
 carry crosses a slot.  Rational, small or sparse operands use the schoolbook
 loops instead; the choice depends only on the operands' shape.
+
+The nested chain sums over Z[q^+-1] (``_kronecker``) skip ``XLaurent``
+altogether.  q -> X = 2^w is a ring homomorphism Z[q] -> Z, so a chain value
+q^o P(q) is carried as the pair (P(X), o), products and sums are plain int
+arithmetic, and the offset o absorbs the negative shifts.  The image is
+exact at any w; only the read-back needs a width.  The chain is first summed
+on l1 norms, which bound every coefficient of its result, and ``_width``
+leaves a sign bit above that bound; the result's coefficients are
+then the unique balanced base-2^w digits of its image (``_read_back``), which
+raises on a slot too narrow for the bound.  ``qbinomial`` is read back the
+same way under the bound C(n, k).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -388,16 +400,12 @@ def poch_q(first: int, count: int) -> XLaurent:
 def qbinomial(n: int, k: int) -> XLaurent:
     """Gaussian binomial coefficient; zero outside 0 <= k <= n.
 
-    Built by the exact multiply/divide ladder: each intermediate stage is the
-    Gaussian polynomial of a smaller pair, so every division is exact.
+    Read back from its image at q = 2^w: the coefficients are nonnegative and
+    sum to C(n, k), the l1 bound the slots are sized for.
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    k = min(k, n - k)
-    out = ONE
-    for i in range(1, k + 1):
-        out = (out - out.shift(n - k + i)).divexact(ONE - XLaurent.term(i))
-    return out
+    return _kronecker(lambda binom, one_minus, step: (binom(n, k), 0))[0]
 
 
 def _chain_step(states: dict, edges) -> dict:
@@ -411,6 +419,143 @@ def _chain_step(states: dict, edges) -> dict:
             p = value * weight
             out[nxt] = out[nxt] + p if nxt in out else p
     return out
+
+
+# -- chain sums at q = 2^w ---------------------------------------------------
+
+
+def _width(bound: int) -> int:
+    """Slot bits for coefficients of absolute value at most bound: one bit over
+    bound's, so that 2^(w-1) > bound, rounded up to a multiple of 32 so that
+    nearby bounds share a width and its cached binomial images."""
+    return -(-(bound.bit_length() + 1) // 32) * 32
+
+
+def _read_back(v: int, o: int, w: int, bound: int) -> XLaurent:
+    """The Laurent polynomial q^o P(q) with P(2^w) = v, P an integer polynomial
+    whose coefficients have absolute value at most bound.
+
+    The coefficients are the balanced base-2^w digits of v, each in
+    [-2^(w-1), 2^(w-1)): adding 2^(w-1) to every slot makes them the plain
+    digits of a nonnegative int.  Such digits are unique, so the read-back is
+    exact once bound < 2^(w-1); a narrower slot raises rather than wraps.
+    w is a multiple of 8.
+    """
+    if bound >= 1 << (w - 1):
+        raise ExactnessError(f"{w}-bit slots cannot hold coefficients up to {bound}")
+    res = XLaurent.__new__(XLaurent)
+    res.coeffs = {}
+    if not v:
+        return res
+    wb = w // 8
+    slots = abs(v).bit_length() // w + 2
+    half = 1 << (w - 1)
+    zero = half.to_bytes(wb, "little")
+    buf = (v + int.from_bytes(zero * slots, "little")).to_bytes(slots * wb, "little")
+    for i in range(slots):
+        chunk = buf[i * wb : (i + 1) * wb]
+        if chunk != zero:
+            res.coeffs[o + i] = int.from_bytes(chunk, "little") - half
+    return res
+
+
+@lru_cache(maxsize=1 << 13)
+def _binom_image(n: int, k: int, w: int) -> int:
+    """[n choose k] at q = 2^w as an exact int; 0 outside 0 <= k <= n.
+
+    [n, k] = [n, k-1] (X^(n-k+1) - 1) / (X^k - 1) at X = 2^w; each quotient
+    is exact because the polynomial one is, and a remainder raises."""
+    if k < 0 or n < 0 or k > n:
+        return 0
+    if 2 * k > n:
+        return _binom_image(n, n - k, w)
+    if k == 0:
+        return 1
+    quot, rem = divmod(
+        _binom_image(n, k - 1, w) * ((1 << (n - k + 1) * w) - 1), (1 << k * w) - 1
+    )
+    if rem:
+        raise ExactnessError(f"[{n}, {k}] at 2^{w} left a remainder")
+    return quot
+
+
+def _kron_step(states: dict, edges, w: int) -> dict:
+    """One chain step on values (V, o) that stand for q^o P(q) with V = P(2^w).
+
+    ``edges(state, o)`` yields ``(next_state, weight, shift, negate)``: the
+    value times the int ``weight`` times q^shift, negated when asked, is added
+    into ``next_state``; offsets are aligned by shifting the higher one up.
+    At w = 0 the same step sums l1 norms: shifts cost nothing and signs are
+    dropped.  Zero weights are skipped, so a state's offset is the least
+    offset over the terms that reach it.
+    """
+    out: dict = {}
+    for state, (v, o) in states.items():
+        for nxt, weight, shift, negate in edges(state, o):
+            if not weight:
+                continue
+            p = -v * weight if negate and w else v * weight
+            e = o + shift
+            if nxt not in out:
+                out[nxt] = (p, e)
+                continue
+            u, f = out[nxt]
+            out[nxt] = (u + (p << (e - f) * w), f) if e >= f else ((u << (f - e) * w) + p, e)
+    return out
+
+
+def _l1_binom(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _kronecker(route) -> tuple[XLaurent, int]:
+    """Sum a chain over Z[q^+-1] at q = 2^w and read the result back once.
+
+    ``route(binom, one_minus, step)`` builds its chain from what it is
+    handed and returns the final (V, o): ``binom(a, b)`` stands for
+    [a choose b], ``one_minus(d)`` for 1 - q^d (d >= 0), and ``step`` is
+    ``_kron_step`` at the pass's width.  The route runs twice.  The first
+    pass sums l1 norms, ||[a, b]||_1 = C(a, b) and ||1 - q^d||_1 <= 2, and
+    the l1 norm of a sum of products is at most the sum of the products of
+    the norms, so its result bounds every coefficient of the second pass's
+    result.  The second pass runs in the image at the width ``_width`` takes
+    from that bound, and its result is read back once; no other value of the
+    chain is ever read.  Returns the result and the bound.
+    """
+    bound, _ = route(
+        _l1_binom, lambda d: 2 if d else 0, lambda states, edges: _kron_step(states, edges, 0)
+    )
+    w = _width(bound)
+    v, o = route(
+        lambda n, k: _binom_image(n, k, w),
+        lambda d: 1 - (1 << d * w),
+        lambda states, edges: _kron_step(states, edges, w),
+    )
+    return _read_back(v, o, w, bound), bound
+
+
+def _over_q_poch(p: XLaurent, count: int) -> XLaurent:
+    """Exact quotient p / (q)_count, one factor 1 - q^i at a time.
+
+    Dividing by 1 - q^i is the running sum a_j += a_{j-i}, taken a block of
+    i entries at a time.  The quotient ends i below the top, so the last i
+    sums must vanish; otherwise ExactnessError is raised.
+    """
+    if not p.coeffs:
+        return XLaurent()
+    lo = p.min_exp()
+    a = [0] * (p.max_exp() - lo + 1)
+    for e, c in p.coeffs.items():
+        a[e - lo] = c
+    for i in range(1, count + 1):
+        for j in range(i, len(a), i):
+            a[j : j + i] = map(operator.add, a[j : j + i], a[j - i : j])
+        if any(a[-i:]):
+            raise ExactnessError(f"not divisible by 1 - q^{i}")
+        del a[-i:]
+    res = XLaurent.__new__(XLaurent)
+    res.coeffs = {lo + j: c for j, c in enumerate(a) if c}
+    return res
 
 
 @lru_cache(maxsize=None)

@@ -8,16 +8,23 @@ The one change is that the oracle ``c_multisum`` is not cached.  The root-of-
 unity oracles read their Gaussian binomials from the full q-Pascal table
 (``_field_qbinomials`` and ``_binom_at``, also verbatim), not from the
 library's q-Lucas lookup.
+
+The ``*_chain`` oracles are the ``XLaurent`` bodies of ``_c_sum``,
+``c_multisum`` and ``jones_hyper`` on ``laurent._chain_step``, verbatim but for
+their names and the dropped cache.  The library now sums these chains on plain
+ints at q = 2^w (``laurent._kronecker``) and must reproduce them exactly.
 """
 
+import itertools
+from functools import partial
 from typing import Callable
 
 import pytest
 
-from qknot import bailey, cyclotomic_coeffs, jones, useries
+from qknot import bailey, cyclotomic_coeffs, jones, laurent, useries
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate
-from qknot.laurent import ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
+from qknot.laurent import ONE, ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
 from qknot.useries import _field_poch
 
 # ---------------------------------------------------------------------------
@@ -301,6 +308,106 @@ def _chain_poly(
     return total
 
 
+def _c_sum_chain(t: int, m: int, n: int, cutoff: int | None) -> XLaurent:
+    """The inner sum of the product form (no q^{n+1-t} prefactor applied).
+
+    Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
+    q^{k_i^2} (i < t) and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i], where the
+    chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  The step
+    into level t-1 also applies its q^{k^2} and the closing binomial, so the
+    widest level is never held.  cutoff, when given, bounds the *full* C_n
+    exponent: an edge whose minimal contribution (n+1-t) + val + k^2 reaches
+    it is pruned, sound because every factor has nonnegative valuation.
+    """
+    base = n + 1 - t
+    kt = n + 1
+    if t == 1:
+        return XLaurent() if cutoff is not None and base >= cutoff else XLaurent.const(1)
+
+    def edges(state: tuple[int, int], value: XLaurent):
+        k, pref = state
+        floor = base + value.min_exp() if cutoff is not None else 0
+        for k2 in range(max(k, 1) if i + 1 == m else k, kt + 1):
+            if cutoff is not None and floor + k2 * k2 >= cutoff:
+                break
+            b = qbinomial(k2 - k - i + pref, k2 - k)
+            p2 = pref + 2 * k2 + (1 if m > i + 1 else 0)
+            if i + 1 < t - 1:
+                yield (k2, p2), b
+            else:
+                yield None, b.shift(k2 * k2) * qbinomial(kt - k2 - i - 1 + p2, kt - k2)
+
+    states: dict = {(0, 0): ONE}
+    for i in range(t - 1):
+        states = _chain_step(states, edges)
+        if i < t - 2:  # the node factor q^{k^2} of each merged state
+            states = {s: p.shift(s[0] * s[0]) for s, p in states.items()}
+    return states.get(None, XLaurent())
+
+
+def c_multisum_chain(t: int, m: int, n: int) -> XLaurent:
+    """C_n via the (2t-1)-fold alternating multisum.
+
+    The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
+    position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
+    the centre factor 1 - q^{v_t - v_{t-m}} needs (an edge weight, like
+    q^{-v_{i-1} v_i}).  All inverse Pochhammer denominators combine into
+    Gaussian multinomials times 1/(q)_{n+1}; the single division at the end
+    must be exact and land in Z[q, 1/q].
+    """
+    _validate(t, m)
+    if n < 0:
+        return XLaurent()
+    bound = n + 1
+    store = t - m
+
+    def edges(state: tuple[int, int | None], value: XLaurent):
+        u, w = state
+        for v in range(u, bound + 1):
+            b = qbinomial(v, u).shift(-u * v if pos <= t else 0)
+            if pos == t:
+                b = b * (ONE - XLaurent.term(v - w))
+            yield (v, v if pos == store else w if pos < t else None), b
+
+    def node(v: int, p: XLaurent) -> XLaurent:
+        if pos == t:
+            p = p.shift(v * (v - 1) // 2)
+            return -p if v % 2 else p
+        return p.shift(-v if pos < store else v * v if pos > t else 0)
+
+    states: dict = {(0, 0 if store == 0 else None): ONE}
+    for pos in range(1, 2 * t):
+        states = {s: node(s[0], p) for s, p in _chain_step(states, edges).items()}
+    closing = lambda s, p: ((None, qbinomial(bound, s[0])),)
+    total = _chain_step(states, closing).get(None, XLaurent())
+
+    quot = total.divexact(poch_q(1, bound))
+    out = (-quot).shift(bound - t)
+    if not out.has_integer_coeffs():
+        raise ExactnessError(
+            f"multisum C_{n} for (t={t}, m={m}) is not an integer Laurent polynomial"
+        )
+    return out
+
+
+def jones_hyper_chain(t: int, n_color: int) -> XLaurent:
+    """Colored Jones of T(2, 2t+1) from the nested q-hypergeometric sum.
+
+    The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
+    is k_i, the head (q^{1-N})_{k_t} q^{-N k_t}, the edge weight
+    [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  The sum
+    terminates because (q^{1-N})_k vanishes for k >= N.
+    """
+    if t < 1 or n_color < 1:
+        raise ValueError("need t >= 1 and a positive color")
+    n = n_color
+    states = {kt: poch_q(1 - n, kt).shift(-n * kt) for kt in range(n)}
+    edges = lambda k_next, p: ((k, qbinomial(k_next, k)) for k in range(k_next + 1))
+    for _ in range(t - 1):
+        states = {k: p.shift(k * (k + 1 - 2 * n)) for k, p in _chain_step(states, edges).items()}
+    return sum(states.values(), XLaurent()).shift(t * (1 - n))
+
+
 # ---------------------------------------------------------------------------
 # differential tests
 # ---------------------------------------------------------------------------
@@ -425,3 +532,76 @@ def test_bailey_chain_betas_match_the_oracle(request):
         assert new_family.keys() == old_family.keys()
         for key, value in new_family.items():
             assert value == old_family[key], key
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_kronecker_routes_match_their_chain_oracles(t, m):
+    for n in range(-1, 15):
+        full = _c_sum_chain(t, m, n, None).shift(n + 1 - t) if n >= 0 else XLaurent()
+        assert cyclotomic_coeffs.c_product(t, m, n) == full, n
+        multisum = c_multisum_chain(t, m, n) if n >= 0 else XLaurent()
+        assert cyclotomic_coeffs.c_multisum(t, m, n) == multisum, n
+        for window in range(-2, 61):
+            # identical pruning: equal in every term, not only below the window
+            old = _c_sum_chain(t, m, n, window).shift(n + 1 - t) if n >= 0 else XLaurent()
+            assert cyclotomic_coeffs.c_series(t, m, n, window) == old, (n, window)
+
+
+@pytest.mark.parametrize("t", range(1, 5))
+def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
+    for n_color in range(1, 15):
+        assert jones.jones_hyper(t, n_color) == jones_hyper_chain(t, n_color), n_color
+
+
+def _routes():
+    """Every chain route at every grid point, as ``laurent._kronecker`` takes it."""
+    for (t, m), n in itertools.product(_TM, range(15)):
+        yield partial(cyclotomic_coeffs._c_sum, t, m, n, None)
+        yield partial(cyclotomic_coeffs._c_sum, t, m, n, 3 * n)
+        yield partial(cyclotomic_coeffs._multisum, t, m, n)
+    for t in range(1, 5):
+        for n_color in range(1, 15):
+            yield partial(jones._jones_chain, t, n_color)
+
+
+def test_the_l1_pass_sums_the_norm_of_every_factor():
+    # ||[6, 3]||_1 = C(6, 3) and ||1 - q^3||_1 = 2; signs cancel in the image only
+    single = lambda factor: lambda binom, one_minus, step: (factor(binom, one_minus), 0)
+    assert laurent._kronecker(single(lambda b, o: b(6, 3))) == (qbinomial(6, 3), 20)
+    assert laurent._kronecker(single(lambda b, o: o(3))) == (XLaurent({0: 1, 3: -1}), 2)
+
+    def route(binom, one_minus, step):
+        edges = lambda state, low: (
+            (None, binom(2, 1), 1, False),
+            (None, binom(2, 1), 1, True),
+            (None, one_minus(1), -1, True),
+        )
+        return step({0: (1, 0)}, edges)[None]
+
+    assert laurent._kronecker(route) == (XLaurent({-1: -1, 0: 1}), 6)
+
+
+def test_l1_bound_covers_every_decoded_coefficient():
+    for route in _routes():
+        result, bound = laurent._kronecker(route)
+        assert max(map(abs, result.coeffs.values()), default=0) <= bound, route
+
+
+def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
+    route = partial(cyclotomic_coeffs._c_sum, 3, 1, 8, None)
+    true, _ = laurent._kronecker(route)
+    assert max(true.coeffs.values()) >= 1 << 7
+    monkeypatch.setattr(laurent, "_width", lambda bound: 8)
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclotomic_coeffs.c_product.__wrapped__(3, 1, 8)
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclotomic_coeffs.c_multisum.__wrapped__(3, 1, 8)
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        jones.jones_hyper(3, 12)
+    # without the guard, the 8-bit image would read back as a wrong polynomial
+    v, o = route(
+        lambda a, b: laurent._binom_image(a, b, 8),
+        lambda d: 1 - (1 << 8 * d),
+        lambda states, edges: laurent._kron_step(states, edges, 8),
+    )
+    assert laurent._read_back(v, o, 8, 0) != true

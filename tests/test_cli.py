@@ -126,6 +126,8 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "--trunc" in err
     code, _, err = run(capsys, "series", "U", "--t", "0", "--m", "1", "--trunc", "3")
     assert code == 2
+    code, out, err = run(capsys, "series", "C", "--t", "2", "--m", "1", "--n", "-1")
+    assert code == 2 and out == "" and "--n" in err
 
 
 def test_output_file(tmp_path, capsys):

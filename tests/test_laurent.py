@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 import qknot
 from qknot.laurent import (
+    ONE,
+    ZERO,
     ExactnessError,
     XLaurent,
+    _binom_image,
+    _over_q_poch,
     _packed_product,
+    _read_back,
+    _width,
     bernoulli_b2,
     cyclotomic_polynomial,
     poch_q,
@@ -58,6 +64,90 @@ def test_qbinomial_out_of_range_is_zero():
     assert qbinomial(3, -1).is_zero()
     assert qbinomial(3, 4).is_zero()
     assert qbinomial(-2, 0).is_zero()
+
+
+def _qbinomial_ladder(n: int, k: int) -> XLaurent:
+    """Gaussian binomial coefficient; zero outside 0 <= k <= n.
+
+    Built by the exact multiply/divide ladder: each intermediate stage is the
+    Gaussian polynomial of a smaller pair, so every division is exact.
+    """
+    if k < 0 or n < 0 or k > n:
+        return ZERO
+    k = min(k, n - k)
+    out = ONE
+    for i in range(1, k + 1):
+        out = (out - out.shift(n - k + i)).divexact(ONE - XLaurent.term(i))
+    return out
+
+
+def test_qbinomial_matches_the_ladder_it_replaced():
+    for n in range(-1, 31):
+        for k in range(-1, n + 2):
+            assert qbinomial(n, k) == _qbinomial_ladder(n, k), (n, k)
+
+
+def _at(p: XLaurent, w: int) -> tuple[int, int]:
+    """p at q = 2^w as (V, o), p = q^o P(q), V = P(2^w), term by term."""
+    o = p.min_exp() if p else 0
+    return sum(c << (e - o) * w for e, c in p.coeffs.items()), o
+
+
+def test_binomial_images_are_exact_at_any_width():
+    for w in (1, 8, 32, 64):
+        for n in range(18):
+            for k in range(-1, n + 2):
+                assert _binom_image(n, k, w) == _at(qbinomial(n, k), w)[0], (w, n, k)
+
+
+def test_width_rule():
+    for bound in (0, 1, 2, 7, (1 << 31) - 1, 1 << 31, 1 << 62, (1 << 63) - 1, 1 << 63, 10**40):
+        w = _width(bound)
+        assert w % 32 == 0 and bound < 1 << (w - 1), bound
+        assert w == 32 or bound >= 1 << (w - 33), bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(st.integers(-40, 40), st.integers(-(1 << 70), 1 << 70), max_size=12),
+    st.sampled_from([32, 64, 96]),
+)
+def test_read_back_inverts_the_image_and_rejects_narrow_slots(coeffs, w):
+    p = XLaurent(coeffs)
+    bound = max(map(abs, p.coeffs.values()), default=0)
+    if bound < 1 << (w - 1):
+        assert _read_back(*_at(p, w), w, bound) == p
+    else:
+        with pytest.raises(ExactnessError):
+            _read_back(*_at(p, w), w, bound)
+
+
+def test_read_back_at_the_edge_of_the_slot():
+    for w in (8, 32, 64):
+        top = (1 << (w - 1)) - 1
+        p = XLaurent({-3: top, 0: -top, 1: 1, 4: -(1 << (w - 2))})
+        assert _read_back(*_at(p, w), w, top) == p
+        # 2^(w-1) is out of range: it would read back as -2^(w-1) carrying one
+        with pytest.raises(ExactnessError):
+            _read_back(*_at(XLaurent({0: top + 1}), w), w, top + 1)
+        assert _read_back(*_at(XLaurent({0: top + 1}), w), w, 0) != XLaurent({0: top + 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=8).map(XLaurent),
+    st.integers(0, 7),
+)
+def test_factor_wise_poch_division_matches_divexact(p, count):
+    den = poch_q(1, count)
+    assert _over_q_poch(p * den, count) == (p * den).divexact(den) == p
+    if p and count:
+        # p + q^e for an e above p * den is never divisible by (q)_count
+        bad = p * den + XLaurent.term((p * den).max_exp() + 1)
+        with pytest.raises(ExactnessError):
+            _over_q_poch(bad, count)
+        with pytest.raises(ExactnessError):
+            bad.divexact(den)
 
 
 def test_qbinomial_symmetry_and_pascal():
