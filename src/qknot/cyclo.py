@@ -3,15 +3,37 @@
 Elements are rational-coefficient vectors reduced modulo the M-th
 cyclotomic polynomial, so equality is decidable coefficient-wise and every
 root-of-unity evaluation in the library is exact.
+
+The nested chain sums over Z[zeta_N] (F and U(-1) at roots of unity) skip
+``CycloNum`` altogether, as the Z[q] chains of ``laurent`` do.
+zeta -> X = 2^w is a ring map Z[zeta_N] -> Z / Phi_N(X), so every edge
+weight, node factor and sum is a plain int mod M = Phi_N(X): q^e is a shift
+and each merged state is reduced mod M once (``_root_pass``).  Gaussian
+binomials come from one N-row q-Pascal table of int vectors per N, read by
+q-Lucas; values at zeta^-1 are rotations of the same vectors.  The chain is
+first summed on l1 norms of the reduced operands in Z[q]/(q^N - 1), which
+bound every power-basis coefficient of the result, and w is taken from that
+bound (``_root_sum``); the result is read back once as balanced base-2^w
+digits of its residue, which is unique under the bound and raises on a slot
+too narrow for it (``_root_read``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .laurent import Scalar, XLaurent, _norm, cyclotomic_polynomial
+from .laurent import (
+    ExactnessError,
+    Scalar,
+    XLaurent,
+    _chain_step,
+    _norm,
+    cyclotomic_polynomial,
+)
 from .series import QSeries
 
 __all__ = ["CycloNum", "cyclo_eval"]
@@ -45,6 +67,173 @@ def _context(order: int):
     return deg, tuple(mod), tuple(pows)
 
 
+def _ints(coeffs: Sequence[Scalar]) -> bool:
+    """True when no coefficient is a Fraction (a C-level scan, no generator)."""
+    return Fraction not in map(type, coeffs)
+
+
+# -- chain sums in Z[zeta_N] -> Z / Phi_N(2^w) -------------------------------
+
+
+def _times_zeta(vec: Sequence[int], k: int, order: int) -> list[int]:
+    """zeta^k times an int power-basis vector, in one shifted, reduced pass:
+    the vector is rotated by k mod order (zeta^order = 1), and the slots at and
+    above deg are then cleared top-down with x^deg = -sum_{i<deg} mod[i] x^i."""
+    deg, mod, _ = _context(order)
+    k %= order
+    buf = [0] * order
+    if k + deg <= order:
+        buf[k : k + deg] = vec
+        top = k + deg
+    else:
+        buf[k:] = vec[: order - k]
+        buf[: k + deg - order] = vec[order - k :]
+        top = order
+    low = [(j, a) for j, a in enumerate(mod[:deg]) if a]
+    for i in range(top - 1, deg - 1, -1):
+        c = buf[i]
+        if c:
+            for j, a in low:
+                buf[i - deg + j] -= c * a
+    return buf[:deg]
+
+
+def _pascal_rows(order: int) -> list[list[tuple[int, ...]]]:
+    """[n choose k] at zeta_order for n < order, as int power-basis vectors,
+    by the q-Pascal recurrence [n, k] = [n-1, k-1] + zeta^k [n-1, k]."""
+    deg, _, pows = _context(order)
+    one = pows[0]
+    rows = [[one]]
+    for n in range(1, order):
+        prev = rows[-1]
+        row = [one]
+        for k in range(1, n):
+            row.append(tuple(map(operator.add, prev[k - 1], _times_zeta(prev[k], k, order))))
+        row.append(one)
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _root_tables(order: int):
+    """The tables of one root order, built once: the q-Pascal rows n < order
+    and (zeta)_k for k < order as int vectors, the l1 norms of both, and c_N,
+    the largest |coefficient| of any power of zeta in the power basis."""
+    _, _, pows = _context(order)
+    rows = _pascal_rows(order)
+    poch = [pows[0]]
+    for k in range(1, order):
+        poch.append(tuple(map(operator.sub, poch[-1], _times_zeta(poch[-1], k, order))))
+    l1 = lambda vec: sum(map(abs, vec))
+    norms = [[l1(v) for v in row] for row in rows]
+    c_n = max(abs(c) for p in pows for c in p)
+    return rows, norms, poch, [l1(v) for v in poch], c_n
+
+
+def _pack(vec: Sequence[int], w: int) -> int:
+    """The image of sum_j vec[j] x^j at x = 2^w."""
+    return sum(c << w * j for j, c in enumerate(vec) if c)
+
+
+def _root_pass(order: int, eps: int, route, w: int) -> int:
+    """One pass of a chain over Z[zeta_order] at q = zeta^eps, on plain ints.
+
+    ``route(binom, poch, power, step)`` builds its chain from what it is
+    handed and returns one int: ``binom(a, b)`` stands for [a choose b] and
+    ``poch(k)`` for (q)_k (k < order), ``power(v, e)`` is v q^e, and
+    ``step(states, edges, node)`` is ``laurent._chain_step`` followed by the
+    factor q^node(state) on each merged state (none when node is None).
+
+    Both passes read [a, b] by q-Lucas, C(a // N, b // N) [a mod N, b mod N],
+    from the zeta tables; at q = zeta^-1 they use [i, j] = q^{j(i-j)} [i, j]_zeta
+    and (q)_k = (-1)^k q^{k(k+1)/2} (zeta)_k.  At w = 0 every value is an l1
+    norm in Z[q]/(q^order - 1): a table entry is the norm of its reduced
+    vector, which a power of q only rotates, so q^e costs nothing.  At w > 0
+    every value is its image under zeta -> X = 2^w in Z / Phi_order(X): q^e is
+    a shift by w ((eps e) mod order) bits, and each merged state is reduced
+    mod M once.
+    """
+    rows, norms, poch_vecs, poch_norms, _ = _root_tables(order)
+    if w:
+        m_w = _pack(_context(order)[1], w)
+        rot = lambda e: w * (eps * e % order)
+        reduce = lambda v: v % m_w
+
+        def at_eps(vec: Sequence[int], e: int, sign: int) -> int:
+            """The image of a zeta-table vector, times sign q^e when q = zeta^-1."""
+            v = _pack(vec, w)
+            return v if eps > 0 else sign * ((v << rot(e)) % m_w)
+
+        images: dict = {}
+
+        def entry(i: int, j: int) -> int:
+            if (i, j) not in images:
+                images[i, j] = at_eps(rows[i][j], j * (i - j), 1)
+            return images[i, j]
+
+        poch = lambda k: at_eps(poch_vecs[k], k * (k + 1) // 2, (-1) ** k)
+    else:
+        entry = lambda i, j: norms[i][j]
+        poch = poch_norms.__getitem__
+        rot = lambda e: 0
+        reduce = lambda v: v
+
+    def binom(a: int, b: int) -> int:
+        if b < 0 or b > a or b % order > a % order:
+            return 0
+        return math.comb(a // order, b // order) * entry(a % order, b % order)
+
+    def step(states, edges, node=None):
+        out = _chain_step(states, edges).items()
+        return {s: reduce(v << rot(node(s)) if node else v) for s, v in out}
+
+    return route(binom, poch, lambda v, e: v << rot(e), step)
+
+
+def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
+    """The element of Z[zeta_order] whose power-basis coefficients have
+    absolute value at most bound and whose image in Z / M, M = Phi(X) at
+    X = 2^w, is r.
+
+    Uniqueness: let c = sum_{j<deg} c_j zeta^j with |c_j| <= B and
+    v = sum_j c_j X^j, and let bias put X/2 in every slot.  The digits of
+    v + bias lie in [X/2 - B, X/2 + B], so v + bias >= 0.  Let H be the
+    largest |coefficient| of Phi; then M >= X^deg - H (X^deg - 1)/(X - 1),
+    while v + bias <= (X/2 + B)(X^deg - 1)/(X - 1), which is below M once
+    B + H <= X/2 - 1.  B >= c_N >= H (x^deg reduced is minus the lower part
+    of Phi, and c_N bounds it), so B < 2^(w-2) = X/4 suffices.  Then
+    (r + bias) mod M is v + bias itself, and its base-X digits, minus X/2,
+    are the c_j.  A slot too narrow for the bound raises ExactnessError, and
+    so does a digit past the deg slots, which no admissible c produces.
+    """
+    if bound >= 1 << (w - 2):
+        raise ExactnessError(f"{w}-bit slots cannot hold coefficients up to {bound}")
+    deg, mod, _ = _context(order)
+    half = 1 << (w - 1)
+    u = (r + _pack([half] * deg, w)) % _pack(mod, w)
+    if u >> w * deg:
+        raise ExactnessError(f"a digit spilled past the {deg} slots of the order-{order} field")
+    mask = (1 << w) - 1
+    return CycloNum._of(order, [(u >> w * j & mask) - half for j in range(deg)])
+
+
+def _root_sum(order: int, eps: int, route) -> tuple["CycloNum", int]:
+    """Sum a chain over Z[zeta_order] at q = zeta^eps and read it back once.
+
+    zeta -> 2^w is a ring map Z[zeta] -> Z / Phi(2^w), so the route runs on
+    plain ints (``_root_pass``).  The first pass sums l1 norms of reduced
+    operands in Z[q]/(q^order - 1), where l1 is submultiplicative, so the
+    result is the image of a group-ring element of l1 norm at most L; each
+    q^j is a power-basis vector with entries at most c_N, so every power-basis
+    coefficient of the result is at most B = max(L, 1) c_N.  The second pass
+    runs at the width w = bitlength(B) + 2, the least with B < 2^(w-2), and
+    ``_root_read`` reads the result back once.  Returns it and B.
+    """
+    bound = max(_root_pass(order, eps, route, 0), 1) * _root_tables(order)[4]
+    w = bound.bit_length() + 2
+    return _root_read(_root_pass(order, eps, route, w), order, w, bound), bound
+
+
 class CycloNum:
     """Element of the cyclotomic field of a given order."""
 
@@ -56,6 +245,15 @@ class CycloNum:
             raise ValueError(f"order-{order} element needs {deg} coefficients")
         self.order = order
         self.coeffs = tuple(_norm(c) for c in coeffs)
+
+    @classmethod
+    def _of(cls, order: int, coeffs: Sequence[Scalar]) -> "CycloNum":
+        """An element from coefficients that are already normalized (ints, or
+        Fractions that are not integers), without the per-coefficient pass."""
+        z = cls.__new__(cls)
+        z.order = order
+        z.coeffs = tuple(coeffs)
+        return z
 
     # -- constructors -------------------------------------------------------
 
@@ -79,7 +277,7 @@ class CycloNum:
     def zeta(cls, order: int, k: int = 1) -> "CycloNum":
         """The k-th power of the primitive order-th root of unity."""
         _, _, pows = _context(order)
-        return cls(order, pows[k % order])
+        return cls._of(order, pows[k % order])
 
     # -- queries ------------------------------------------------------------
 
@@ -134,12 +332,15 @@ class CycloNum:
         if isinstance(other, (int, Fraction)):
             other = CycloNum.from_rational(self.order, other)
         self._same_field(other)
-        return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        vec = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        if _ints(self.coeffs) and _ints(other.coeffs):
+            return CycloNum._of(self.order, vec)
+        return CycloNum(self.order, vec)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, [-a for a in self.coeffs])
+        return CycloNum._of(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other: "CycloNum | Scalar") -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -151,7 +352,10 @@ class CycloNum:
 
     def __mul__(self, other: "CycloNum | Scalar") -> "CycloNum":
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.order, [a * other for a in self.coeffs])
+            vec = [a * other for a in self.coeffs]
+            if type(other) is int and _ints(self.coeffs):
+                return CycloNum._of(self.order, vec)
+            return CycloNum(self.order, vec)
         self._same_field(other)
         deg, _, pows = _context(self.order)
         raw = [0] * (2 * deg - 1 if deg > 1 else 1)
@@ -169,6 +373,8 @@ class CycloNum:
             for i, p in enumerate(pows[k % self.order]):
                 if p:
                     vec[i] += c * p
+        if _ints(self.coeffs) and _ints(other.coeffs):
+            return CycloNum._of(self.order, vec)
         return CycloNum(self.order, vec)
 
     __rmul__ = __mul__

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import abc
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -75,7 +76,7 @@ class XLaurent:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, abc.Mapping) else coeffs
         data: dict[int, Scalar] = {}
         for e, c in items:
             if c:

@@ -12,6 +12,7 @@ exact object (a polynomial known in full).
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -77,7 +78,7 @@ class QSeries:
     ):
         if scale < 1:
             raise ValueError("scale must be a positive integer")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, abc.Mapping) else terms
         data: dict[int, XLaurent] = {}
         for e, c in items:
             if not isinstance(c, XLaurent):

@@ -5,9 +5,10 @@ the library's nested chains k_1 <= ... <= k_t on its own (four exponential
 recursions and two hand-rolled dynamic programs).  They serve as reference
 oracles: every rewrite on ``laurent._chain_step`` must reproduce them exactly.
 The one change is that the oracle ``c_multisum`` is not cached.  The root-of-
-unity oracles read their Gaussian binomials from the full q-Pascal table
-(``_field_qbinomials`` and ``_binom_at``, also verbatim), not from the
-library's q-Lucas lookup.
+unity oracles multiply ``CycloNum``s and read their Gaussian binomials from
+the full q-Pascal table (``_field_poch``, ``_field_qbinomials`` and
+``_binom_at``, also verbatim); the library now sums those chains on plain
+ints in Z / Phi_N(2^w) (``cyclo._root_sum``) and must reproduce them exactly.
 
 The ``*_chain`` oracles are the ``XLaurent`` bodies of ``_c_sum``,
 ``c_multisum`` and ``jones_hyper`` on ``laurent._chain_step``, verbatim but for
@@ -21,11 +22,10 @@ from typing import Callable
 
 import pytest
 
-from qknot import bailey, cyclotomic_coeffs, jones, laurent, useries
+from qknot import bailey, cyclo, cyclotomic_coeffs, jones, laurent, useries, verify
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate
 from qknot.laurent import ONE, ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
-from qknot.useries import _field_poch
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -169,6 +169,15 @@ def jones_hyper(t: int, n_color: int) -> XLaurent:
         head = poch_q(1 - n, kt).shift(-n * kt)
         rec(t - 1, kt, head)
     return total.shift(t * (1 - n))
+
+
+def _field_poch(order: int, eps: int, count: int) -> list[CycloNum]:
+    """(q)_k at q = zeta^eps for k = 0..count."""
+    out = [CycloNum.one(order)]
+    for k in range(1, count + 1):
+        factor = CycloNum.one(order) - CycloNum.zeta(order, eps * k)
+        out.append(out[-1] * factor)
+    return out
 
 
 def _field_qbinomials(order: int, eps: int, max_n: int) -> list[list[CycloNum]]:
@@ -454,43 +463,133 @@ def test_jones_hyper_matches_its_oracle(t):
 
 @pytest.mark.parametrize("t, m", _TM)
 def test_root_values_match_their_oracles(t, m):
-    for n_root in range(1, 13):
+    # the t = 4 oracles take about 25 s per m through N = 24, so that row stops at 16
+    for n_root in range(1, 25 if t < 4 else 17):
         for inverse in (False, True):
             new = useries.eval_f_at_root(t, m, n_root, inverse=inverse)
             assert new == eval_f_at_root(t, m, n_root, inverse=inverse), (n_root, inverse)
         assert useries.u_eval_at_root(t, m, n_root) == u_eval_at_root(t, m, n_root), n_root
 
 
+def _root_value(order: int, eps: int, pick) -> CycloNum:
+    """One binomial or Pochhammer at zeta^eps, as a one-factor route of the engine."""
+    return cyclo._root_sum(order, eps, lambda binom, poch, power, step: pick(binom, poch))[0]
+
+
 @pytest.mark.parametrize("order", range(1, 17))
 def test_q_lucas_binomials_match_q_pascal(order):
+    # eps = -1 reads the zeta table through [a, b] at zeta^-1 = zeta^{-b(a-b)} [a, b] at zeta
     max_top = 7 * (order + 1) + 3  # the longest table the oracle builds, at t = 3
     for eps in (1, -1):
         table = _field_qbinomials(order, eps, max_top)
-        binom = useries._root_binomial(order, eps)
         for a in range(max_top + 1):
             for b in range(a + 1):
-                assert binom(a, b) == table[a][b], (eps, a, b)
+                assert _root_value(order, eps, lambda binom, _: binom(a, b)) == table[a][b], (eps, a, b)
         zero = CycloNum.zero(order)
         for a, b in ((-1, 0), (-3, -1), (5, -1), (0, -2), (0, 1), (4, 5), (2, 3 * order)):
-            assert binom(a, b) == zero == _binom_at(table, order, a, b), (eps, a, b)
+            new = _root_value(order, eps, lambda binom, _: binom(a, b))
+            assert new == zero == _binom_at(table, order, a, b), (eps, a, b)
+        for k, old in enumerate(_field_poch(order, eps, order - 1)):
+            assert _root_value(order, eps, lambda _, poch: poch(k)) == old, (eps, k)
 
 
 def test_root_values_read_at_most_n_pascal_rows(monkeypatch):
-    assert not hasattr(useries, "_binom_at")
+    assert not hasattr(useries, "_field_qbinomials")
     asked = []
-    real = useries._field_qbinomials
+    real = cyclo._pascal_rows
 
-    def spy(order, eps, max_n):
-        asked.append((order, max_n))
-        return real(order, eps, max_n)
+    def spy(order):
+        rows = real(order)
+        asked.append((order, len(rows)))
+        return rows
 
-    monkeypatch.setattr(useries, "_field_qbinomials", spy)
+    monkeypatch.setattr(cyclo, "_pascal_rows", spy)
+    cyclo._root_tables.cache_clear()
     for n_root in (1, 2, 7, 24):
-        useries.eval_f_at_root(3, 1, n_root)
-        useries.eval_f_at_root(2, 2, n_root, inverse=True)
-        useries.u_eval_at_root(3, 2, n_root)
-    assert len(asked) == 12
-    assert all(max_n + 1 <= order for order, max_n in asked), asked
+        assert verify.check_duality(3, 2, n_root).passed
+        # one table per N serves U(-1; zeta) and F(zeta^-1) alike
+        assert [order for order, _ in asked] == [1, 2, 7, 24][: len(asked)], asked
+    assert len(asked) == 4
+    assert all(rows <= order for order, rows in asked), asked
+
+
+_ROOT_GRID = [
+    (t, m, n_root, inverse)
+    for t, m in _TM for n_root in range(1, 25) for inverse in (None, False, True)
+]
+
+
+def _root_sums(monkeypatch) -> list:
+    """(value, bound) of every root value on the grid, as ``cyclo._root_sum`` returns
+    them; inverse None stands for U(-1; zeta), a bool for F at zeta^(+-1)."""
+    seen = []
+    real = cyclo._root_sum
+
+    def spy(order, eps, route):
+        out = real(order, eps, route)
+        seen.append((order, eps, route, *out))
+        return out
+
+    monkeypatch.setattr(useries, "_root_sum", spy)
+    for t, m, n_root, inverse in _ROOT_GRID:
+        if inverse is None:
+            useries.u_eval_at_root(t, m, n_root)
+        else:
+            useries.eval_f_at_root(t, m, n_root, inverse=inverse)
+    return seen
+
+
+def test_root_bound_covers_every_decoded_coefficient(monkeypatch):
+    seen = _root_sums(monkeypatch)
+    assert len(seen) == len(_ROOT_GRID)
+    for order, eps, _, value, bound in seen:
+        assert max(map(abs, value.coeffs)) <= bound, (order, eps)
+
+
+def test_root_bound_covers_every_power_of_zeta():
+    # c_N = 1 below N = 105; a zeta power there has a coefficient 2, over its l1 norm 1
+    for order in (12, 105):
+        for eps in (1, -1):
+            for k in range(order):
+                value, bound = cyclo._root_sum(order, eps, lambda b, p, power, s: power(1, k))
+                assert value == CycloNum.zeta(order, eps * k), (order, eps, k)
+                assert max(map(abs, value.coeffs)) <= bound, (order, eps, k)
+    assert max(max(map(abs, CycloNum.zeta(105, k).coeffs)) for k in range(105)) == 2
+
+
+def test_root_read_back_edges():
+    # order 5 at w = 8: bounds up to 2^6 - 1 read back, 2^6 raises
+    deg, mod, _ = cyclo._context(5)
+    x = 1 << 8
+    image = lambda vec: sum(c * x**j for j, c in enumerate(vec))
+    vec = [63, -63, 0, 17]
+    assert cyclo._root_read(image(vec), 5, 8, 63) == CycloNum(5, vec)
+    assert cyclo._root_read(image(vec) + 5 * image(mod), 5, 8, 63) == CycloNum(5, vec)
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclo._root_read(image(vec), 5, 8, 64)
+    # Phi_5(X) > X^4, so the residue M - 1 has a fifth digit
+    bias = image([x // 2] * deg)
+    with pytest.raises(ExactnessError, match="spilled"):
+        cyclo._root_read(image(mod) - 1 - bias, 5, 8, 0)
+
+
+def test_a_narrow_root_slot_is_rejected_not_wrapped(monkeypatch):
+    seen = []
+    real = cyclo._root_sum
+    monkeypatch.setattr(useries, "_root_sum", lambda *args: seen.append(args) or real(*args))
+    values = [
+        useries.u_eval_at_root(3, 2, 24),
+        useries.eval_f_at_root(3, 1, 24, inverse=True),
+        useries.eval_f_at_root(4, 2, 24),
+    ]
+    for true, (order, eps, route) in zip(values, seen, strict=True):
+        assert max(map(abs, true.coeffs)) >= 1 << 7
+        r = cyclo._root_pass(order, eps, route, 8)
+        bound = max(cyclo._root_pass(order, eps, route, 0), 1) * cyclo._root_tables(order)[4]
+        with pytest.raises(ExactnessError, match="8-bit slots"):
+            cyclo._root_read(r, order, 8, bound)
+        # without the guard, the 8-bit image would read back as a wrong value
+        assert cyclo._root_read(r, order, 8, 0) != true
 
 
 @pytest.fixture

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qknot import cyclo
 from qknot.cyclo import CycloNum, cyclo_eval
-from qknot.laurent import XLaurent, _norm
+from qknot.laurent import XLaurent, _norm, cyclotomic_polynomial
 from qknot.serialize import cyclo_to_json_dict
 from qknot.series import QSeries
 
@@ -104,3 +105,69 @@ def test_norm_keeps_ints_and_lowers_integral_fractions():
     assert from_fractions == from_ints
     assert all(type(c) is int for c in from_fractions.coeffs)
     assert cyclo_to_json_dict(from_fractions) == cyclo_to_json_dict(from_ints)
+
+
+def test_int_arithmetic_stays_int_and_fractions_still_normalize():
+    z = CycloNum.zeta(12, 5)
+    for value in (z + z, -z, z * z, z * 3, z - 2, CycloNum.zeta(12, 7)):
+        assert all(type(c) is int for c in value.coeffs)
+    half = z * Fraction(1, 2)
+    assert Fraction(1, 2) in half.coeffs
+    for value in (half + half, half * 2, (z * Fraction(2, 3)) * (z * Fraction(3, 2))):
+        assert all(type(c) is int for c in value.coeffs), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5, 7, 8, 9, 12, 15, 30, 36]),
+    st.lists(st.integers(-9, 9), min_size=24, max_size=24),
+    st.integers(-80, 80),
+)
+def test_times_zeta_is_the_field_product(order, coeffs, k):
+    deg, _, _ = cyclo._context(order)
+    vec = coeffs[:deg]
+    product = CycloNum(order, vec) * CycloNum.zeta(order, k)
+    assert cyclo._times_zeta(vec, k, order) == list(product.coeffs)
+
+
+# -- cross-checks against sympy, when it is installed ------------------------
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for order in range(1, 151):
+        ours = cyclotomic_polynomial(order).coeffs
+        theirs = sympy.Poly(sympy.cyclotomic_poly(order, x), x).as_dict()
+        assert ours == {e: int(c) for (e,), c in theirs.items()}, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 9, 12, 15, 16, 21, 30, 36, 45]),
+    st.lists(st.integers(-20, 20), min_size=24, max_size=24),
+    st.lists(st.integers(-20, 20), min_size=24, max_size=24),
+)
+def test_products_match_sympy_remainders(order, a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    deg, _, _ = cyclo._context(order)
+    a, b = a[:deg], b[:deg]
+    poly = lambda vec: sum(c * x**j for j, c in enumerate(vec))
+    rem = sympy.Poly(sympy.rem(poly(a) * poly(b), sympy.cyclotomic_poly(order, x), x), x)
+    expected = [0] * deg
+    for (e,), c in rem.as_dict().items():
+        expected[e] = int(c)
+    assert list((CycloNum(order, a) * CycloNum(order, b)).coeffs) == expected
+
+
+def test_c_n_is_the_largest_reduced_power_coefficient():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for order in (1, 2, 6, 12, 15, 24, 30, 36, 48, 72, 96, 105):
+        phi = sympy.cyclotomic_poly(order, x)
+        largest = max(
+            max(abs(int(c)) for c in sympy.Poly(sympy.rem(x**j, phi, x), x).coeffs())
+            for j in range(order)
+        )
+        assert cyclo._root_tables.__wrapped__(order)[4] == largest, order

@@ -54,6 +54,8 @@ def test_individual_checks_pass():
     # root orders past the desk profile
     assert check_duality(2, 1, 60).passed
     assert check_duality(3, 2, 48).passed
+    assert check_duality(3, 2, 72).passed
+    assert check_duality(4, 2, 36).passed
 
 
 def test_suite_tasks_cover_families():
