@@ -67,11 +67,6 @@ def _context(order: int):
     return deg, tuple(mod), tuple(pows)
 
 
-def _ints(coeffs: Sequence[Scalar]) -> bool:
-    """True when no coefficient is a Fraction (a C-level scan, no generator)."""
-    return Fraction not in map(type, coeffs)
-
-
 # -- chain sums in Z[zeta_N] -> Z / Phi_N(2^w) -------------------------------
 
 
@@ -98,36 +93,37 @@ def _times_zeta(vec: Sequence[int], k: int, order: int) -> list[int]:
     return buf[:deg]
 
 
-def _pascal_rows(order: int) -> list[list[tuple[int, ...]]]:
+def _pascal_rows(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """[n choose k] at zeta_order for n < order, as int power-basis vectors,
     by the q-Pascal recurrence [n, k] = [n-1, k-1] + zeta^k [n-1, k]."""
     deg, _, pows = _context(order)
     one = pows[0]
-    rows = [[one]]
+    rows = [(one,)]
     for n in range(1, order):
         prev = rows[-1]
         row = [one]
         for k in range(1, n):
             row.append(tuple(map(operator.add, prev[k - 1], _times_zeta(prev[k], k, order))))
         row.append(one)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=8)
 def _root_tables(order: int):
     """The tables of one root order, built once: the q-Pascal rows n < order
     and (zeta)_k for k < order as int vectors, the l1 norms of both, and c_N,
-    the largest |coefficient| of any power of zeta in the power basis."""
+    the largest |coefficient| of any power of zeta in the power basis.  All
+    are tuples, so no caller can edit what the cache shares."""
     _, _, pows = _context(order)
     rows = _pascal_rows(order)
     poch = [pows[0]]
     for k in range(1, order):
         poch.append(tuple(map(operator.sub, poch[-1], _times_zeta(poch[-1], k, order))))
     l1 = lambda vec: sum(map(abs, vec))
-    norms = [[l1(v) for v in row] for row in rows]
+    norms = tuple(tuple(map(l1, row)) for row in rows)
     c_n = max(abs(c) for p in pows for c in p)
-    return rows, norms, poch, [l1(v) for v in poch], c_n
+    return rows, norms, tuple(poch), tuple(map(l1, poch)), c_n
 
 
 def _pack(vec: Sequence[int], w: int) -> int:
@@ -214,7 +210,7 @@ def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
     if u >> w * deg:
         raise ExactnessError(f"a digit spilled past the {deg} slots of the order-{order} field")
     mask = (1 << w) - 1
-    return CycloNum._of(order, [(u >> w * j & mask) - half for j in range(deg)])
+    return CycloNum(order, [(u >> w * j & mask) - half for j in range(deg)])
 
 
 def _root_sum(order: int, eps: int, route) -> tuple["CycloNum", int]:
@@ -244,16 +240,7 @@ class CycloNum:
         if len(coeffs) != deg:
             raise ValueError(f"order-{order} element needs {deg} coefficients")
         self.order = order
-        self.coeffs = tuple(_norm(c) for c in coeffs)
-
-    @classmethod
-    def _of(cls, order: int, coeffs: Sequence[Scalar]) -> "CycloNum":
-        """An element from coefficients that are already normalized (ints, or
-        Fractions that are not integers), without the per-coefficient pass."""
-        z = cls.__new__(cls)
-        z.order = order
-        z.coeffs = tuple(coeffs)
-        return z
+        self.coeffs = tuple(map(_norm, coeffs))
 
     # -- constructors -------------------------------------------------------
 
@@ -277,7 +264,7 @@ class CycloNum:
     def zeta(cls, order: int, k: int = 1) -> "CycloNum":
         """The k-th power of the primitive order-th root of unity."""
         _, _, pows = _context(order)
-        return cls._of(order, pows[k % order])
+        return cls(order, pows[k % order])
 
     # -- queries ------------------------------------------------------------
 
@@ -332,15 +319,12 @@ class CycloNum:
         if isinstance(other, (int, Fraction)):
             other = CycloNum.from_rational(self.order, other)
         self._same_field(other)
-        vec = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        if _ints(self.coeffs) and _ints(other.coeffs):
-            return CycloNum._of(self.order, vec)
-        return CycloNum(self.order, vec)
+        return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum._of(self.order, [-a for a in self.coeffs])
+        return CycloNum(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other: "CycloNum | Scalar") -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -352,10 +336,7 @@ class CycloNum:
 
     def __mul__(self, other: "CycloNum | Scalar") -> "CycloNum":
         if isinstance(other, (int, Fraction)):
-            vec = [a * other for a in self.coeffs]
-            if type(other) is int and _ints(self.coeffs):
-                return CycloNum._of(self.order, vec)
-            return CycloNum(self.order, vec)
+            return CycloNum(self.order, [a * other for a in self.coeffs])
         self._same_field(other)
         deg, _, pows = _context(self.order)
         raw = [0] * (2 * deg - 1 if deg > 1 else 1)
@@ -373,8 +354,6 @@ class CycloNum:
             for i, p in enumerate(pows[k % self.order]):
                 if p:
                     vec[i] += c * p
-        if _ints(self.coeffs) and _ints(other.coeffs):
-            return CycloNum._of(self.order, vec)
         return CycloNum(self.order, vec)
 
     __rmul__ = __mul__

@@ -513,6 +513,13 @@ def test_root_values_read_at_most_n_pascal_rows(monkeypatch):
     assert all(rows <= order for order, rows in asked), asked
 
 
+def test_root_tables_are_immutable():
+    # every caller shares the cached tables, so none of them may be a list
+    rows, norms, poch, poch_norms, _ = cyclo._root_tables(12)
+    for table in (rows, norms, *rows, *norms, poch, *poch, poch_norms):
+        assert type(table) is tuple
+
+
 _ROOT_GRID = [
     (t, m, n_root, inverse)
     for t, m in _TM for n_root in range(1, 25) for inverse in (None, False, True)
