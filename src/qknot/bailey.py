@@ -9,7 +9,8 @@ a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
 denominator (q)_n via Gaussian multinomials.  Every q-Pochhammer denominator,
 finite or infinite, is divided out factor by factor (``series._by_binomials``),
 which keeps the numerator's window, so each term is built at exactly the
-window it is asked for.
+window it is asked for.  Sums whose terms share Pochhammer factors are nested
+(Horner form), so each factor is applied once per sum, not once per term.
 """
 
 from __future__ import annotations
@@ -361,13 +362,13 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
     """Witness of the first n at which either pair relation fails, or None."""
     a_exp = pair.a_exp
     for n in range(n_max + 1):
-        rhs = QSeries.zero(1, trunc)
-        for j in range(n + 1):
-            alpha_j = pair.alpha(j, trunc)
-            if not alpha_j.terms:
-                continue
-            den = _q(1, n - j) + _q(a_exp + 1, n + j)
-            rhs = rhs + _by_binomials(alpha_j, over=den, trunc=trunc)
+        # (aq)_{2n} sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}), nested from j = 0: term
+        # j - 1 has the extra factor (1 - aq^{n+j}) / (1 - q^{n-j+1}) over term j
+        rhs = pair.alpha(0, trunc)
+        for j in range(1, n + 1):
+            rhs = _by_binomials(rhs, _q(a_exp + n + j, 1), _q(n - j + 1, 1), trunc=trunc)
+            rhs = rhs + pair.alpha(j, trunc)
+        rhs = _by_binomials(rhs, over=_q(a_exp + 1, 2 * n), trunc=trunc)
         witness = diff_qseries(pair.beta(n, trunc), rhs, label=f"beta relation at n={n}")
         if witness is None and n > 0:
             inner = QSeries.zero(1, trunc)
@@ -401,8 +402,8 @@ def _req(mono: Mono, what: str) -> Mono:
 def _lemma(a_exp: int, b: Mono | None, c: Mono | None):
     """The lemma with parameters b, c (None is a limit) as (head, den):
     alpha'_n = head(n, n) alpha_n / den(n) and
-    beta'_n = sum_k head(k, n) beta_k / ((q)_{n-k} den(n)), where den(n)
-    lists the factors of (aq/b)_n (aq/c)_n over the parameters that are set.
+    beta'_n = sum_k head(k, n) beta_k / ((q)_{n-k} den(n)), where den(n, first)
+    lists the factors of (aq/b)_n (aq/c)_n from index first on, over the set b, c.
     """
     aq = Mono(1, 0, a_exp + 1)
     quos = [aq.divide(p) for p in (b, c) if p is not None]
@@ -425,7 +426,7 @@ def _lemma(a_exp: int, b: Mono | None, c: Mono | None):
             sign = Mono((-1) ** k, 0, k * (k - 1) // 2).times(quos[0].power(k))
             return _by_binomials(QSeries.one(), _poch(fin, k)).mul_mono(sign)
 
-    return head, lambda n: [f for quo in quos for f in _poch(quo, n)]
+    return head, lambda n, first=0: [f for quo in quos for f in _poch(quo, n)[first:]]
 
 
 def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
@@ -449,10 +450,10 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
 
     def beta(n: int, window: int) -> QSeries:
-        out = QSeries.zero(1, window)
+        out = QSeries.zero(1, window)  # sum_k term_k / (q)_{n-k}, in nested form
         for k in range(n + 1):
-            term = headed(pair.beta, k, n, window)
-            out = out + _by_binomials(term, over=_q(1, n - k), trunc=window)
+            out = _by_binomials(out, over=_q(n - k + 1, 1), trunc=window)
+            out = out + headed(pair.beta, k, n, window)
         return _by_binomials(out, over=den(n), trunc=window)
 
     floor_a = floor_b = None  # floors are carried through the (inf, inf) step only
@@ -534,15 +535,15 @@ def _limit_sides(
         lhs = lhs + head(n, n) * pair.beta(n, trunc - min(0, low))
         n += 1
 
-    inner = QSeries.zero(1, trunc)
-    n = 0
-    while True:
+    top = 0
+    while term_low(top, pair.alpha_floor) < trunc:
+        top += 1
+    inner = QSeries.zero(1, trunc)  # sum_{n < top} head(n, n) alpha_n / den(n), nested
+    for n in range(top - 1, -1, -1):
         low = term_low(n, pair.alpha_floor)
-        if low >= trunc:
-            break
-        prod = head(n, n) * pair.alpha(n, trunc - min(0, low))
-        inner = inner + _by_binomials(prod, over=den(n), trunc=trunc)
-        n += 1
+        inner = inner + head(n, n) * pair.alpha(n, trunc - min(0, low))
+        if n:
+            inner = _by_binomials(inner, over=den(n, n - 1), trunc=trunc)
 
     v = int(min(0, inner._valuation()))
     w = trunc - v

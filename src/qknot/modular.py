@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, cyclo_eval
 from .cyclotomic_coeffs import _validate
-from .laurent import bernoulli_b2
+from .laurent import XLaurent, bernoulli_b2
 from .series import Mono, QSeries, _by_binomials, _poch
 from .useries import eval_f_at_root
 
@@ -80,7 +80,7 @@ def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
     span = 8 * (2 * t + 1)
     order = span * n_root
     shift = (2 * t + 1 - 2 * m) ** 2
-    total = CycloNum.zero(order)
+    weights: dict[int, Fraction] = {}
     top = 4 * (2 * t + 1) * n_root
     for k in range(1, top + 1):
         ch = chi_periodic(t, m, k)
@@ -91,9 +91,8 @@ def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
             raise ArithmeticError(
                 f"character support broke the k^2 congruence at k={k} (t={t}, m={m})"
             )
-        weight = bernoulli_b2(Fraction(k, top)) * ch
-        total = total + CycloNum.zeta(order, e) * weight
-    return total * ((2 * t + 1) * n_root)
+        weights[e] = bernoulli_b2(Fraction(k, top)) * ch  # k -> e is one-to-one
+    return cyclo_eval(XLaurent(weights), order) * ((2 * t + 1) * n_root)
 
 
 def bernoulli_lhs(t: int, m: int, n_root: int) -> CycloNum:

@@ -124,8 +124,13 @@ class QSeries:
 
     @classmethod
     def from_q_laurent(cls, p: XLaurent, scale: int = 1, trunc: int | None = None) -> "QSeries":
-        """Embed a Laurent polynomial in q (exponents multiplied by scale)."""
-        return cls({e * scale: XLaurent.const(c) for e, c in p.coeffs.items()}, scale, trunc)
+        """Embed a normalized Laurent polynomial in q (exponents multiplied by scale)."""
+        rows = {}
+        for e, c in p.coeffs.items():
+            if trunc is None or e * scale < trunc:
+                row = rows[e * scale] = XLaurent.__new__(XLaurent)
+                row.coeffs = {0: c}
+        return cls(rows, scale, trunc)
 
     # -- window helpers -----------------------------------------------------
 
@@ -512,11 +517,12 @@ def _by_binomials(
 
 def _axpy(target: dict[int, Scalar], source: dict[int, Scalar], c: Scalar, dx: int) -> None:
     """target += c * x^dx * source, on x-exponent -> coefficient rows."""
-    for d, v in tuple(source.items()):
+    get = target.get
+    for d, v in tuple(source.items()) if source is target else source.items():
         d += dx
-        v = _norm(target.get(d, 0) + c * v)
+        v = get(d, 0) + c * v
         if v:
-            target[d] = v
+            target[d] = v if type(v) is int else _norm(v)
         else:
             target.pop(d, None)
 

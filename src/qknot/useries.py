@@ -82,23 +82,16 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
 def u_series(t: int, m: int, trunc: int) -> QSeries:
     """U_t^{(m)}(x;q) as a truncated series valid strictly below q^trunc.
 
-    Grouped by the top chain index: the slice at k_t = n+1 contributes the
-    cyclotomic coefficient C_n times (-xq)_n (-x^{-1}q)_n, whose valuation
-    n+1-m bounds how many slices can touch the window.
+    The slice at k_t = n+1 is C_n (valuation n+1-m) times (-xq)_n (-x^{-1}q)_n,
+    so n < trunc+m-1.  It is summed in nested (Horner) form from the top,
+    T <- C_n + (1 + xq^{n+1})(1 + x^{-1}q^{n+1}) T: both factors have positive
+    q-exponents, so they keep T's window, and each C_n is cut at it.
     """
     _validate(t, m)
     if trunc <= 1 - m:
         raise ValueError("window too small to contain any terms")
-    window = trunc
-    wg = window + m - 1
-    total = QSeries.zero(1, window)
-    g = QSeries.one(1, wg)
-    for n in range(0, window + m - 1):
-        if n > 0:
-            g = _by_binomials(g, [Mono(-1, 1, n), Mono(-1, -1, n)])
-        c = c_series(t, m, n, window)
-        if c.is_zero():
-            continue
-        cq = QSeries.from_q_laurent(c, 1, window)
-        total = total + cq * g
+    total = QSeries.zero(1, trunc)
+    for n in range(trunc + m - 2, -1, -1):
+        total = _by_binomials(total, [Mono(-1, 1, n + 1), Mono(-1, -1, n + 1)])
+        total = total + QSeries.from_q_laurent(c_series(t, m, n, trunc), 1, trunc)
     return total

@@ -14,18 +14,34 @@ The ``*_chain`` oracles are the ``XLaurent`` bodies of ``_c_sum``,
 ``c_multisum`` and ``jones_hyper`` on ``laurent._chain_step``, verbatim but for
 their names and the dropped cache.  The library now sums these chains on plain
 ints at q = 2^w (``laurent._kronecker``) and must reproduce them exactly.
+
+``u_series``, ``_first_failure``, ``bailey_step`` and ``_limit_sides`` are
+verbatim copies of builders that applied the whole Pochhammer product of each
+term of a sum to that term; the library now sums them in nested (Horner) form.
+``bernoulli_rhs`` is a verbatim copy that added one full field element per
+term; the library now evaluates the weights once.  All must be reproduced
+exactly, windows included.
 """
 
 import itertools
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 import pytest
 
-from qknot import bailey, cyclo, cyclotomic_coeffs, jones, laurent, useries, verify
+from qknot import bailey, cyclo, cyclotomic_coeffs, jones, laurent, modular, useries, verify
+from qknot.bailey import (
+    BaileyPair, FloorFn, TermFn, _exact, _lemma, _neg_val_bound, _q, _req, make_named_pair,
+)
 from qknot.cyclo import CycloNum
-from qknot.cyclotomic_coeffs import _validate
-from qknot.laurent import ONE, ExactnessError, XLaurent, _chain_step, poch_q, qbinomial
+from qknot.cyclotomic_coeffs import _validate, c_series
+from qknot.laurent import (
+    ONE, ExactnessError, XLaurent, _chain_step, bernoulli_b2, poch_q, qbinomial,
+)
+from qknot.modular import chi_periodic
+from qknot.report import diff_qseries
+from qknot.series import Mono, QSeries, _by_binomials, _poch
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -417,6 +433,191 @@ def jones_hyper_chain(t: int, n_color: int) -> XLaurent:
     return sum(states.values(), XLaurent()).shift(t * (1 - n))
 
 
+def u_series(t: int, m: int, trunc: int) -> QSeries:
+    """U_t^{(m)}(x;q) as a truncated series valid strictly below q^trunc.
+
+    Grouped by the top chain index: the slice at k_t = n+1 contributes the
+    cyclotomic coefficient C_n times (-xq)_n (-x^{-1}q)_n, whose valuation
+    n+1-m bounds how many slices can touch the window.
+    """
+    _validate(t, m)
+    if trunc <= 1 - m:
+        raise ValueError("window too small to contain any terms")
+    window = trunc
+    wg = window + m - 1
+    total = QSeries.zero(1, window)
+    g = QSeries.one(1, wg)
+    for n in range(0, window + m - 1):
+        if n > 0:
+            g = _by_binomials(g, [Mono(-1, 1, n), Mono(-1, -1, n)])
+        c = c_series(t, m, n, window)
+        if c.is_zero():
+            continue
+        cq = QSeries.from_q_laurent(c, 1, window)
+        total = total + cq * g
+    return total
+
+
+def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
+    """Witness of the first n at which either pair relation fails, or None."""
+    a_exp = pair.a_exp
+    for n in range(n_max + 1):
+        rhs = QSeries.zero(1, trunc)
+        for j in range(n + 1):
+            alpha_j = pair.alpha(j, trunc)
+            if not alpha_j.terms:
+                continue
+            den = _q(1, n - j) + _q(a_exp + 1, n + j)
+            rhs = rhs + _by_binomials(alpha_j, over=den, trunc=trunc)
+        witness = diff_qseries(pair.beta(n, trunc), rhs, label=f"beta relation at n={n}")
+        if witness is None and n > 0:
+            inner = QSeries.zero(1, trunc)
+            for j in range(n + 1):
+                piece = (poch_q(-n, j) * poch_q(a_exp + n, j)).shift(j)
+                if piece.is_zero():
+                    continue
+                beta_j = pair.beta(j, trunc - min(0, piece.min_exp()))
+                inner = inner + beta_j * _exact(piece)
+            sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
+            pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
+            rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
+            witness = diff_qseries(pair.alpha(n, trunc), rhs2, label=f"alpha relation at n={n}")
+        if witness is not None:
+            witness["n"] = n
+            return witness
+    return None
+
+
+def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
+    """One application of the lemma; b, c are monomials or None (a limit).
+
+    With both limits the step is alpha -> a^n q^{n^2} alpha; otherwise the
+    generic transform.  Degenerate parameter choices surface when a term
+    divides by a Pochhammer factor that is not a unit: (1 - q^0) raises
+    ZeroDivisionError and a factor with no q-power but an x-power raises
+    ExactnessError, which is the rejection the caller sees.  Every alpha and
+    beta term of the stepped pair comes back at exactly the window asked for.
+    """
+    a_exp = pair.a_exp
+    head, den = _lemma(a_exp, b, c)
+
+    def headed(term: TermFn, k: int, n: int, window: int) -> QSeries:
+        h = head(k, n)  # exact, so term k is needed below window - val(h) only
+        return h * term(k, window - h.min_exp()) if h.terms else h
+
+    def alpha(n: int, window: int) -> QSeries:
+        return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
+
+    def beta(n: int, window: int) -> QSeries:
+        out = QSeries.zero(1, window)
+        for k in range(n + 1):
+            term = headed(pair.beta, k, n, window)
+            out = out + _by_binomials(term, over=_q(1, n - k), trunc=window)
+        return _by_binomials(out, over=den(n), trunc=window)
+
+    floor_a = floor_b = None  # floors are carried through the (inf, inf) step only
+    if b is None and c is None and pair.alpha_floor is not None:
+        base_a = pair.alpha_floor
+        floor_a = lambda n: base_a(n) + a_exp * n + n * n
+    if b is None and c is None and pair.beta_floor is not None:
+        base_b = pair.beta_floor
+        floor_b = lambda n: min(base_b(k) + a_exp * k + k * k for k in range(n + 1))
+    names = [str(p) for p in (b, c) if p is not None] + ["inf", "inf"]
+    return BaileyPair(
+        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta, pair.provenance,
+        alpha_floor=floor_a, beta_floor=floor_b,
+    )
+
+
+def _limit_sides(
+    pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
+) -> tuple[QSeries, QSeries]:
+    if pair.alpha_floor is None or pair.beta_floor is None:
+        raise ValueError("limit identity needs valuation floors on the pair")
+    a_exp = pair.a_exp
+    aq = Mono(1, 0, a_exp + 1)
+    if (b is None) != (c is None):
+        _req(aq.divide(b if b is not None else c), "the quotient of a mixed limit")
+
+    def term_low(n: int, floor: FloorFn) -> int:
+        if b is None and c is None:
+            return n * n + a_exp * n + floor(n)
+        if b is not None and c is not None:
+            e = aq.divide(b.times(c)).q_exp
+            if e <= 0:
+                raise ValueError("aq/(bc) must carry a positive q-exponent")
+            return n * e + _neg_val_bound(b) + _neg_val_bound(c) + floor(n)
+        fin = b if b is not None else c
+        quo = aq.divide(fin)
+        return n * (n - 1) // 2 + n * quo.q_exp + _neg_val_bound(fin) + floor(n)
+
+    head, den = _lemma(a_exp, b, c)
+
+    lhs = QSeries.zero(1, trunc)
+    n = 0
+    while True:
+        low = term_low(n, pair.beta_floor)
+        if low >= trunc:
+            break
+        lhs = lhs + head(n, n) * pair.beta(n, trunc - min(0, low))
+        n += 1
+
+    inner = QSeries.zero(1, trunc)
+    n = 0
+    while True:
+        low = term_low(n, pair.alpha_floor)
+        if low >= trunc:
+            break
+        prod = head(n, n) * pair.alpha(n, trunc - min(0, low))
+        inner = inner + _by_binomials(prod, over=den(n), trunc=trunc)
+        n += 1
+
+    v = int(min(0, inner._valuation()))
+    w = trunc - v
+
+    def below(mono: Mono, what: str) -> list[Mono]:
+        """The factors of the infinite product (mono)_inf that reach q^w."""
+        return _poch(_req(mono, what), w - mono.q_exp)
+
+    num, den = [], below(aq, "aq")
+    if b is not None:
+        num += below(aq.divide(b), "aq/b")
+    if c is not None:
+        num += below(aq.divide(c), "aq/c")
+    if b is not None and c is not None:
+        den += below(aq.divide(b.times(c)), "aq/bc")
+    return lhs, _by_binomials(inner, num, den)
+
+
+def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
+    """Finite Bernoulli-weighted character sum, in the order-8(2t+1)N field.
+
+    Every contributing k satisfies k^2 = (2t+1-2m)^2 mod 8(2t+1); that
+    common phase is divided out, so the value pairs with bernoulli_lhs.
+    The divisibility is asserted term by term.
+    """
+    _validate(t, m)
+    if n_root < 1:
+        raise ValueError("root order must be positive")
+    span = 8 * (2 * t + 1)
+    order = span * n_root
+    shift = (2 * t + 1 - 2 * m) ** 2
+    total = CycloNum.zero(order)
+    top = 4 * (2 * t + 1) * n_root
+    for k in range(1, top + 1):
+        ch = chi_periodic(t, m, k)
+        if not ch:
+            continue
+        e = k * k - shift
+        if e % span:
+            raise ArithmeticError(
+                f"character support broke the k^2 congruence at k={k} (t={t}, m={m})"
+            )
+        weight = bernoulli_b2(Fraction(k, top)) * ch
+        total = total + CycloNum.zeta(order, e) * weight
+    return total * ((2 * t + 1) * n_root)
+
+
 # ---------------------------------------------------------------------------
 # differential tests
 # ---------------------------------------------------------------------------
@@ -711,3 +912,80 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
         lambda states, edges: laurent._kron_step(states, edges, 8),
     )
     assert laurent._read_back(v, o, 8, 0) != true
+
+
+@pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])
+def test_horner_u_series_matches_its_oracle(t, m):
+    for window in range(1, 41):
+        assert useries.u_series(t, m, window) == u_series(t, m, window), window
+
+
+def _named_pairs() -> list[BaileyPair]:
+    return [
+        *(bailey.unit_pair(a_exp) for a_exp in (0, 1, 2)),
+        *(make_named_pair("jones", t=t, m=m) for t in (1, 2) for m in range(1, t + 1)),
+        *(make_named_pair("lovejoy", t=t, ell=ell) for t in (1, 2, 3) for ell in range(t)),
+        *(make_named_pair("star", k=k, ell=ell) for k in (1, 2, 3) for ell in range(k)),
+        make_named_pair("andrews"),
+        bailey.andrews_pair(Mono(1, 1, 2)),
+        bailey.andrews_pair(Mono(-1, 0, -1)),
+    ]
+
+
+def _relation_sides(monkeypatch, first_failure, pair: BaileyPair) -> list:
+    """Every (label, lhs, rhs) the pair relations compare through n = 8."""
+    seen = []
+
+    def record(lhs, rhs, through=None, label=""):
+        seen.append((label, lhs, rhs))
+        return None  # so that every n is reached
+
+    monkeypatch.setattr(bailey, "diff_qseries", record)
+    monkeypatch.setitem(globals(), "diff_qseries", record)
+    assert first_failure(pair, 8, 14) is None
+    return seen
+
+
+def test_nested_pair_relation_matches_the_per_term_relation(monkeypatch):
+    for pair in _named_pairs():
+        new = _relation_sides(monkeypatch, bailey._first_failure, pair)
+        old = _relation_sides(monkeypatch, _first_failure, pair)
+        assert [label for label, _, _ in new] == [label for label, _, _ in old], pair
+        for (label, lhs, rhs), (_, old_lhs, old_rhs) in zip(new, old):
+            assert lhs == old_lhs and rhs == old_rhs, (pair, label)
+
+
+_LEMMA_STEPS = [(None, None), (Mono(1, 1, 0), Mono(1, -1, 0)), (Mono(1, 1, 0), None)]
+
+
+@pytest.mark.parametrize("b, c", _LEMMA_STEPS)
+def test_horner_lemma_beta_matches_its_oracle(b, c):
+    for base in (bailey.unit_pair(), make_named_pair("lovejoy", t=2), make_named_pair("andrews")):
+        new, old = bailey.bailey_step(base, b, c), bailey_step(base, b, c)
+        twice_new, twice_old = bailey.bailey_step(new, b, c), bailey_step(old, b, c)
+        for n in range(7):
+            for window in (1, 6, 15):
+                assert new.beta(n, window) == old.beta(n, window), (base, n, window)
+                assert twice_new.beta(n, window) == twice_old.beta(n, window), (base, n, window)
+
+
+def test_nested_limit_sides_match_their_oracle():
+    cases = [
+        (bailey.unit_pair(), None, None),
+        (bailey.unit_pair(1), None, None),
+        (make_named_pair("lovejoy", t=2), None, None),
+        (make_named_pair("jones", t=1), Mono(1, 1, 0), Mono(1, -1, 0)),
+        (bailey.unit_pair(), Mono(1, 1, 0), None),
+        (make_named_pair("andrews"), None, Mono(1, -1, 0)),
+    ]
+    for pair, b, c in cases:
+        for trunc in range(1, 26, 4):
+            new = bailey._limit_sides(pair, b, c, trunc)
+            old = _limit_sides(pair, b, c, trunc)
+            assert new[0] == old[0] and new[1] == old[1], (pair, b, c, trunc)
+
+
+@pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])
+def test_bernoulli_weights_summed_per_exponent_match_their_oracle(t, m):
+    for n_root in range(1, 13):
+        assert modular.bernoulli_rhs(t, m, n_root) == bernoulli_rhs(t, m, n_root), n_root

@@ -56,6 +56,8 @@ def test_individual_checks_pass():
     assert check_duality(3, 2, 48).passed
     assert check_duality(3, 2, 72).passed
     assert check_duality(4, 2, 36).passed
+    # the two U routes well past the desk orders of 15 to 25
+    assert check_hecke_match(2, 1, 60).passed
 
 
 def test_suite_tasks_cover_families():
