@@ -1,8 +1,12 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_M).
+"""Exact values in cyclotomic fields Q(zeta_M).
 
 Elements are rational-coefficient vectors reduced modulo the M-th
 cyclotomic polynomial, so equality is decidable coefficient-wise and every
-root-of-unity evaluation in the library is exact.
+root-of-unity evaluation in the library is exact.  The library only
+evaluates, compares and rotates such values; ``+``, ``-`` and ``*`` remain
+for the test oracles.  Every reduction, in evaluation, products, powers of
+zeta and the tables below, is one top-down pass mod Phi_M (``_reduce``), so
+a field keeps O(deg) data however large M is.
 
 The nested chain sums over Z[zeta_N] (F and U(-1) at roots of unity) skip
 ``CycloNum`` altogether, as the Z[q] chains of ``laurent`` do.
@@ -41,30 +45,30 @@ __all__ = ["CycloNum", "cyclo_eval"]
 
 @lru_cache(maxsize=None)
 def _context(order: int):
-    """(degree, modulus coeffs, x^k mod Phi tables) for the order-M field."""
+    """(degree, modulus coeffs, top) of Phi_M, the modulus of the order-M
+    field, where top lists (i - deg, -mod[i]) over the nonzero mod[i], i < deg,
+    so that x^deg = sum a x^(deg + o) over (o, a) in top (Phi is monic).
+    O(deg) data, however large M is."""
     phi = cyclotomic_polynomial(order)
     deg = phi.max_exp()
     mod = [0] * (deg + 1)
     for e, c in phi.coeffs.items():
         mod[e] = int(c)
-    # x^deg reduced: x^deg = -sum_{i<deg} mod[i] x^i (Phi is monic)
-    top = tuple(-m for m in mod[:deg])
-    # zeta powers 0..order-1 (x^order = 1 mod Phi, so this covers every power)
-    pows = []
-    cur = [0] * deg
-    cur[0] = 1
-    pows.append(tuple(cur))
-    for _ in range(1, order):
-        nxt = [0] * deg
-        lead = cur[deg - 1] if deg > 0 else 0
-        for i in range(deg - 1):
-            nxt[i + 1] = cur[i]
-        if lead:
-            for i in range(deg):
-                nxt[i] += lead * top[i]
-        cur = nxt
-        pows.append(tuple(cur))
-    return deg, tuple(mod), tuple(pows)
+    top = tuple((i - deg, -a) for i, a in enumerate(mod[:deg]) if a)
+    return deg, tuple(mod), top
+
+
+def _reduce(buf: list, order: int) -> list:
+    """A power-basis vector of any length >= deg, reduced mod Phi_order in one
+    top-down pass that clears each slot at or above deg with x^deg reduced.
+    Edits buf; returns its low deg slots."""
+    deg, _, top = _context(order)
+    for i in range(len(buf) - 1, deg - 1, -1):
+        c = buf[i]
+        if c:
+            for o, a in top:
+                buf[i + o] += c * a
+    return buf[:deg]
 
 
 # -- chain sums in Z[zeta_N] -> Z / Phi_N(2^w) -------------------------------
@@ -73,31 +77,22 @@ def _context(order: int):
 def _times_zeta(vec: Sequence[int], k: int, order: int) -> list[int]:
     """zeta^k times an int power-basis vector, in one shifted, reduced pass:
     the vector is rotated by k mod order (zeta^order = 1), and the slots at and
-    above deg are then cleared top-down with x^deg = -sum_{i<deg} mod[i] x^i."""
-    deg, mod, _ = _context(order)
+    above deg are then cleared by ``_reduce``."""
+    deg = len(vec)
     k %= order
-    buf = [0] * order
     if k + deg <= order:
-        buf[k : k + deg] = vec
-        top = k + deg
+        buf = [0] * k + list(vec)
     else:
+        buf = [0] * order
         buf[k:] = vec[: order - k]
         buf[: k + deg - order] = vec[order - k :]
-        top = order
-    low = [(j, a) for j, a in enumerate(mod[:deg]) if a]
-    for i in range(top - 1, deg - 1, -1):
-        c = buf[i]
-        if c:
-            for j, a in low:
-                buf[i - deg + j] -= c * a
-    return buf[:deg]
+    return _reduce(buf, order)
 
 
 def _pascal_rows(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """[n choose k] at zeta_order for n < order, as int power-basis vectors,
     by the q-Pascal recurrence [n, k] = [n-1, k-1] + zeta^k [n-1, k]."""
-    deg, _, pows = _context(order)
-    one = pows[0]
+    one = CycloNum.one(order).coeffs
     rows = [(one,)]
     for n in range(1, order):
         prev = rows[-1]
@@ -115,15 +110,23 @@ def _root_tables(order: int):
     and (zeta)_k for k < order as int vectors, the l1 norms of both, and c_N,
     the largest |coefficient| of any power of zeta in the power basis.  All
     are tuples, so no caller can edit what the cache shares."""
-    _, _, pows = _context(order)
     rows = _pascal_rows(order)
-    poch = [pows[0]]
+    poch = [CycloNum.one(order).coeffs]
     for k in range(1, order):
         poch.append(tuple(map(operator.sub, poch[-1], _times_zeta(poch[-1], k, order))))
     l1 = lambda vec: sum(map(abs, vec))
     norms = tuple(tuple(map(l1, row)) for row in rows)
-    c_n = max(abs(c) for p in pows for c in p)
-    return rows, norms, tuple(poch), tuple(map(l1, poch)), c_n
+    return rows, norms, tuple(poch), tuple(map(l1, poch)), _c_n(order)
+
+
+def _c_n(order: int) -> int:
+    """c_N, the largest |coefficient| of any power of zeta in the power basis,
+    from zeta^0 .. zeta^(order-1) taken one ``_times_zeta`` step at a time."""
+    power, c_n = CycloNum.one(order).coeffs, 1
+    for _ in range(1, order):
+        power = _times_zeta(power, 1, order)
+        c_n = max(c_n, *map(abs, power))
+    return c_n
 
 
 def _pack(vec: Sequence[int], w: int) -> int:
@@ -263,8 +266,11 @@ class CycloNum:
     @classmethod
     def zeta(cls, order: int, k: int = 1) -> "CycloNum":
         """The k-th power of the primitive order-th root of unity."""
-        _, _, pows = _context(order)
-        return cls(order, pows[k % order])
+        k %= order
+        deg = _context(order)[0]
+        buf = [0] * max(k + 1, deg)
+        buf[k] = 1
+        return cls(order, _reduce(buf, order) if k >= deg else buf)  # below deg, a unit vector
 
     # -- queries ------------------------------------------------------------
 
@@ -309,7 +315,7 @@ class CycloNum:
             out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
         return out
 
-    # -- field operations ---------------------------------------------------
+    # -- ring operations ----------------------------------------------------
 
     def _same_field(self, other: "CycloNum") -> None:
         if self.order != other.order:
@@ -338,131 +344,15 @@ class CycloNum:
         if isinstance(other, (int, Fraction)):
             return CycloNum(self.order, [a * other for a in self.coeffs])
         self._same_field(other)
-        deg, _, pows = _context(self.order)
-        raw = [0] * (2 * deg - 1 if deg > 1 else 1)
+        raw = [0] * (2 * len(self.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+            if a:
+                for j, b in terms:
                     raw[i + j] += a * b
-        vec = list(raw[:deg]) + [0] * (deg - len(raw[:deg]))
-        for k in range(deg, len(raw)):
-            c = raw[k]
-            if not c:
-                continue
-            for i, p in enumerate(pows[k % self.order]):
-                if p:
-                    vec[i] += c * p
-        return CycloNum(self.order, vec)
+        return CycloNum(self.order, _reduce(raw, self.order))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CycloNum":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycloNum.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def inverse(self) -> "CycloNum":
-        """Field inverse via the extended Euclidean algorithm against Phi_M."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero in a cyclotomic field")
-        deg, mod, _ = _context(self.order)
-        r0 = [Fraction(m) for m in mod]
-        r1 = [Fraction(c) for c in self.coeffs]
-        s0 = [Fraction(0)]
-        s1 = [Fraction(1)]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd: a nonzero constant since Phi_M is irreducible
-        while r0 and not r0[-1]:
-            r0.pop()
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        inv_c = Fraction(1) / r0[0]
-        vec = [c * inv_c for c in s0]
-        while vec and not vec[-1]:
-            vec.pop()
-        if len(vec) > deg:  # pragma: no cover - s0 stays below deg(Phi)
-            raise ArithmeticError("inverse exceeded field degree")
-        vec += [Fraction(0)] * (deg - len(vec))
-        return CycloNum(self.order, vec)
-
-    def __truediv__(self, other: "CycloNum | Scalar") -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / Fraction(other)
-            return self * inv
-        self._same_field(other)
-        return self * other.inverse()
-
-    # -- field embeddings ----------------------------------------------------
-
-    def embed(self, new_order: int) -> "CycloNum":
-        """Image under zeta_M -> zeta_{M'}^(M'/M), for M dividing M'."""
-        if new_order == self.order:
-            return self
-        if new_order % self.order:
-            raise ValueError(f"{self.order} does not divide {new_order}")
-        k = new_order // self.order
-        deg_new, _, pows = _context(new_order)
-        vec = [0] * deg_new
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, p in enumerate(pows[(i * k) % new_order]):
-                if p:
-                    vec[j] += c * p
-        return CycloNum(new_order, vec)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = f
-        for i, bc in enumerate(b):
-            a[i + d] -= f * bc
-        while a and not a[-1]:
-            a.pop()
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def cyclo_eval(p: Union[XLaurent, QSeries], order: int, k: int = 1) -> CycloNum:
@@ -473,10 +363,7 @@ def cyclo_eval(p: Union[XLaurent, QSeries], order: int, k: int = 1) -> CycloNum:
     """
     if isinstance(p, QSeries):
         p = p.to_q_laurent()
-    deg, _, pows = _context(order)
-    vec = [0] * deg
+    buf = [0] * order
     for e, c in p.coeffs.items():
-        for i, z in enumerate(pows[(k * e) % order]):
-            if z:
-                vec[i] += c * z
-    return CycloNum(order, vec)
+        buf[k * e % order] += c
+    return CycloNum(order, _reduce(buf, order))

@@ -96,11 +96,12 @@ def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
 
 
 def bernoulli_lhs(t: int, m: int, n_root: int) -> CycloNum:
-    """zeta_N^{-t} F_t^{(m)}(zeta_N), embedded in the order-8(2t+1)N field."""
+    """zeta_N^{-t} F_t^{(m)}(zeta_N), embedded in the order-8(2t+1)N field:
+    coefficient j of F(zeta_N) goes to zeta_M^{(j-t) 8(2t+1)}, M = 8(2t+1)N."""
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     span = 8 * (2 * t + 1)
     order = span * n_root
-    f = eval_f_at_root(t, m, n_root, inverse=False).embed(order)
-    return f * CycloNum.zeta(order, -t * span)
+    f = eval_f_at_root(t, m, n_root, inverse=False)
+    return cyclo_eval(XLaurent(enumerate(f.coeffs, -t)), order, span)

@@ -281,12 +281,7 @@ class QSeries:
         )
         if rows is None:
             rows = _schoolbook(at, bt, trunc)
-        out: dict[int, XLaurent] = {}
-        for e, row in rows.items():
-            if row:  # rows hold no zero coefficient; wrap them as they are
-                c = out[e] = XLaurent.__new__(XLaurent)
-                c.coeffs = row
-        return QSeries(out, a.scale, trunc)
+        return _wrap_rows(rows, a.scale, trunc)
 
     __rmul__ = __mul__
 
@@ -512,7 +507,18 @@ def _by_binomials(
                 src = rows.get(e - k)
                 if src:
                     _axpy(rows.setdefault(e, {}), src, f.coeff, f.x_exp)
-    return QSeries({e: XLaurent(row) for e, row in rows.items()}, s.scale, None if w == _INF else w)
+    return _wrap_rows(rows, s.scale, None if w == _INF else w)
+
+
+def _wrap_rows(rows: Mapping[int, dict[int, Scalar]], scale: int, trunc: int | None) -> QSeries:
+    """A QSeries over x-exponent -> coefficient rows that the caller owns and
+    that hold no zero coefficient, wrapped as they are; empty rows are dropped."""
+    out: dict[int, XLaurent] = {}
+    for e, row in rows.items():
+        if row:
+            c = out[e] = XLaurent.__new__(XLaurent)
+            c.coeffs = row
+    return QSeries(out, scale, trunc)
 
 
 def _axpy(target: dict[int, Scalar], source: dict[int, Scalar], c: Scalar, dx: int) -> None:

@@ -21,11 +21,20 @@ term of a sum to that term; the library now sums them in nested (Horner) form.
 ``bernoulli_rhs`` is a verbatim copy that added one full field element per
 term; the library now evaluates the weights once.  All must be reproduced
 exactly, windows included.
+
+``_context``, ``cyclo_eval`` and ``cyclo_mul`` (the body of
+``CycloNum.__mul__``) are verbatim copies of the field layer that reduced
+through a cached table of every power of zeta; ``bernoulli_lhs`` is the
+embedding and product it replaced, with ``CycloNum.embed`` inlined and the
+table read in place of ``CycloNum.zeta``.  The library now reduces
+everything in one top-down pass mod Phi_M (``cyclo._reduce``) and must
+reproduce them exactly.
 """
 
 import itertools
+import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import pytest
@@ -37,7 +46,8 @@ from qknot.bailey import (
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate, c_series
 from qknot.laurent import (
-    ONE, ExactnessError, XLaurent, _chain_step, bernoulli_b2, poch_q, qbinomial,
+    ONE, ExactnessError, XLaurent, _chain_step, bernoulli_b2, cyclotomic_polynomial, poch_q,
+    qbinomial,
 )
 from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
@@ -618,6 +628,94 @@ def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
     return total * ((2 * t + 1) * n_root)
 
 
+@lru_cache(maxsize=None)
+def _context(order: int):
+    """(degree, modulus coeffs, x^k mod Phi tables) for the order-M field."""
+    phi = cyclotomic_polynomial(order)
+    deg = phi.max_exp()
+    mod = [0] * (deg + 1)
+    for e, c in phi.coeffs.items():
+        mod[e] = int(c)
+    # x^deg reduced: x^deg = -sum_{i<deg} mod[i] x^i (Phi is monic)
+    top = tuple(-m for m in mod[:deg])
+    # zeta powers 0..order-1 (x^order = 1 mod Phi, so this covers every power)
+    pows = []
+    cur = [0] * deg
+    cur[0] = 1
+    pows.append(tuple(cur))
+    for _ in range(1, order):
+        nxt = [0] * deg
+        lead = cur[deg - 1] if deg > 0 else 0
+        for i in range(deg - 1):
+            nxt[i + 1] = cur[i]
+        if lead:
+            for i in range(deg):
+                nxt[i] += lead * top[i]
+        cur = nxt
+        pows.append(tuple(cur))
+    return deg, tuple(mod), tuple(pows)
+
+
+def cyclo_eval(p: XLaurent | QSeries, order: int, k: int = 1) -> CycloNum:
+    """Evaluate a polynomial in q at zeta_order^k, exactly.
+
+    A QSeries argument must be exact (complete), integral-exponent and free
+    of x: a truncated series would silently drop terms, so it is rejected.
+    """
+    if isinstance(p, QSeries):
+        p = p.to_q_laurent()
+    deg, _, pows = _context(order)
+    vec = [0] * deg
+    for e, c in p.coeffs.items():
+        for i, z in enumerate(pows[(k * e) % order]):
+            if z:
+                vec[i] += c * z
+    return CycloNum(order, vec)
+
+
+def cyclo_mul(self: CycloNum, other: CycloNum | int | Fraction) -> CycloNum:
+    if isinstance(other, (int, Fraction)):
+        return CycloNum(self.order, [a * other for a in self.coeffs])
+    self._same_field(other)
+    deg, _, pows = _context(self.order)
+    raw = [0] * (2 * deg - 1 if deg > 1 else 1)
+    for i, a in enumerate(self.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(other.coeffs):
+            if b:
+                raw[i + j] += a * b
+    vec = list(raw[:deg]) + [0] * (deg - len(raw[:deg]))
+    for k in range(deg, len(raw)):
+        c = raw[k]
+        if not c:
+            continue
+        for i, p in enumerate(pows[k % self.order]):
+            if p:
+                vec[i] += c * p
+    return CycloNum(self.order, vec)
+
+
+def bernoulli_lhs(t: int, m: int, n_root: int) -> CycloNum:
+    """zeta_N^{-t} F_t^{(m)}(zeta_N), embedded in the order-8(2t+1)N field."""
+    _validate(t, m)
+    if n_root < 1:
+        raise ValueError("root order must be positive")
+    span = 8 * (2 * t + 1)
+    order = span * n_root
+    f = useries.eval_f_at_root(t, m, n_root, inverse=False)
+    # f.embed(order): zeta_N^i -> zeta_M^(i M/N)
+    deg_new, _, pows = _context(order)
+    vec = [0] * deg_new
+    for i, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        for j, p in enumerate(pows[(i * span) % order]):
+            if p:
+                vec[j] += c * p
+    return cyclo_mul(CycloNum(order, vec), CycloNum(order, pows[(-t * span) % order]))
+
+
 # ---------------------------------------------------------------------------
 # differential tests
 # ---------------------------------------------------------------------------
@@ -989,3 +1087,54 @@ def test_nested_limit_sides_match_their_oracle():
 def test_bernoulli_weights_summed_per_exponent_match_their_oracle(t, m):
     for n_root in range(1, 13):
         assert modular.bernoulli_rhs(t, m, n_root) == bernoulli_rhs(t, m, n_root), n_root
+
+
+_FIELD_ORDERS = [*range(1, 121), 448, 480]
+
+
+def _sample_polys(order: int) -> list[XLaurent]:
+    """Polynomials with exponents of both signs, past the order, and one of Fraction weights."""
+    rng = random.Random(order)
+    span = range(-2 * order, 2 * order + 1)
+    return [
+        XLaurent({e: rng.randint(-9, 9) for e in rng.sample(span, min(8, len(span)))}),
+        XLaurent({e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in rng.sample(span, 3)}),
+        XLaurent({e: 1 for e in range(order)}),
+        XLaurent({-1: 5, 3 * order + 1: -2}),
+    ]
+
+
+def _sample_elements(order: int) -> list[CycloNum]:
+    """A dense, two sparse and a one-term element of the order-M field."""
+    rng = random.Random(-order)
+    deg = cyclo._context(order)[0]
+    sparse = lambda *values: [rng.choice((0,) * 6 + values) for _ in range(deg)]
+    return [
+        CycloNum(order, [rng.randint(-30, 30) for _ in range(deg)]),
+        CycloNum(order, sparse(1, -2)),
+        CycloNum(order, sparse(Fraction(1, 2), Fraction(-4, 3))),
+        CycloNum(order, [0] * (deg - 1) + [rng.randint(1, 9)]),
+    ]
+
+
+def test_cyclo_eval_matches_its_power_table_oracle():
+    for order in _FIELD_ORDERS:
+        for p in _sample_polys(order):
+            for k in (1, -1, 3):
+                assert cyclo.cyclo_eval(p, order, k) == cyclo_eval(p, order, k), (order, p, k)
+
+
+def test_products_and_zeta_match_the_power_table_oracle():
+    for order in _FIELD_ORDERS:
+        pows = _context(order)[2]
+        for k in [*range(order), -1, -order - 5, 2 * order + 3]:
+            assert CycloNum.zeta(order, k) == CycloNum(order, pows[k % order]), (order, k)
+        elements = _sample_elements(order)
+        for a, b in zip(elements, elements[1:] + elements[:1]):
+            assert a * b == cyclo_mul(a, b), (order, a, b)
+
+
+@pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])
+def test_bernoulli_lhs_matches_its_embedding_oracle(t, m):
+    for n_root in range(1, 13):
+        assert modular.bernoulli_lhs(t, m, n_root) == bernoulli_lhs(t, m, n_root), n_root

@@ -91,7 +91,7 @@ def test_bernoulli_rhs_lives_in_subfield():
         if not ch:
             continue
         e = (k * k - 1) // span
-        direct = direct + CycloNum.zeta(n_root, e).embed(order) * (
+        direct = direct + CycloNum.zeta(order, e * span) * (
             Fraction(ch) * (Fraction(k, 4 * (2 * t + 1) * n_root) ** 2
                             - Fraction(k, 4 * (2 * t + 1) * n_root) + Fraction(1, 6))
         )
