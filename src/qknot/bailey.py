@@ -6,7 +6,8 @@ A pair carries term *generators*, not arrays: alpha(n, window) and
 beta(n, window) produce exact-or-truncated series on demand, so one pair
 serves every truncation level.  Pairs are relative to a = q^a_exp with
 a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
-denominator (q)_n via Gaussian multinomials.  Every q-Pochhammer denominator,
+denominator (q)_n via Gaussian multinomials, their chains summed on ints at
+q = 2^w (``laurent._kronecker``).  Every q-Pochhammer denominator,
 finite or infinite, is divided out factor by factor (``series._by_binomials``),
 which keeps the numerator's window, so each term is built at exactly the
 window it is asked for.  Sums whose terms share Pochhammer factors are nested
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 
 from .cyclotomic_coeffs import c_product
 from .jones import jones_left
-from .laurent import ONE, XLaurent, _chain_step, poch_q, qbinomial
+from .laurent import ONE, XLaurent, _kronecker, poch_q
 from .report import CheckReport, _timed_report, diff_qseries
 from .series import Mono, QSeries, _by_binomials, _poch
 
@@ -107,22 +108,24 @@ def _chain_poly(
     (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
     which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
     The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
-    v, from v_0 = 0; node shifts and the sign go on merged states.
+    v, from v_0 = 0; the edge into v at ``pos`` carries the node shift and
+    the sign.  Summed as a ``laurent._kronecker`` route and read back once.
     """
-
-    def edges(u: int, value: XLaurent):
-        for v in range(u, bound + 1):
-            yield v, qbinomial(v, u).shift(-u * v if pos - 1 <= coupled else 0)
-
-    states: dict = {0: ONE}
-    for pos in range(1, length + 1):
-        states = {
-            v: (-p if pos == sign_pos and v % 2 else p).shift(node_shift(pos, v))
-            for v, p in _chain_step(states, edges).items()
-        }
     fold = fold_shift or (lambda v: 0)
-    closing = lambda v, p: ((None, qbinomial(bound, v).shift(fold(v))),)
-    return _chain_step(states, closing).get(None, XLaurent())
+
+    def route(binom, one_minus, step):
+        def edges(u: int, low: int):
+            for v in range(u, bound + 1):
+                shift = node_shift(pos, v) - (u * v if pos - 1 <= coupled else 0)
+                yield v, binom(v, u), shift, pos == sign_pos and v % 2 == 1
+
+        states: dict = {0: (1, 0)}
+        for pos in range(1, length + 1):
+            states = step(states, edges)
+        closing = lambda v, low: ((None, binom(bound, v), fold(v), False),)
+        return step(states, closing).get(None, (0, 0))
+
+    return _kronecker(route)[0]
 
 
 def _q(first: int, count: int) -> list[Mono]:

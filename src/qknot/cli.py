@@ -50,6 +50,19 @@ def _need(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
+# Flags that some commands do not read; --format and --output apply to all.
+_SELECTIVE = ("t", "m", "N", "n", "trunc", "x", "hand", "inverse", "product_side", "double")
+
+
+def _reads(args, *names: str) -> None:
+    """Refuse a flag the chosen command would not read, rather than ignore it."""
+    for name in _SELECTIVE:
+        value = getattr(args, name, None)
+        if name not in names and value is not None and value is not False:
+            command = f"{args.command} {getattr(args, 'object', None) or args.what}"
+            raise UsageError(f"{command} does not read --{name.replace('_', '-')}")
+
+
 def _validate_tm(args) -> None:
     if args.t is None or args.t < 1:
         raise UsageError("--t must be a positive integer")
@@ -105,6 +118,7 @@ def _specialize(series: QSeries, args) -> QSeries:
 def _cmd_series(args) -> int:
     kind = args.object
     if kind == "U":
+        _reads(args, "t", "m", "x", "N" if args.x == "minus-qN" else "trunc")
         _validate_tm(args)
         if args.x == "minus-qN":
             # x -> -q^N terminates the expansion; evaluate the finite sum
@@ -119,6 +133,9 @@ def _cmd_series(args) -> int:
         series = _specialize(u_series(args.t, args.m, args.trunc), args)
         _emit_series(series, args)
     elif kind == "F-root":
+        _reads(args, "t", "m", "N", "inverse")
+        if args.format == "csv":
+            raise UsageError("series F-root has no csv form: use --format json or pretty")
         _validate_tm(args)
         _need(args, "m", "N")
         value = eval_f_at_root(args.t, args.m, args.N, inverse=args.inverse)
@@ -127,6 +144,7 @@ def _cmd_series(args) -> int:
         else:
             _write(to_json_text(cyclo_to_json_dict(value)), args.output)
     elif kind == "C":
+        _reads(args, "t", "m", "n")
         _validate_tm(args)
         _need(args, "m", "n")
         if args.n < 0:
@@ -134,25 +152,29 @@ def _cmd_series(args) -> int:
         poly = c_product(args.t, args.m, args.n)
         _emit_series(xlaurent_to_qseries(poly), args)
     elif kind == "jones":
+        _reads(args, "t", "N", "hand", *(["m"] if args.hand == "left" else []))
         _validate_tm(args)
         _need(args, "N")
         if args.hand == "left":
             poly = jones_left(args.t, args.m or 1, args.N)
-        elif args.hand == "right":
-            poly = jones_hyper(args.t, args.N)
-        else:
+        elif args.hand == "morton":
             poly = jones_morton(2, 2 * args.t + 1, args.N)
+        else:
+            poly = jones_hyper(args.t, args.N)
         _emit_series(xlaurent_to_qseries(poly), args)
     elif kind == "theta":
+        _reads(args, "t", "m", "trunc", "product_side")
         _validate_tm(args)
         _need(args, "m", "trunc")
         series = theta_phi(args.t, args.m, args.trunc, product_side=args.product_side)
         _emit_series(series, args)
     elif kind == "hecke":
         if args.double:
+            _reads(args, "double", "trunc", "x")
             _need(args, "trunc")
             series = hecke_u1_double(args.trunc)
         else:
+            _reads(args, "t", "m", "trunc", "x")
             _validate_tm(args)
             _need(args, "m", "trunc")
             series = hecke_u_series_x(args.t, args.m, args.trunc)
@@ -170,12 +192,14 @@ _CHECKS = [family.id for family in verify.CHECK_FAMILIES.values() if family.cli_
 def _run_family(family_id: str, args) -> list:
     family = verify.CHECK_FAMILIES[family_id]
     flagged = [p for p in family.params if p.flag]
+    _reads(args, *(p.flag for p in flagged), *(["double"] if args.what == "hecke" else []))
     _need(args, *(p.flag for p in flagged))
     check = getattr(verify, family.build.__name__)
     return [check(**{p.arg: getattr(args, p.flag) for p in flagged})]
 
 
 def _run_bailey_pairs(args) -> list:
+    _reads(args, "t", "n", "trunc")
     t = 1 if args.t is None else args.t
     nb = 8 if args.n is None else args.n
     wb = 40 if args.trunc is None else args.trunc
@@ -215,6 +239,7 @@ def _cmd_check(args) -> int:
     if args.parallelism < 1:
         raise UsageError("--parallelism must be at least 1")
     if args.what == "suite":
+        _reads(args)
         reports = _run_suite(args)
     elif args.what == "bailey":
         reports = _run_bailey_pairs(args)
@@ -248,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     sp.add_argument("--x", help="x specialization: symbolic (default), minus-one, "
                                 "minus-qN (U only, needs --N), or a rational")
-    sp.add_argument("--hand", choices=["left", "right", "morton"], default="right",
-                    help="which torus-knot invariant for 'jones'")
+    sp.add_argument("--hand", choices=["left", "right", "morton"],
+                    help="which torus-knot invariant for 'jones' (default right)")
     sp.add_argument("--inverse", action="store_true", help="evaluate F at the inverse root")
     sp.add_argument("--product-side", action="store_true",
                     help="theta: emit the triple-product side")

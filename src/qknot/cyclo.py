@@ -3,18 +3,18 @@
 Elements are rational-coefficient vectors reduced modulo the M-th
 cyclotomic polynomial, so equality is decidable coefficient-wise and every
 root-of-unity evaluation in the library is exact.  The library only
-evaluates, compares and rotates such values; ``+``, ``-`` and ``*`` remain
+evaluates, compares and conjugates such values; ``+``, ``-`` and ``*`` remain
 for the test oracles.  Every reduction, in evaluation, products, powers of
 zeta and the tables below, is one top-down pass mod Phi_M (``_reduce``), so
 a field keeps O(deg) data however large M is.
 
 The nested chain sums over Z[zeta_N] (F and U(-1) at roots of unity) skip
-``CycloNum`` altogether, as the Z[q] chains of ``laurent`` do.
-zeta -> X = 2^w is a ring map Z[zeta_N] -> Z / Phi_N(X), so every edge
-weight, node factor and sum is a plain int mod M = Phi_N(X): q^e is a shift
-and each merged state is reduced mod M once (``_root_pass``).  Gaussian
-binomials come from one N-row q-Pascal table of int vectors per N, read by
-q-Lucas; values at zeta^-1 are rotations of the same vectors.  The chain is
+``CycloNum`` altogether and run on the step of the Z[q] chains,
+``laurent._kron_step``.  zeta -> X = 2^w is a ring map Z[zeta_N] ->
+Z / Phi_N(X), so every edge weight and sum is a plain int mod M = Phi_N(X),
+q^e is a shift by w e bits, and each merged state is settled once: times
+X^(o mod N), reduced mod M (``_root_pass``).  Gaussian binomials come from one
+N-row q-Pascal table of int vectors per N, read by q-Lucas.  The chain is
 first summed on l1 norms of the reduced operands in Z[q]/(q^N - 1), which
 bound every power-basis coefficient of the result, and w is taken from that
 bound (``_root_sum``); the result is read back once as balanced base-2^w
@@ -34,7 +34,7 @@ from .laurent import (
     ExactnessError,
     Scalar,
     XLaurent,
-    _chain_step,
+    _kron_step,
     _norm,
     cyclotomic_polynomial,
 )
@@ -134,59 +134,43 @@ def _pack(vec: Sequence[int], w: int) -> int:
     return sum(c << w * j for j, c in enumerate(vec) if c)
 
 
-def _root_pass(order: int, eps: int, route, w: int) -> int:
-    """One pass of a chain over Z[zeta_order] at q = zeta^eps, on plain ints.
+def _root_pass(order: int, route, w: int) -> int:
+    """One pass of a chain over Z[zeta_order] at q = zeta, on plain ints.
 
-    ``route(binom, poch, power, step)`` builds its chain from what it is
-    handed and returns one int: ``binom(a, b)`` stands for [a choose b] and
-    ``poch(k)`` for (q)_k (k < order), ``power(v, e)`` is v q^e, and
-    ``step(states, edges, node)`` is ``laurent._chain_step`` followed by the
-    factor q^node(state) on each merged state (none when node is None).
+    ``route(binom, poch, step)`` builds its chain from what it is handed and
+    returns the final (V, o), as a ``laurent._kronecker`` route does:
+    ``binom(a, b)`` stands for [a choose b] and ``poch(k)`` for (q)_k
+    (k < order), and ``step`` is ``laurent._kron_step`` at the pass's width,
+    followed by one settle per merged state.
 
     Both passes read [a, b] by q-Lucas, C(a // N, b // N) [a mod N, b mod N],
-    from the zeta tables; at q = zeta^-1 they use [i, j] = q^{j(i-j)} [i, j]_zeta
-    and (q)_k = (-1)^k q^{k(k+1)/2} (zeta)_k.  At w = 0 every value is an l1
-    norm in Z[q]/(q^order - 1): a table entry is the norm of its reduced
-    vector, which a power of q only rotates, so q^e costs nothing.  At w > 0
-    every value is its image under zeta -> X = 2^w in Z / Phi_order(X): q^e is
-    a shift by w ((eps e) mod order) bits, and each merged state is reduced
-    mod M once.
+    from the zeta tables.  At w = 0 every value is an l1 norm in
+    Z[q]/(q^order - 1): a table entry is the norm of its reduced vector,
+    which a power of q only rotates, so offsets cost nothing and settle to 0.
+    At w > 0 every value is its image under zeta -> X = 2^w in
+    Z / Phi_order(X), where X^order = 1: the settle multiplies V by
+    X^(o mod order) and reduces it mod M once, and o becomes 0.
     """
     rows, norms, poch_vecs, poch_norms, _ = _root_tables(order)
     if w:
         m_w = _pack(_context(order)[1], w)
-        rot = lambda e: w * (eps * e % order)
-        reduce = lambda v: v % m_w
-
-        def at_eps(vec: Sequence[int], e: int, sign: int) -> int:
-            """The image of a zeta-table vector, times sign q^e when q = zeta^-1."""
-            v = _pack(vec, w)
-            return v if eps > 0 else sign * ((v << rot(e)) % m_w)
-
-        images: dict = {}
-
-        def entry(i: int, j: int) -> int:
-            if (i, j) not in images:
-                images[i, j] = at_eps(rows[i][j], j * (i - j), 1)
-            return images[i, j]
-
-        poch = lambda k: at_eps(poch_vecs[k], k * (k + 1) // 2, (-1) ** k)
+        entry = lru_cache(maxsize=None)(lambda i, j: _pack(rows[i][j], w))  # for this pass only
+        poch = lambda k: _pack(poch_vecs[k], w)
+        settle = lambda v, o: ((v << w * (o % order)) % m_w, 0)
     else:
         entry = lambda i, j: norms[i][j]
         poch = poch_norms.__getitem__
-        rot = lambda e: 0
-        reduce = lambda v: v
+        settle = lambda v, o: (v, 0)
 
     def binom(a: int, b: int) -> int:
         if b < 0 or b > a or b % order > a % order:
             return 0
         return math.comb(a // order, b // order) * entry(a % order, b % order)
 
-    def step(states, edges, node=None):
-        out = _chain_step(states, edges).items()
-        return {s: reduce(v << rot(node(s)) if node else v) for s, v in out}
+    def step(states, edges):
+        return {s: settle(*value) for s, value in _kron_step(states, edges, w).items()}
 
-    return route(binom, poch, lambda v, e: v << rot(e), step)
+    return settle(*route(binom, poch, step))[0]
 
 
 def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
@@ -216,8 +200,8 @@ def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
     return CycloNum(order, [(u >> w * j & mask) - half for j in range(deg)])
 
 
-def _root_sum(order: int, eps: int, route) -> tuple["CycloNum", int]:
-    """Sum a chain over Z[zeta_order] at q = zeta^eps and read it back once.
+def _root_sum(order: int, route) -> tuple["CycloNum", int]:
+    """Sum a chain over Z[zeta_order] at q = zeta and read it back once.
 
     zeta -> 2^w is a ring map Z[zeta] -> Z / Phi(2^w), so the route runs on
     plain ints (``_root_pass``).  The first pass sums l1 norms of reduced
@@ -228,9 +212,9 @@ def _root_sum(order: int, eps: int, route) -> tuple["CycloNum", int]:
     runs at the width w = bitlength(B) + 2, the least with B < 2^(w-2), and
     ``_root_read`` reads the result back once.  Returns it and B.
     """
-    bound = max(_root_pass(order, eps, route, 0), 1) * _root_tables(order)[4]
+    bound = max(_root_pass(order, route, 0), 1) * _root_tables(order)[4]
     w = bound.bit_length() + 2
-    return _root_read(_root_pass(order, eps, route, w), order, w, bound), bound
+    return _root_read(_root_pass(order, route, w), order, w, bound), bound
 
 
 class CycloNum:

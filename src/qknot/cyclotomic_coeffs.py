@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .laurent import XLaurent, _kronecker, _over_q_poch
+from .laurent import XLaurent, _kronecker, _over_binomials
 
 __all__ = ["CyclotomicCoeffs", "c_multisum", "c_product", "c_series"]
 
@@ -137,7 +137,7 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
     if n < 0:
         return XLaurent()
     total = _kronecker(partial(_multisum, t, m, n))[0]
-    return (-_over_q_poch(total, n + 1)).shift(n + 1 - t)
+    return (-_over_binomials(total, range(1, n + 2))).shift(n + 1 - t)
 
 
 class CyclotomicCoeffs:

@@ -1,9 +1,10 @@
 """Colored Jones polynomials of torus knots and the Habiro expansion.
 
 Quarter- and half-integer exponents arising in the closed formulas are kept
-as scaled integers; every final division (by q^{N/2} - q^{-N/2} or 1 - q^N)
-must be exact and must leave integer exponents only, otherwise the routines
-raise instead of returning silently wrong values.
+as scaled integers; every final division (by q^{N/2} - q^{-N/2} or 1 - q^N,
+one running-sum pass per binomial factor) must be exact and must leave
+integer exponents only, otherwise the routines raise instead of returning
+silently wrong values.
 
 The nested sum of jones_hyper is a ``laurent._kronecker`` route: it is summed
 level by level on l1 norms for a coefficient bound (||[a, b]||_1 = C(a, b),
@@ -19,7 +20,7 @@ import math
 from functools import partial
 from typing import Callable, Sequence
 
-from .laurent import XLaurent, _kronecker, _over_q_poch, poch_q, qbinomial
+from .laurent import XLaurent, _kronecker, _over_binomials, poch_q, qbinomial
 
 __all__ = [
     "habiro_inverse",
@@ -55,10 +56,8 @@ def jones_morton(s: int, t2: int, n_color: int) -> XLaurent:
         for e_lin, sign in ((-2 * (s + t2) * j2 + 2, 1), (-2 * (s - t2) * j2 - 2, -1)):
             e = e_sq + e_lin
             terms[e] = terms.get(e, 0) + sign
-    numerator = XLaurent(terms)
-    denominator = XLaurent({2 * n: 1, -2 * n: -1})
-    quotient = numerator.divexact(denominator)
-    return quotient.descale(4)
+    # q^{2N} - q^{-2N} = -q^{-2N} (1 - q^{4N}) at scale 4
+    return (-_over_binomials(XLaurent(terms), [4 * n])).shift(2 * n).descale(4)
 
 
 def _jones_chain(t: int, n: int, binom, one_minus, step):
@@ -115,10 +114,7 @@ def jones_left(t: int, m: int, n_color: int) -> XLaurent:
         e = pre - (2 * t + 1) * k * (k + 1) + 2 * m * k
         sign = sign_n * (-1 if k % 2 else 1)
         terms[e] = terms.get(e, 0) + sign
-    numerator = XLaurent(terms)
-    denominator = XLaurent({0: 1, 2 * n: -1})  # 1 - q^N at scale 2
-    quotient = numerator.divexact(denominator)
-    return quotient.descale(2)
+    return _over_binomials(XLaurent(terms), [2 * n]).descale(2)  # 1 - q^N at scale 2
 
 
 def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]", n_color: int) -> XLaurent:
@@ -156,5 +152,5 @@ def habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLaurent:
         if ell % 2:
             piece = -piece
         total = total + piece
-    quotient = _over_q_poch(total, 2 * n + 2)
+    quotient = _over_binomials(total, range(1, 2 * n + 3))
     return (-quotient).shift(n + 1)

@@ -23,7 +23,9 @@ on l1 norms, which bound every coefficient of its result, and ``_width``
 leaves a sign bit above that bound; the result's coefficients are
 then the unique balanced base-2^w digits of its image (``_read_back``), which
 raises on a slot too narrow for the bound.  ``qbinomial`` is read back the
-same way under the bound C(n, k).
+same way under the bound C(n, k).  ``_kron_step`` is the library's only chain
+step; ``cyclo`` runs the root-of-unity chains on it in Z / Phi_N(2^w).  Exact
+division by binomial factors 1 - q^d is one pass per factor (``_over_binomials``).
 """
 
 from __future__ import annotations
@@ -116,9 +118,6 @@ class XLaurent:
     def items(self) -> list[tuple[int, Scalar]]:
         """Coefficients as (exponent, value) pairs, ascending."""
         return sorted(self.coeffs.items())
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     def has_integer_coeffs(self) -> bool:
         return all(
@@ -215,7 +214,7 @@ class XLaurent:
 
     def __pow__(self, n: int) -> "XLaurent":
         if n < 0:
-            raise ValueError("negative powers require division; use divexact")
+            raise ValueError("negative powers require division; use _over_binomials")
         out = ONE
         base = self
         while n:
@@ -258,43 +257,6 @@ class XLaurent:
         for e, c in self.coeffs.items():
             total += c * (Fraction(value) ** e)
         return _norm(Fraction(total))
-
-    # -- division -----------------------------------------------------------
-
-    def divexact(self, other: "XLaurent") -> "XLaurent":
-        """Exact quotient self/other; raises ExactnessError on a remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return XLaurent()
-        amin, bmin = self.min_exp(), other.min_exp()
-        adeg = self.max_exp() - amin
-        bdeg = other.max_exp() - bmin
-        if adeg < bdeg:
-            raise ExactnessError("quotient would not be a Laurent polynomial")
-        rem = [0] * (adeg + 1)
-        for e, c in self.coeffs.items():
-            rem[e - amin] = c
-        div = [(e - bmin, c) for e, c in other.coeffs.items()]
-        lead = other.coeffs[other.max_exp()]
-        quot: dict[int, Scalar] = {}
-        for i in range(adeg - bdeg, -1, -1):
-            c = rem[i + bdeg]
-            if not c:
-                continue
-            if isinstance(c, int) and isinstance(lead, int) and c % lead == 0:
-                qc: Scalar = c // lead
-            else:
-                qc = _norm(Fraction(c) / Fraction(lead))
-            quot[i] = qc
-            for de, dc in div:
-                rem[i + de] -= qc * dc
-        if any(rem):
-            raise ExactnessError("inexact polynomial division")
-        offset = amin - bmin
-        res = XLaurent.__new__(XLaurent)
-        res.coeffs = {e + offset: c for e, c in quot.items() if c}
-        return res
 
 
 _Rows = Mapping[int, Mapping[int, Scalar]]
@@ -409,19 +371,6 @@ def qbinomial(n: int, k: int) -> XLaurent:
     return _kronecker(lambda binom, one_minus, step: (binom(n, k), 0))[0]
 
 
-def _chain_step(states: dict, edges) -> dict:
-    """One transfer-matrix step of a chain sum over k_1 <= ... <= k_t: with
-    ``edges(state, value)`` yielding ``(next_state, weight)`` pairs, return
-    ``{next_state: sum of value * weight}`` over any ring with ``*`` and
-    ``+``.  Callers define ``edges`` inside their level loop, which it reads."""
-    out: dict = {}
-    for state, value in states.items():
-        for nxt, weight in edges(state, value):
-            p = value * weight
-            out[nxt] = out[nxt] + p if nxt in out else p
-    return out
-
-
 # -- chain sums at q = 2^w ---------------------------------------------------
 
 
@@ -481,14 +430,17 @@ def _binom_image(n: int, k: int, w: int) -> int:
 
 
 def _kron_step(states: dict, edges, w: int) -> dict:
-    """One chain step on values (V, o) that stand for q^o P(q) with V = P(2^w).
+    """One chain step on values (V, o) that stand for q^o P(q), V the image of
+    P at q -> X = 2^w: in Z for a chain over Z[q^+-1], in Z / Phi_N(X) for one
+    over Z[zeta_N] (``cyclo._root_pass``).
 
     ``edges(state, o)`` yields ``(next_state, weight, shift, negate)``: the
     value times the int ``weight`` times q^shift, negated when asked, is added
-    into ``next_state``; offsets are aligned by shifting the higher one up.
-    At w = 0 the same step sums l1 norms: shifts cost nothing and signs are
-    dropped.  Zero weights are skipped, so a state's offset is the least
-    offset over the terms that reach it.
+    into ``next_state``; offsets are aligned by shifting the higher one up,
+    which is multiplication by a power of X in either image.  At w = 0 the
+    same step sums l1 norms: shifts cost nothing and signs are dropped.  Zero
+    weights are skipped, so a state's offset is the least offset over the
+    terms that reach it.
     """
     out: dict = {}
     for state, (v, o) in states.items():
@@ -501,7 +453,10 @@ def _kron_step(states: dict, edges, w: int) -> dict:
                 out[nxt] = (p, e)
                 continue
             u, f = out[nxt]
-            out[nxt] = (u + (p << (e - f) * w), f) if e >= f else ((u << (f - e) * w) + p, e)
+            if e == f:  # the common case; p << 0 would copy p
+                out[nxt] = (u + p, f)
+            else:
+                out[nxt] = (u + (p << (e - f) * w), f) if e > f else ((u << (f - e) * w) + p, e)
     return out
 
 
@@ -535,11 +490,11 @@ def _kronecker(route) -> tuple[XLaurent, int]:
     return _read_back(v, o, w, bound), bound
 
 
-def _over_q_poch(p: XLaurent, count: int) -> XLaurent:
-    """Exact quotient p / (q)_count, one factor 1 - q^i at a time.
+def _over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
+    """Exact quotient p / prod_{d in ds} (1 - q^d), one factor at a time.
 
-    Dividing by 1 - q^i is the running sum a_j += a_{j-i}, taken a block of
-    i entries at a time.  The quotient ends i below the top, so the last i
+    Dividing by 1 - q^d is the running sum a_j += a_{j-d}, taken a block of
+    d entries at a time.  The quotient ends d below the top, so the last d
     sums must vanish; otherwise ExactnessError is raised.
     """
     if not p.coeffs:
@@ -548,27 +503,46 @@ def _over_q_poch(p: XLaurent, count: int) -> XLaurent:
     a = [0] * (p.max_exp() - lo + 1)
     for e, c in p.coeffs.items():
         a[e - lo] = c
-    for i in range(1, count + 1):
-        for j in range(i, len(a), i):
-            a[j : j + i] = map(operator.add, a[j : j + i], a[j - i : j])
-        if any(a[-i:]):
-            raise ExactnessError(f"not divisible by 1 - q^{i}")
-        del a[-i:]
+    for d in ds:
+        for j in range(d, len(a), d):
+            a[j : j + d] = map(operator.add, a[j : j + d], a[j - d : j])
+        if any(a[-d:]):
+            raise ExactnessError(f"not divisible by 1 - q^{d}")
+        del a[-d:]
     res = XLaurent.__new__(XLaurent)
     res.coeffs = {lo + j: c for j, c in enumerate(a) if c}
     return res
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> XLaurent:
-    """The cyclotomic polynomial of the given order, with integer coefficients."""
+    """The cyclotomic polynomial of the given order, with integer coefficients:
+    prod_{d | order} (1 - q^d)^mu(order / d), negated at order 1."""
     if order < 1:
         raise ValueError("order must be positive")
-    poly = XLaurent({order: 1, 0: -1})
-    for d in range(1, order):
+    num, ds = ONE, []
+    for d in range(1, order + 1):
         if order % d == 0:
-            poly = poly.divexact(cyclotomic_polynomial(d))
-    return poly
+            mu = _mobius(order // d)
+            if mu == 1:
+                num = num - num.shift(d)
+            elif mu == -1:
+                ds.append(d)
+    phi = _over_binomials(num, ds)
+    return -phi if order == 1 else phi
 
 
 def bernoulli_b2(u: Scalar) -> Fraction:

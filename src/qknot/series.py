@@ -287,7 +287,7 @@ class QSeries:
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
-            raise ValueError("negative powers need a window: use invert(trunc)")
+            raise ValueError("negative powers need a window: use _by_binomials(..., trunc=...)")
         out = QSeries.one(self.scale)
         for _ in range(n):
             out = out * self
@@ -310,10 +310,6 @@ class QSeries:
             out[e] = XLaurent({d: (v if d % 2 == 0 else -v) for d, v in c.coeffs.items()})
         return QSeries(out, self.scale, self.trunc)
 
-    def swap_x(self) -> "QSeries":
-        """Substitute x -> 1/x."""
-        return QSeries({e: c.mirror() for e, c in self.terms.items()}, self.scale, self.trunc)
-
     def substitute_x(self, value: Scalar) -> "QSeries":
         """Evaluate the x-Laurent coefficients at a nonzero rational."""
         return QSeries(
@@ -321,55 +317,6 @@ class QSeries:
             self.scale,
             self.trunc,
         )
-
-    # -- inversion ----------------------------------------------------------
-
-    def invert(self, trunc: int | None = None) -> "QSeries":
-        """Multiplicative inverse; the lowest term must be a monomial in x.
-
-        For a truncated input the result window is trunc(self) - 2e where e is
-        the valuation; an explicit trunc tightens (and is required for exact
-        non-monomial input, where no finite computation yields all of 1/s).
-        """
-        if not self.terms:
-            raise ZeroDivisionError("cannot invert a series with no visible terms")
-        e0 = self.min_exp()
-        low = self.terms[e0]
-        if not low.is_monomial():
-            raise ExactnessError("lowest coefficient is not a single monomial in x")
-        (x0, c0), = low.coeffs.items()
-        inv0 = Mono(1, 0, 0).divide(Mono(c0, x0, e0))
-        if len(self.terms) == 1 and self.is_exact():
-            return QSeries.from_mono(inv0, self.scale, trunc)
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc - 2 * e0)
-        if trunc is not None:
-            cands.append(trunc)
-        if not cands:
-            raise WindowError("inverting an exact series needs an explicit window")
-        w = min(cands)
-        w_core = w + e0
-        # normalized = 1 + (positive-valuation tail); invert by the standard
-        # convolution recurrence t_m = -sum_{k>=1} s_k t_{m-k}
-        normalized = self.mul_mono(inv0).with_trunc(w_core)
-        tail = sorted(
-            (e, c) for e, c in normalized.terms.items() if e > 0
-        )
-        inverse: dict[int, XLaurent] = {0: XLaurent.const(1)}
-        for m in range(1, max(w_core, 0)):
-            acc: XLaurent | None = None
-            for e, c in tail:
-                if e > m:
-                    break
-                prev = inverse.get(m - e)
-                if prev is None:
-                    continue
-                piece = c * prev
-                acc = piece if acc is None else acc + piece
-            if acc is not None and not acc.is_zero():
-                inverse[m] = -acc
-        return QSeries(inverse, self.scale, w_core).mul_mono(inv0)
 
     # -- comparison ---------------------------------------------------------
 

@@ -6,17 +6,19 @@ many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
 it collapses to a finite sum evaluated directly in the field.  Both field
 values are routes of ``cyclo._root_sum``: their nested chains run on plain
-ints in the image of Z[zeta_N] at zeta = 2^w (``laurent._chain_step`` on
-ints, reduced mod Phi_N(2^w) once per merged state) and are read back once,
-under a proven bound.  Their Gaussian binomials at q = zeta_N^{+-1} come by
-the q-Lucas theorem [a choose b] = C(a // N, b // N) [a mod N choose b mod N]
-from one N-row table per N, shared by both directions.
+ints in the image of Z[zeta_N] at zeta = 2^w (``laurent._kron_step``, each
+merged state reduced mod Phi_N(2^w) once) and are read back once, under a
+proven bound.  Their Gaussian binomials at q = zeta_N come by the q-Lucas
+theorem [a choose b] = C(a // N, b // N) [a mod N choose b mod N] from one
+N-row table per N.  F's finite sum has integer coefficients, so F at
+zeta_N^-1 is the Galois conjugate of F at zeta_N (zeta -> zeta^-1).
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloNum, _root_sum
+from .cyclo import CycloNum, _root_sum, cyclo_eval
 from .cyclotomic_coeffs import _validate, c_series
+from .laurent import XLaurent
 from .series import Mono, QSeries, _by_binomials
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
@@ -27,26 +29,27 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
 
     The nested sum truncates at k_t <= N-1 because (q)_{k_t} vanishes at an
     N-th root of unity from k_t = N onward.  The chain is summed from the
-    top: the state is k_i, the head (q)_{k_t}, the edge weight
-    [k_{i+1} + [i = m-1] choose k_i] and the node factor
-    q^{k_i^2 + [i >= m] k_i}, all at q = zeta^{+-1} in ``cyclo._root_sum``.
+    top: the state is k_i, the head (q)_{k_t}, and the edge into k_i carries
+    [k_{i+1} + [i = m-1] choose k_i] and q^{k_i^2 + [i >= m] k_i}, all at
+    q = zeta in ``cyclo._root_sum``.  The value at zeta^-1 is its conjugate.
     """
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     order = n_root
 
-    def route(binom, poch, power, step):
-        def edges(k_next: int, acc: int):
+    def route(binom, poch, step):
+        def edges(k_next: int, low: int):
             hi = k_next + (1 if i == m - 1 else 0)
-            return ((k, b) for k in range(hi + 1) if (b := binom(hi, k)))
+            return ((k, binom(hi, k), k * k + (k if i >= m else 0), False) for k in range(hi + 1))
 
-        states = {k: poch(k) for k in range(order)}
+        states = {k: (poch(k), 0) for k in range(order)}
         for i in range(t - 1, 0, -1):
-            states = step(states, edges, lambda k: k * k + (k if i >= m else 0))
-        return power(sum(states.values()), t)
+            states = step(states, edges)
+        return step(states, lambda k, low: ((None, 1, t, False),)).get(None, (0, 0))
 
-    return _root_sum(order, -1 if inverse else 1, route)[0]
+    value = _root_sum(order, route)[0]
+    return cyclo_eval(XLaurent(enumerate(value.coeffs)), order, -1) if inverse else value
 
 
 def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
@@ -56,7 +59,7 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     once k_t - 1 >= N, so the nested sum is finite (k_t <= N).  Below the
     top the chain has the product form's states (k_i, p_i) and binomials
     (tops up to about (2t+1)N, read by q-Lucas from the N-row table), with
-    q^{k_i^2} per merged state; the top keeps k_t alone and closes with
+    q^{k_i^2} on each edge into k_i; the top keeps k_t alone and closes with
     (q)_{k_t-1}^2 q^{k_t-t}, all at q = zeta in ``cyclo._root_sum``.
     """
     _validate(t, m)
@@ -64,19 +67,20 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
         raise ValueError("root order must be positive")
     order = n_root
 
-    def route(binom, poch, power, step):
-        def edges(state: tuple[int, int], acc: int):
+    def route(binom, poch, step):
+        def edges(state: tuple[int, int], low: int):
             k, pref = state
             for k2 in range(max(k, 1) if i + 1 == m else k, order + 1):
-                if b := binom(k2 - k - i + pref, k2 - k):
-                    yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0) if i < t - 1 else None), b
+                nxt = (k2, pref + 2 * k2 + (1 if m > i + 1 else 0) if i < t - 1 else None)
+                yield nxt, binom(k2 - k - i + pref, k2 - k), k2 * k2 if i < t - 1 else 0, False
 
-        states: dict = {(0, 0): 1}
+        states: dict = {(0, 0): (1, 0)}
         for i in range(t):
-            states = step(states, edges, (lambda s: s[0] * s[0]) if i < t - 1 else None)
-        return sum(power(acc * poch(k - 1) * poch(k - 1), k - t) for (k, _), acc in states.items())
+            states = step(states, edges)
+        closing = lambda s, low: ((None, poch(s[0] - 1) * poch(s[0] - 1), s[0] - t, False),)
+        return step(states, closing).get(None, (0, 0))
 
-    return _root_sum(order, 1, route)[0]
+    return _root_sum(order, route)[0]
 
 
 def u_series(t: int, m: int, trunc: int) -> QSeries:

@@ -1,0 +1,107 @@
+"""Kernel operations that only the tests use, kept as reference oracles.
+
+``invert`` (with ``is_monomial``) is the recurrence inversion of a series
+that ``series._by_binomials`` replaced for every Pochhammer quotient, and
+``divexact`` the long division of Laurent polynomials that
+``laurent._over_binomials`` replaced; ``swap_x`` substitutes x -> 1/x.  They
+are the former ``QSeries`` and ``XLaurent`` methods, verbatim but for taking
+the series or polynomial as their first argument.
+"""
+
+from fractions import Fraction
+
+from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm
+from qknot.series import Mono, QSeries, WindowError
+
+
+def is_monomial(p: XLaurent) -> bool:
+    return len(p.coeffs) == 1
+
+
+def divexact(self: XLaurent, other: XLaurent) -> XLaurent:
+    """Exact quotient self/other; raises ExactnessError on a remainder."""
+    if other.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if self.is_zero():
+        return XLaurent()
+    amin, bmin = self.min_exp(), other.min_exp()
+    adeg = self.max_exp() - amin
+    bdeg = other.max_exp() - bmin
+    if adeg < bdeg:
+        raise ExactnessError("quotient would not be a Laurent polynomial")
+    rem = [0] * (adeg + 1)
+    for e, c in self.coeffs.items():
+        rem[e - amin] = c
+    div = [(e - bmin, c) for e, c in other.coeffs.items()]
+    lead = other.coeffs[other.max_exp()]
+    quot: dict[int, Scalar] = {}
+    for i in range(adeg - bdeg, -1, -1):
+        c = rem[i + bdeg]
+        if not c:
+            continue
+        if isinstance(c, int) and isinstance(lead, int) and c % lead == 0:
+            qc: Scalar = c // lead
+        else:
+            qc = _norm(Fraction(c) / Fraction(lead))
+        quot[i] = qc
+        for de, dc in div:
+            rem[i + de] -= qc * dc
+    if any(rem):
+        raise ExactnessError("inexact polynomial division")
+    offset = amin - bmin
+    res = XLaurent.__new__(XLaurent)
+    res.coeffs = {e + offset: c for e, c in quot.items() if c}
+    return res
+
+
+def swap_x(self: QSeries) -> QSeries:
+    """Substitute x -> 1/x."""
+    return QSeries({e: c.mirror() for e, c in self.terms.items()}, self.scale, self.trunc)
+
+
+def invert(self: QSeries, trunc: int | None = None) -> QSeries:
+    """Multiplicative inverse; the lowest term must be a monomial in x.
+
+    For a truncated input the result window is trunc(self) - 2e where e is
+    the valuation; an explicit trunc tightens (and is required for exact
+    non-monomial input, where no finite computation yields all of 1/s).
+    """
+    if not self.terms:
+        raise ZeroDivisionError("cannot invert a series with no visible terms")
+    e0 = self.min_exp()
+    low = self.terms[e0]
+    if not is_monomial(low):
+        raise ExactnessError("lowest coefficient is not a single monomial in x")
+    (x0, c0), = low.coeffs.items()
+    inv0 = Mono(1, 0, 0).divide(Mono(c0, x0, e0))
+    if len(self.terms) == 1 and self.is_exact():
+        return QSeries.from_mono(inv0, self.scale, trunc)
+    cands = []
+    if self.trunc is not None:
+        cands.append(self.trunc - 2 * e0)
+    if trunc is not None:
+        cands.append(trunc)
+    if not cands:
+        raise WindowError("inverting an exact series needs an explicit window")
+    w = min(cands)
+    w_core = w + e0
+    # normalized = 1 + (positive-valuation tail); invert by the standard
+    # convolution recurrence t_m = -sum_{k>=1} s_k t_{m-k}
+    normalized = self.mul_mono(inv0).with_trunc(w_core)
+    tail = sorted(
+        (e, c) for e, c in normalized.terms.items() if e > 0
+    )
+    inverse: dict[int, XLaurent] = {0: XLaurent.const(1)}
+    for m in range(1, max(w_core, 0)):
+        acc: XLaurent | None = None
+        for e, c in tail:
+            if e > m:
+                break
+            prev = inverse.get(m - e)
+            if prev is None:
+                continue
+            piece = c * prev
+            acc = piece if acc is None else acc + piece
+        if acc is not None and not acc.is_zero():
+            inverse[m] = -acc
+    return QSeries(inverse, self.scale, w_core).mul_mono(inv0)

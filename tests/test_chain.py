@@ -3,16 +3,18 @@
 Each function below is a verbatim copy of an implementation that walked one of
 the library's nested chains k_1 <= ... <= k_t on its own (four exponential
 recursions and two hand-rolled dynamic programs).  They serve as reference
-oracles: every rewrite on ``laurent._chain_step`` must reproduce them exactly.
-The one change is that the oracle ``c_multisum`` is not cached.  The root-of-
-unity oracles multiply ``CycloNum``s and read their Gaussian binomials from
-the full q-Pascal table (``_field_poch``, ``_field_qbinomials`` and
-``_binom_at``, also verbatim); the library now sums those chains on plain
-ints in Z / Phi_N(2^w) (``cyclo._root_sum``) and must reproduce them exactly.
+oracles: the library's one chain step, ``laurent._kron_step``, must reproduce
+them exactly.  The one change is that the oracle ``c_multisum`` is not cached.
+The root-of-unity oracles multiply ``CycloNum``s and read their Gaussian
+binomials from the full q-Pascal table at zeta^(+-1) (``_field_poch``,
+``_field_qbinomials`` and ``_binom_at``, also verbatim); the library now sums
+those chains on plain ints in Z / Phi_N(2^w) (``cyclo._root_sum``), at zeta
+only, conjugates for zeta^-1, and must reproduce them exactly.
 
 The ``*_chain`` oracles are the ``XLaurent`` bodies of ``_c_sum``,
-``c_multisum`` and ``jones_hyper`` on ``laurent._chain_step``, verbatim but for
-their names and the dropped cache.  The library now sums these chains on plain
+``c_multisum``, ``jones_hyper`` and ``bailey._chain_poly`` on the former
+generic step ``_chain_step``, which is kept below, all verbatim but for their
+names and the dropped cache.  The library now sums these chains on plain
 ints at q = 2^w (``laurent._kronecker``) and must reproduce them exactly.
 
 ``u_series``, ``_first_failure``, ``bailey_step`` and ``_limit_sides`` are
@@ -46,12 +48,13 @@ from qknot.bailey import (
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate, c_series
 from qknot.laurent import (
-    ONE, ExactnessError, XLaurent, _chain_step, bernoulli_b2, cyclotomic_polynomial, poch_q,
-    qbinomial,
+    ONE, ExactnessError, XLaurent, bernoulli_b2, cyclotomic_polynomial, poch_q, qbinomial,
 )
 from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
+
+from kernel_oracles import divexact
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -161,7 +164,7 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
     for (v, _), poly in states.items():
         total = total + poly * qbinomial(bound, v)
 
-    quot = total.divexact(poch_q(1, bound))
+    quot = divexact(total, poch_q(1, bound))
     out = (-quot).shift(bound - t)
     if not out.has_integer_coeffs():
         raise ExactnessError(
@@ -343,6 +346,49 @@ def _chain_poly(
     return total
 
 
+def _chain_step(states: dict, edges) -> dict:
+    """One transfer-matrix step of a chain sum over k_1 <= ... <= k_t: with
+    ``edges(state, value)`` yielding ``(next_state, weight)`` pairs, return
+    ``{next_state: sum of value * weight}`` over any ring with ``*`` and
+    ``+``.  Callers define ``edges`` inside their level loop, which it reads."""
+    out: dict = {}
+    for state, value in states.items():
+        for nxt, weight in edges(state, value):
+            p = value * weight
+            out[nxt] = out[nxt] + p if nxt in out else p
+    return out
+
+
+def _chain_poly_chain(
+    length: int,
+    bound: int,
+    node_shift: Callable[[int, int], int],
+    coupled: int,
+    sign_pos: int | None = None,
+    fold_shift: Callable[[int], int] | None = None,
+) -> XLaurent:
+    """sum over chains v_1 <= ... <= v_length <= bound of
+    (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
+    which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
+    The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
+    v, from v_0 = 0; node shifts and the sign go on merged states.
+    """
+
+    def edges(u: int, value: XLaurent):
+        for v in range(u, bound + 1):
+            yield v, qbinomial(v, u).shift(-u * v if pos - 1 <= coupled else 0)
+
+    states: dict = {0: ONE}
+    for pos in range(1, length + 1):
+        states = {
+            v: (-p if pos == sign_pos and v % 2 else p).shift(node_shift(pos, v))
+            for v, p in _chain_step(states, edges).items()
+        }
+    fold = fold_shift or (lambda v: 0)
+    closing = lambda v, p: ((None, qbinomial(bound, v).shift(fold(v))),)
+    return _chain_step(states, closing).get(None, XLaurent())
+
+
 def _c_sum_chain(t: int, m: int, n: int, cutoff: int | None) -> XLaurent:
     """The inner sum of the product form (no q^{n+1-t} prefactor applied).
 
@@ -416,7 +462,7 @@ def c_multisum_chain(t: int, m: int, n: int) -> XLaurent:
     closing = lambda s, p: ((None, qbinomial(bound, s[0])),)
     total = _chain_step(states, closing).get(None, XLaurent())
 
-    quot = total.divexact(poch_q(1, bound))
+    quot = divexact(total, poch_q(1, bound))
     out = (-quot).shift(bound - t)
     if not out.has_integer_coeffs():
         raise ExactnessError(
@@ -723,16 +769,24 @@ def bernoulli_lhs(t: int, m: int, n_root: int) -> CycloNum:
 _TM = [(t, m) for t in range(1, 5) for m in range(1, t + 1)]
 
 
-def test_chain_step_merges_states_and_sums_weights():
-    states = {"a": 2, "b": 3}
-
-    def edges(state, value):
-        yield "x", 10
+def test_kron_step_merges_states_and_aligns_offsets():
+    # a = 1 + q and b = 3 q^-1: l1 norms at w = 0, images at X = 2^8 at w = 8
+    def edges(state, low):
+        yield "x", 10, 1, False  # a and b reach x at the offsets 1 and 0
         if state == "b":
-            yield "y", value
+            yield "y", 5, -2, True  # a negative shift and a negated edge
+            yield "y", 7, -2, False  # at the same offset as the edge before
+        yield "z", 0, 5, False  # zero weights are skipped
 
-    assert _chain_step(states, edges) == {"x": 50, "y": 9}
-    assert _chain_step({}, edges) == {}
+    norms, images = {"x": (50, 0), "y": (36, -3)}, {"x": (657950, 0), "y": (6, -3)}
+    for w, a, want in ((0, 2, norms), (8, 257, images)):
+        # both orders, so the higher offset is met first and second
+        assert laurent._kron_step({"a": (a, 0), "b": (3, -1)}, edges, w) == want, w
+        assert laurent._kron_step({"b": (3, -1), "a": (a, 0)}, edges, w) == want, w
+        assert laurent._kron_step({}, edges, w) == {}
+    # 10 q (1 + q) + 30 and -15 q^-3 + 21 q^-3, under their l1 bounds
+    assert laurent._read_back(657950, 0, 8, 50) == XLaurent({0: 30, 1: 10, 2: 10})
+    assert laurent._read_back(6, -3, 8, 36) == XLaurent({-3: 6})
 
 
 @pytest.mark.parametrize("t, m", _TM)
@@ -770,26 +824,33 @@ def test_root_values_match_their_oracles(t, m):
         assert useries.u_eval_at_root(t, m, n_root) == u_eval_at_root(t, m, n_root), n_root
 
 
-def _root_value(order: int, eps: int, pick) -> CycloNum:
-    """One binomial or Pochhammer at zeta^eps, as a one-factor route of the engine."""
-    return cyclo._root_sum(order, eps, lambda binom, poch, power, step: pick(binom, poch))[0]
+def _root_value(order: int, pick) -> CycloNum:
+    """One binomial or Pochhammer at zeta, as a one-factor route of the engine."""
+    return cyclo._root_sum(order, lambda binom, poch, step: (pick(binom, poch), 0))[0]
+
+
+def _conjugate(value: CycloNum) -> CycloNum:
+    """The image of a field element under zeta -> zeta^-1."""
+    return cyclo.cyclo_eval(XLaurent(enumerate(value.coeffs)), value.order, -1)
 
 
 @pytest.mark.parametrize("order", range(1, 17))
 def test_q_lucas_binomials_match_q_pascal(order):
-    # eps = -1 reads the zeta table through [a, b] at zeta^-1 = zeta^{-b(a-b)} [a, b] at zeta
+    # the conjugate of each value at zeta is checked against the table at zeta^-1
     max_top = 7 * (order + 1) + 3  # the longest table the oracle builds, at t = 3
-    for eps in (1, -1):
-        table = _field_qbinomials(order, eps, max_top)
-        for a in range(max_top + 1):
-            for b in range(a + 1):
-                assert _root_value(order, eps, lambda binom, _: binom(a, b)) == table[a][b], (eps, a, b)
-        zero = CycloNum.zero(order)
-        for a, b in ((-1, 0), (-3, -1), (5, -1), (0, -2), (0, 1), (4, 5), (2, 3 * order)):
-            new = _root_value(order, eps, lambda binom, _: binom(a, b))
-            assert new == zero == _binom_at(table, order, a, b), (eps, a, b)
-        for k, old in enumerate(_field_poch(order, eps, order - 1)):
-            assert _root_value(order, eps, lambda _, poch: poch(k)) == old, (eps, k)
+    tables = {eps: _field_qbinomials(order, eps, max_top) for eps in (1, -1)}
+    for a in range(max_top + 1):
+        for b in range(a + 1):
+            new = _root_value(order, lambda binom, _: binom(a, b))
+            assert new == tables[1][a][b] and _conjugate(new) == tables[-1][a][b], (a, b)
+    zero = CycloNum.zero(order)
+    for a, b in ((-1, 0), (-3, -1), (5, -1), (0, -2), (0, 1), (4, 5), (2, 3 * order)):
+        new = _root_value(order, lambda binom, _: binom(a, b))
+        assert new == zero == _binom_at(tables[1], order, a, b), (a, b)
+    pochs = zip(_field_poch(order, 1, order - 1), _field_poch(order, -1, order - 1))
+    for k, (old, old_inverse) in enumerate(pochs):
+        new = _root_value(order, lambda _, poch: poch(k))
+        assert new == old and _conjugate(new) == old_inverse, k
 
 
 def test_root_values_read_at_most_n_pascal_rows(monkeypatch):
@@ -831,9 +892,9 @@ def _root_sums(monkeypatch) -> list:
     seen = []
     real = cyclo._root_sum
 
-    def spy(order, eps, route):
-        out = real(order, eps, route)
-        seen.append((order, eps, route, *out))
+    def spy(order, route):
+        out = real(order, route)
+        seen.append((order, route, *out))
         return out
 
     monkeypatch.setattr(useries, "_root_sum", spy)
@@ -848,18 +909,18 @@ def _root_sums(monkeypatch) -> list:
 def test_root_bound_covers_every_decoded_coefficient(monkeypatch):
     seen = _root_sums(monkeypatch)
     assert len(seen) == len(_ROOT_GRID)
-    for order, eps, _, value, bound in seen:
-        assert max(map(abs, value.coeffs)) <= bound, (order, eps)
+    for order, _, value, bound in seen:
+        assert max(map(abs, value.coeffs)) <= bound, order
 
 
 def test_root_bound_covers_every_power_of_zeta():
     # c_N = 1 below N = 105; a zeta power there has a coefficient 2, over its l1 norm 1
     for order in (12, 105):
-        for eps in (1, -1):
-            for k in range(order):
-                value, bound = cyclo._root_sum(order, eps, lambda b, p, power, s: power(1, k))
-                assert value == CycloNum.zeta(order, eps * k), (order, eps, k)
-                assert max(map(abs, value.coeffs)) <= bound, (order, eps, k)
+        for k in range(-order, order):  # q^k as the shift of a one-edge step, of either sign
+            edges = lambda state, low: ((None, 1, k, False),)
+            value, bound = cyclo._root_sum(order, lambda b, p, step: step({0: (1, 0)}, edges)[None])
+            assert value == CycloNum.zeta(order, k), (order, k)
+            assert max(map(abs, value.coeffs)) <= bound, (order, k)
     assert max(max(map(abs, CycloNum.zeta(105, k).coeffs)) for k in range(105)) == 2
 
 
@@ -885,13 +946,13 @@ def test_a_narrow_root_slot_is_rejected_not_wrapped(monkeypatch):
     monkeypatch.setattr(useries, "_root_sum", lambda *args: seen.append(args) or real(*args))
     values = [
         useries.u_eval_at_root(3, 2, 24),
-        useries.eval_f_at_root(3, 1, 24, inverse=True),
+        useries.eval_f_at_root(3, 1, 24),
         useries.eval_f_at_root(4, 2, 24),
     ]
-    for true, (order, eps, route) in zip(values, seen, strict=True):
+    for true, (order, route) in zip(values, seen, strict=True):
         assert max(map(abs, true.coeffs)) >= 1 << 7
-        r = cyclo._root_pass(order, eps, route, 8)
-        bound = max(cyclo._root_pass(order, eps, route, 0), 1) * cyclo._root_tables(order)[4]
+        r = cyclo._root_pass(order, route, 8)
+        bound = max(cyclo._root_pass(order, route, 0), 1) * cyclo._root_tables(order)[4]
         with pytest.raises(ExactnessError, match="8-bit slots"):
             cyclo._root_read(r, order, 8, bound)
         # without the guard, the 8-bit image would read back as a wrong value
@@ -914,6 +975,7 @@ def old_chain_poly(monkeypatch):
 
 
 def _bailey_chains():
+    bailey._lovejoy_s.cache_clear()  # the closed betas read it, so that each run computes them
     lovejoy = {
         (t, ell, n): bailey._lovejoy_s.__wrapped__(t, ell, n)
         for t in range(1, 5) for ell in range(t) for n in range(7)
@@ -929,14 +991,23 @@ def _bailey_chains():
     return lovejoy, star, closed
 
 
-def test_bailey_chain_betas_match_the_oracle(request):
-    new = _bailey_chains()
-    request.getfixturevalue("old_chain_poly")
-    old = _bailey_chains()
-    for new_family, old_family in zip(new, old):
+def _assert_same_chains(new, old):
+    for new_family, old_family in zip(new, old, strict=True):
         assert new_family.keys() == old_family.keys()
         for key, value in new_family.items():
             assert value == old_family[key], key
+
+
+def test_bailey_chain_betas_match_the_oracle(request):
+    new = _bailey_chains()
+    request.getfixturevalue("old_chain_poly")
+    _assert_same_chains(new, _bailey_chains())
+
+
+def test_bailey_chain_betas_match_their_chain_oracle(monkeypatch):
+    new = _bailey_chains()
+    monkeypatch.setattr(bailey, "_chain_poly", _chain_poly_chain)
+    _assert_same_chains(new, _bailey_chains())
 
 
 @pytest.mark.parametrize("t, m", _TM)

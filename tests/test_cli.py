@@ -261,3 +261,40 @@ def test_x_division_by_zero_is_an_unreadable_specialization(capsys):
     code, out, err = run(capsys, "series", "U", "--t", "1", "--m", "1", "--trunc", "3", "--x", "1/0")
     assert code == 2 and out == ""
     assert "cannot read x specialization '1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("series F-root --t 1 --m 1 --N 3 --format csv", "--format"),
+        ("series F-root --t 1 --m 1 --N 3 --x 2", "--x"),
+        ("series C --t 1 --m 1 --n 2 --x minus-one", "--x"),
+        ("series jones --t 1 --N 2 --x 2", "--x"),
+        ("series theta --t 1 --m 1 --trunc 50 --x minus-one", "--x"),
+        ("series U --t 1 --m 1 --N 2 --x minus-qN --trunc 9", "--trunc"),
+        ("series U --t 1 --m 1 --trunc 4 --N 2", "--N"),
+        ("series U --t 1 --m 1 --trunc 4 --inverse", "--inverse"),
+        ("series C --t 1 --m 1 --n 2 --product-side", "--product-side"),
+        ("series theta --t 1 --m 1 --trunc 50 --double", "--double"),
+        ("series hecke --double --trunc 6 --t 1", "--t"),
+        ("series jones --t 1 --N 2 --m 1", "--m"),
+        ("series U --t 1 --m 1 --trunc 4 --hand left", "--hand"),
+        ("check duality --t 1 --m 1 --N 2 --trunc 9", "--trunc"),
+        ("check duality --t 1 --m 1 --N 2 --n 4", "--n"),
+        ("check duality --t 1 --m 1 --N 2 --double", "--double"),
+        ("check bailey --t 1 --n 2 --trunc 9 --m 1", "--m"),
+        ("check suite --profile quick --t 2", "--t"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and flag in err and "Traceback" not in err
+
+
+def test_read_flags_of_zero_value_are_kept(capsys):
+    # a flag given as 0 is given: --n 0 reaches C_0, and a zero it does not read is refused
+    code, out, _ = run(capsys, "series", "C", "--t", "1", "--m", "1", "--n", "0",
+                       "--format", "pretty")
+    assert code == 0 and out == "1\n"
+    code, _, err = run(capsys, "check", "duality", "--t", "1", "--m", "1", "--N", "2", "--n", "0")
+    assert code == 2 and "--n" in err

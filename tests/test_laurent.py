@@ -17,7 +17,7 @@ from qknot.laurent import (
     ExactnessError,
     XLaurent,
     _binom_image,
-    _over_q_poch,
+    _over_binomials,
     _packed_product,
     _read_back,
     _width,
@@ -26,6 +26,8 @@ from qknot.laurent import (
     poch_q,
     qbinomial,
 )
+
+from kernel_oracles import divexact
 
 
 def lp(d):
@@ -77,7 +79,7 @@ def _qbinomial_ladder(n: int, k: int) -> XLaurent:
     k = min(k, n - k)
     out = ONE
     for i in range(1, k + 1):
-        out = (out - out.shift(n - k + i)).divexact(ONE - XLaurent.term(i))
+        out = divexact(out - out.shift(n - k + i), ONE - XLaurent.term(i))
     return out
 
 
@@ -140,14 +142,14 @@ def test_read_back_at_the_edge_of_the_slot():
 )
 def test_factor_wise_poch_division_matches_divexact(p, count):
     den = poch_q(1, count)
-    assert _over_q_poch(p * den, count) == (p * den).divexact(den) == p
+    assert _over_binomials(p * den, range(1, count + 1)) == divexact(p * den, den) == p
     if p and count:
         # p + q^e for an e above p * den is never divisible by (q)_count
         bad = p * den + XLaurent.term((p * den).max_exp() + 1)
         with pytest.raises(ExactnessError):
-            _over_q_poch(bad, count)
+            _over_binomials(bad, range(1, count + 1))
         with pytest.raises(ExactnessError):
-            bad.divexact(den)
+            divexact(bad, den)
 
 
 def test_qbinomial_symmetry_and_pascal():
@@ -192,7 +194,7 @@ def test_cyclotomic_polynomials_against_mobius_product():
                 num = num * factor
             elif mu == -1:
                 den = den * factor
-        assert cyclotomic_polynomial(order) == num.divexact(den)
+        assert cyclotomic_polynomial(order) == divexact(num, den)
 
 
 def test_cyclotomic_small_values():
@@ -201,12 +203,33 @@ def test_cyclotomic_small_values():
     assert cyclotomic_polynomial(6) == lp({2: 1, 1: -1, 0: 1})
 
 
-def test_divexact_roundtrip_and_failure():
+def _cyclotomic_by_division(order):
+    """The cyclotomic polynomial by the recursion it replaced: x^M - 1 divided
+    by every Phi_d, d a proper divisor of M."""
+    poly = XLaurent({order: 1, 0: -1})
+    for d in range(1, order):
+        if order % d == 0:
+            poly = divexact(poly, _cyclotomic_by_division(d))
+    return poly
+
+
+def test_cyclotomic_polynomial_matches_the_division_it_replaced():
+    for order in [*range(1, 121), 1155, 2310]:
+        assert cyclotomic_polynomial(order) == _cyclotomic_by_division(order), order
+
+
+def test_over_binomials_roundtrip_and_failure():
     a = lp({-2: 3, 0: -1, 3: 2})
-    b = lp({-1: 1, 2: 5})
-    assert (a * b).divexact(b) == a
+    ds = [3, 1, 3, 5]
+    b = ONE
+    for d in ds:
+        b = b - b.shift(d)
+    assert _over_binomials(a * b, ds) == a
+    assert _over_binomials(ZERO, ds) == ZERO
     with pytest.raises(ExactnessError):
-        (a * b + lp({0: 1})).divexact(b)
+        _over_binomials(a * b + lp({0: 1}), ds)
+    with pytest.raises(ExactnessError, match="1 - q\\^5"):
+        _over_binomials(a, [5])  # shorter than the factor
 
 
 def test_descale_checks_divisibility():

@@ -17,6 +17,8 @@ from qknot.series import (
     qpochhammer,
 )
 
+from kernel_oracles import invert, swap_x
+
 
 def coeffs_of(s):
     return {e: dict(c.coeffs) for e, c in s.terms.items()}
@@ -53,29 +55,29 @@ def _partition_counts(top):
 
 def test_partition_generating_function_to_q30():
     window = 31
-    inv = qpochhammer(Mono(1, 0, 1), None, trunc=window).invert(window)
+    inv = invert(qpochhammer(Mono(1, 0, 1), None, trunc=window), window)
     expected = _partition_counts(30)
     for e in range(31):
         assert inv.terms.get(e, XLaurent()).coeff(0) == expected[e]
 
 
 def test_geometric_inversions():
-    g = QSeries({0: 1, 1: -1}).invert(6)
+    g = invert(QSeries({0: 1, 1: -1}), 6)
     assert coeffs_of(g) == {e: {0: 1} for e in range(6)}
-    gx = (QSeries.one() - QSeries.monomial(1, 1, 1)).invert(4)
+    gx = invert(QSeries.one() - QSeries.monomial(1, 1, 1), 4)
     assert coeffs_of(gx) == {e: {e: 1} for e in range(4)}
 
 
 def test_invert_rejects_non_monomial_lowest_term():
     s = QSeries({0: XLaurent({0: 1, 1: -1})})
     with pytest.raises(Exception):
-        s.invert(5)
+        invert(s, 5)
 
 
 def test_invert_needs_window_for_exact_input():
     s = QSeries({0: 1, 1: -1})
     with pytest.raises(WindowError):
-        s.invert()
+        invert(s)
 
 
 def test_window_propagation_through_multiplication():
@@ -124,7 +126,7 @@ def test_to_q_laurent_guards():
 def test_x_substitutions():
     s = QSeries({1: XLaurent({-1: 1, 0: 2, 1: 1})}, trunc=3)
     assert s.negate_x().terms[1] == XLaurent({-1: -1, 0: 2, 1: -1})
-    assert s.swap_x().terms[1] == s.terms[1]
+    assert swap_x(s).terms[1] == s.terms[1]
     assert 1 not in s.substitute_x(-1).terms  # -1 + 2 - 1 = 0
     assert s.substitute_x(2).terms[1] == XLaurent({0: Fraction(1, 2) + 2 + 2})
 
@@ -184,7 +186,7 @@ unit_series = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(unit_series)
 def test_invert_roundtrip(s):
-    inv = s.invert(12)
+    inv = invert(s, 12)
     prod = s * inv
     one = QSeries.one(1, prod.trunc)
     assert first_difference(prod, one) is None
@@ -280,7 +282,7 @@ def test_ring_and_substitution_windows_are_sound(ab, cd, m, w):
         (a.with_trunc(w), A, min(wa, _window(QSeries.zero(1, w)))),
         (-a, -A, wa),
         (a.negate_x(), A.negate_x(), wa),
-        (a.swap_x(), A.swap_x(), wa),
+        (swap_x(a), swap_x(A), wa),
         (a.substitute_x(Fraction(-2, 3)), A.substitute_x(Fraction(-2, 3)), wa),
     ]
     for got, want, rule in cases:
@@ -331,7 +333,7 @@ def unit_headed_cut(draw):
 @given(unit_headed_cut(), st.one_of(st.none(), st.integers(-6, 14)))
 def test_invert_windows_are_sound(case, trunc):
     A, a, e0 = case
-    inv = a.invert(trunc)
+    inv = invert(a, trunc)
     rule = a.trunc - 2 * e0 if trunc is None else min(a.trunc - 2 * e0, trunc)
     assert inv.trunc >= rule
     # multiplying by the exact A is invertible (unit lowest term), so inv is
@@ -467,7 +469,7 @@ def test_divide_pass_matches_invert_then_multiply(scale, data):
     window = data.draw(st.integers(-scale, 4 * scale))
     den = _product(factors, scale)
     v = int(min(0, num._valuation()))
-    want = (num * den.invert(window - v)).with_trunc(window)
+    want = (num * invert(den, window - v)).with_trunc(window)
     _same(_by_binomials(num, over=factors, trunc=window), want)
 
 
