@@ -93,7 +93,7 @@ class BaileyPair:
 
 
 def _exact(p: XLaurent) -> QSeries:
-    return QSeries.from_q_laurent(p, 1)
+    return QSeries.from_q_laurent(p)
 
 
 def _chain_poly(
@@ -379,8 +379,9 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
                 piece = (poch_q(-n, j) * poch_q(a_exp + n, j)).shift(j)
                 if piece.is_zero():
                     continue
-                beta_j = pair.beta(j, trunc - min(0, piece.min_exp()))
-                inner = inner + beta_j * _exact(piece)
+                # beta_j is needed below trunc - val(piece), val(piece) = j(j+1)/2 - nj;
+                # n = n_max's window is the widest, so one beta_j serves every n here
+                inner = inner + pair.beta(j, trunc + n_max * j - j * (j + 1) // 2) * _exact(piece)
             sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
             pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
             rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))

@@ -5,7 +5,8 @@
 ``verify.CHECK_FAMILIES`` whose required parameters all map onto the
 ``--t --m --N --n --trunc`` flags (``hecke --double`` is an alias for
 ``hecke-double``); ``check bailey`` verifies the five named Bailey pairs and
-``check suite`` runs a whole profile.
+``check suite`` runs a whole profile; ``--profile`` and ``--parallelism``
+belong to ``check suite`` alone.
 
 Exit codes: 0 all requested checks pass (or series emitted), 1 a check
 failed, 2 usage or validation error.  Data goes to stdout, logs to stderr.
@@ -51,7 +52,8 @@ def _need(args, *names) -> None:
 
 
 # Flags that some commands do not read; --format and --output apply to all.
-_SELECTIVE = ("t", "m", "N", "n", "trunc", "x", "hand", "inverse", "product_side", "double")
+_SELECTIVE = ("t", "m", "N", "n", "trunc", "x", "hand", "inverse", "product_side", "double",
+              "profile", "parallelism")
 
 
 def _reads(args, *names: str) -> None:
@@ -218,14 +220,19 @@ def _run_bailey_pairs(args) -> list:
 
 
 def _run_suite(args) -> list:
-    profile = verify.PROFILES.get(args.profile)
+    _reads(args, "profile", "parallelism")
+    name = os.environ.get("QKNOT_PROFILE", "desk") if args.profile is None else args.profile
+    profile = verify.PROFILES.get(name)
     if profile is None:
-        raise UsageError(f"unknown profile {args.profile!r}")
-    workers = min(args.parallelism, os.cpu_count() or 1)
-    if workers < args.parallelism:
-        print(f"--parallelism {args.parallelism} capped at {workers} CPUs", file=sys.stderr)
+        raise UsageError(f"unknown profile {name!r}")
+    asked = 1 if args.parallelism is None else args.parallelism
+    if asked < 1:
+        raise UsageError("--parallelism must be at least 1")
+    workers = min(asked, os.cpu_count() or 1)
+    if workers < asked:
+        print(f"--parallelism {asked} capped at {workers} CPUs", file=sys.stderr)
     started = time.monotonic()
-    reports = verify.run_suite(args.profile, workers)
+    reports = verify.run_suite(name, workers)
     elapsed = time.monotonic() - started
     print(
         f"suite '{profile.name}' finished in {elapsed:.1f}s "
@@ -236,10 +243,7 @@ def _run_suite(args) -> list:
 
 
 def _cmd_check(args) -> int:
-    if args.parallelism < 1:
-        raise UsageError("--parallelism must be at least 1")
     if args.what == "suite":
-        _reads(args)
         reports = _run_suite(args)
     elif args.what == "bailey":
         reports = _run_bailey_pairs(args)
@@ -288,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(cp)
     cp.add_argument("--double", action="store_true",
                     help="hecke: check the two-index expansion instead")
-    cp.add_argument("--profile", default=os.environ.get("QKNOT_PROFILE", "desk"),
-                    help="suite profile (desk or quick); default from QKNOT_PROFILE")
-    cp.add_argument("--parallelism", type=int, default=1,
-                    help="worker processes for the suite")
+    cp.add_argument("--profile",
+                    help="suite profile (desk or quick); default from QKNOT_PROFILE, else desk")
+    cp.add_argument("--parallelism", type=int,
+                    help="worker processes for the suite (default 1)")
     cp.set_defaults(handler=_cmd_check)
     return parser
 

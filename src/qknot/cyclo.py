@@ -3,10 +3,11 @@
 Elements are rational-coefficient vectors reduced modulo the M-th
 cyclotomic polynomial, so equality is decidable coefficient-wise and every
 root-of-unity evaluation in the library is exact.  The library only
-evaluates, compares and conjugates such values; ``+``, ``-`` and ``*`` remain
-for the test oracles.  Every reduction, in evaluation, products, powers of
-zeta and the tables below, is one top-down pass mod Phi_M (``_reduce``), so
-a field keeps O(deg) data however large M is.
+evaluates, compares, conjugates and scales such values (``*`` by a rational,
+for ``bernoulli_rhs``); ``+`` and ``-`` remain for the test oracles.  Every
+reduction, in evaluation, powers of zeta and the tables below, is one
+top-down pass mod Phi_M (``_reduce``), so a field keeps O(deg) data however
+large M is.
 
 The nested chain sums over Z[zeta_N] (F and U(-1) at roots of unity) skip
 ``CycloNum`` altogether and run on the step of the Z[q] chains,
@@ -324,17 +325,10 @@ class CycloNum:
     def __rsub__(self, other: Scalar) -> "CycloNum":
         return (-self) + other
 
-    def __mul__(self, other: "CycloNum | Scalar") -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            return CycloNum(self.order, [a * other for a in self.coeffs])
-        self._same_field(other)
-        raw = [0] * (2 * len(self.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    raw[i + j] += a * b
-        return CycloNum(self.order, _reduce(raw, self.order))
+    def __mul__(self, other: Scalar) -> "CycloNum":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return CycloNum(self.order, [a * other for a in self.coeffs])
 
     __rmul__ = __mul__
 

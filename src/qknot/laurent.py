@@ -6,13 +6,14 @@ binomials, cyclotomic polynomials) and the x-Laurent coefficients carried by
 the two-variable series.  Coefficients are Python ints or Fractions; the
 zero polynomial is the empty map and no stored coefficient is ever zero.
 
-Products of integer operands with enough terms go through one packed kernel
-(Kronecker substitution, cf. Harvey, arXiv:0712.4046), shared with the
-bivariate ``QSeries`` product: each operand's terms ``(q^e, x^d)`` are laid
-into fixed-width signed slots of a single Python int, the two ints are
-multiplied once, and the product's slots are read back through a bias so no
-carry crosses a slot.  Rational, small or sparse operands use the schoolbook
-loops instead; the choice depends only on the operands' shape.
+Every product of two polynomials, ``XLaurent`` or the bivariate ``QSeries``,
+goes through one kernel, ``_product``, on rows ``{e: {d: c}}`` of the terms
+``c q^e x^d``.  Integer operands with enough terms are multiplied packed
+(Kronecker substitution, cf. Harvey, arXiv:0712.4046): each operand's terms
+are laid into fixed-width signed slots of a single Python int, the two ints
+are multiplied once, and the product's slots are read back through a bias so
+no carry crosses a slot.  Rational, small or sparse operands run the one
+term-by-term loop instead; the choice depends only on the operands' shape.
 
 The nested chain sums over Z[q^+-1] (``_kronecker``) skip ``XLaurent``
 altogether.  q -> X = 2^w is a ring homomorphism Z[q] -> Z, so a chain value
@@ -62,10 +63,6 @@ def _norm(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
-
-
-# The packed product beats the schoolbook loops from about 16x16 term pairs on.
-_PACK_MIN_OPS = 256
 
 
 class XLaurent:
@@ -186,28 +183,8 @@ class XLaurent:
             return self.scaled(other)
         if not isinstance(other, XLaurent):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XLaurent()
-        if len(a) * len(b) >= _PACK_MIN_OPS:
-            packed = _packed_product({0: a}, {0: b})
-            if packed is not None:
-                res = XLaurent.__new__(XLaurent)
-                res.coeffs = packed.get(0, {})
-                return res
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, Scalar] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
         res = XLaurent.__new__(XLaurent)
-        res.coeffs = out
+        res.coeffs = _product({0: self.coeffs}, {0: other.coeffs}).get(0, {})
         return res
 
     __rmul__ = __mul__
@@ -261,6 +238,9 @@ class XLaurent:
 
 _Rows = Mapping[int, Mapping[int, Scalar]]
 
+# The packed product beats the term-by-term loop from about 16x16 term pairs on.
+_PACK_MIN_OPS = 256
+
 
 def _packed_product(
     a: _Rows, b: _Rows, limit: int | None = None
@@ -269,7 +249,7 @@ def _packed_product(
 
     Operands map a q-exponent e to a nonempty row ``{d: c}`` of the terms
     ``c * q^e * x^d``.  Returns the product's nonzero rows with ``e < limit``
-    in the same form, or None when the schoolbook loops should run instead:
+    in the same form, or None when the term-by-term loop should run instead:
     too few term pairs, a packing with more than four product slots per
     term pair, or a coefficient that is not an int.
 
@@ -326,6 +306,34 @@ def _packed_product(
                 row[d0 + col] = int.from_bytes(chunk, "little") - half
         if row:
             out[e0 + r * g] = row
+    return out
+
+
+def _product(a: _Rows, b: _Rows, limit: int | None = None) -> dict[int, dict[int, Scalar]]:
+    """Product of two bivariate polynomials on rows ``{e: {d: c}}``, keeping
+    the rows with ``e < limit``: the packed kernel when it applies, else term
+    by term.  A row of the result may be empty."""
+    rows = _packed_product(a, b, limit)
+    if rows is not None:
+        return rows
+    out: dict[int, dict[int, Scalar]] = {}
+    bitems = sorted(b.items())
+    for e1, r1 in sorted(a.items()):
+        for e2, r2 in bitems:
+            e = e1 + e2
+            if limit is not None and e >= limit:
+                break
+            row = out.get(e)
+            if row is None:
+                row = out[e] = {}
+            for d1, v1 in r1.items():
+                for d2, v2 in r2.items():
+                    d = d1 + d2
+                    v = row.get(d, 0) + v1 * v2
+                    if v:
+                        row[d] = v
+                    else:
+                        del row[d]
     return out
 
 

@@ -45,7 +45,7 @@ def _frac_from(d: dict[str, str]) -> Scalar:
 
 def xlaurent_to_qseries(p: XLaurent) -> QSeries:
     """View a Laurent polynomial in q as an exact scale-1 series."""
-    return QSeries.from_q_laurent(p, 1)
+    return QSeries.from_q_laurent(p)
 
 
 def qseries_to_json_dict(s: QSeries) -> dict[str, Any]:

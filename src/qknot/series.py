@@ -1,12 +1,15 @@
 """Truncated formal q-series with exact x-Laurent coefficients.
 
 A QSeries stores terms keyed by a *scaled* integer exponent: the true
-exponent of a key e is e/scale.  The window invariant is the heart of the
+exponent of a key e is e/scale.  A series keeps its scale, and two series
+combine (sum, product, comparison) only at one scale: the theta series, at
+8(2t+1), never meet another.  The window invariant is the heart of the
 library: a series with truncation T is guaranteed correct for every scaled
 exponent strictly below T, and every arithmetic operation propagates the
 tightest window it can justify, so identity checks can never silently
 compare coefficients that were lost to truncation.  trunc=None marks an
-exact object (a polynomial known in full).
+exact object (a polynomial known in full).  Products run on the one product
+kernel, ``laurent._product``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .laurent import ExactnessError, Scalar, XLaurent, _norm, _packed_product
+from .laurent import ExactnessError, Scalar, XLaurent, _norm, _product
 
 __all__ = [
     "Mono",
@@ -123,14 +126,14 @@ class QSeries:
         return cls.monomial(m.coeff, m.x_exp, m.q_exp, scale, trunc)
 
     @classmethod
-    def from_q_laurent(cls, p: XLaurent, scale: int = 1, trunc: int | None = None) -> "QSeries":
-        """Embed a normalized Laurent polynomial in q (exponents multiplied by scale)."""
+    def from_q_laurent(cls, p: XLaurent, trunc: int | None = None) -> "QSeries":
+        """Embed a normalized Laurent polynomial in q as a scale-1 series."""
         rows = {}
         for e, c in p.coeffs.items():
-            if trunc is None or e * scale < trunc:
-                row = rows[e * scale] = XLaurent.__new__(XLaurent)
+            if trunc is None or e < trunc:
+                row = rows[e] = XLaurent.__new__(XLaurent)
                 row.coeffs = {0: c}
-        return cls(rows, scale, trunc)
+        return cls(rows, 1, trunc)
 
     # -- window helpers -----------------------------------------------------
 
@@ -170,42 +173,11 @@ class QSeries:
     def items_sorted(self) -> list[tuple[int, XLaurent]]:
         return sorted(self.terms.items())
 
-    # -- scale handling -----------------------------------------------------
-
-    def rescale(self, new_scale: int) -> "QSeries":
-        if new_scale == self.scale:
-            return self
-        if new_scale % self.scale:
-            raise ValueError(f"cannot rescale {self.scale} -> {new_scale}")
-        f = new_scale // self.scale
-        trunc = None if self.trunc is None else self.trunc * f
-        return QSeries({e * f: c for e, c in self.terms.items()}, new_scale, trunc)
-
-    def reduce_scale(self) -> "QSeries":
-        """Smallest equivalent scale (gcd of scale, window and all exponents).
-
-        The window is part of the gcd, so it lands exactly on the new grid:
-        no unknown exponent is claimed absent and no known one is dropped.
-        """
-        g = self.scale if self.trunc is None else math.gcd(self.scale, self.trunc)
-        for e in self.terms:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g == 1:
-            return self
-        trunc = None if self.trunc is None else self.trunc // g
-        return QSeries({e // g: c for e, c in self.terms.items()}, self.scale // g, trunc)
-
-    def is_integral(self) -> bool:
-        """True when every exponent is a multiple of the scale."""
-        return all(e % self.scale == 0 for e in self.terms)
-
     def to_q_laurent(self) -> XLaurent:
         """Convert an exact, integral, x-free series to a Laurent polynomial in q."""
         if not self.is_exact():
             raise ExactnessError("truncated series cannot be read as a polynomial")
-        if not self.is_integral():
+        if any(e % self.scale for e in self.terms):
             raise ExactnessError("series has fractional exponents")
         out: dict[int, Scalar] = {}
         for e, c in self.terms.items():
@@ -216,18 +188,14 @@ class QSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _aligned(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        s = math.lcm(self.scale, other.scale)
-        return self.rescale(s), other.rescale(s)
-
     def __add__(self, other: "QSeries | Scalar") -> "QSeries":
         if isinstance(other, (int, Fraction)):
             other = QSeries.monomial(other, scale=self.scale)
-        a, b = self._aligned(other)
-        w = min(a._window(), b._window())
+        scale = _one_scale(self, other)
+        w = min(self._window(), other._window())
         trunc = None if w == _INF else int(w)
-        data = dict(a.terms)
-        for e, c in b.terms.items():
+        data = dict(self.terms)
+        for e, c in other.terms.items():
             if e in data:
                 v = data[e] + c
                 if v.is_zero():
@@ -236,7 +204,7 @@ class QSeries:
                     data[e] = v
             else:
                 data[e] = c
-        return QSeries(data, a.scale, trunc)
+        return QSeries(data, scale, trunc)
 
     __radd__ = __add__
 
@@ -260,28 +228,26 @@ class QSeries:
             )
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._aligned(other)
-        if (a.is_exact() and not a.terms) or (b.is_exact() and not b.terms):
-            return QSeries.zero(a.scale)
-        wa, wb = a._window(), b._window()
+        scale = _one_scale(self, other)
+        if (self.is_exact() and not self.terms) or (other.is_exact() and not other.terms):
+            return QSeries.zero(scale)
+        wa, wb = self._window(), other._window()
         cands = []
         if wa != _INF:
-            cands.append(wa + b._valuation())
+            cands.append(wa + other._valuation())
         if wb != _INF:
-            cands.append(wb + a._valuation())
+            cands.append(wb + self._valuation())
         w = min(cands) if cands else _INF
         trunc = None if w == _INF else int(w)
-        at, bt = a.terms, b.terms
+        at, bt = self.terms, other.terms
         if trunc is not None and at and bt:
             amin, bmin = min(at), min(bt)
             at = {e: c for e, c in at.items() if e + bmin < trunc}
             bt = {e: c for e, c in bt.items() if e + amin < trunc}
-        rows = _packed_product(
+        rows = _product(
             {e: c.coeffs for e, c in at.items()}, {e: c.coeffs for e, c in bt.items()}, trunc
         )
-        if rows is None:
-            rows = _schoolbook(at, bt, trunc)
-        return _wrap_rows(rows, a.scale, trunc)
+        return _wrap_rows(rows, scale, trunc)
 
     __rmul__ = __mul__
 
@@ -323,8 +289,7 @@ class QSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self.reduce_scale(), other.reduce_scale()
-        return a.scale == b.scale and a.trunc == b.trunc and a.terms == b.terms
+        return (self.scale, self.trunc, self.terms) == (other.scale, other.trunc, other.terms)
 
     __hash__ = None
 
@@ -334,29 +299,11 @@ class QSeries:
         return f"QSeries({n} terms, scale={self.scale}, {w})"
 
 
-def _schoolbook(
-    a: Mapping[int, XLaurent], b: Mapping[int, XLaurent], trunc: int | None
-) -> dict[int, dict[int, Scalar]]:
-    """Product term by term, below trunc, as q-exponent -> {x-exponent: coeff}."""
-    out: dict[int, dict[int, Scalar]] = {}
-    bitems = sorted(b.items())
-    for e1, c1 in sorted(a.items()):
-        for e2, c2 in bitems:
-            e = e1 + e2
-            if trunc is not None and e >= trunc:
-                break
-            row = out.get(e)
-            if row is None:
-                row = out[e] = {}
-            for d1, v1 in c1.coeffs.items():
-                for d2, v2 in c2.coeffs.items():
-                    d = d1 + d2
-                    v = row.get(d, 0) + v1 * v2
-                    if v:
-                        row[d] = v
-                    else:
-                        del row[d]
-    return out
+def _one_scale(a: QSeries, b: QSeries) -> int:
+    """The scale of two series that combine; series at different scales never do."""
+    if a.scale != b.scale:
+        raise ValueError(f"series at scales {a.scale} and {b.scale} do not combine")
+    return a.scale
 
 
 def qpochhammer(
@@ -490,10 +437,9 @@ def first_difference(
     Compares all true exponents strictly below `through` (or the common
     guaranteed window when omitted).  Raises WindowError if either operand's
     window is too small for the requested range: disagreement-by-truncation
-    must never masquerade as agreement.
+    must never masquerade as agreement.  Series at two scales raise ValueError.
     """
-    s = math.lcm(a.scale, b.scale)
-    a, b = a.rescale(s), b.rescale(s)
+    s = _one_scale(a, b)
     w = min(a._window(), b._window())
     if through is not None:
         want = Fraction(through) * s

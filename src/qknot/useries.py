@@ -97,5 +97,5 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
     total = QSeries.zero(1, trunc)
     for n in range(trunc + m - 2, -1, -1):
         total = _by_binomials(total, [Mono(-1, 1, n + 1), Mono(-1, -1, n + 1)])
-        total = total + QSeries.from_q_laurent(c_series(t, m, n, trunc), 1, trunc)
+        total = total + QSeries.from_q_laurent(c_series(t, m, n, trunc), trunc)
     return total

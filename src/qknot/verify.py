@@ -301,7 +301,7 @@ def check_bailey_pipeline(t: int, n_max: int, trunc: int) -> list[Evidence]:
         if n == 0:
             want = QSeries.zero(1, trunc)
         else:
-            want = QSeries.from_q_laurent(-c_multisum(t, 1, n - 1).shift(t - n), 1)
+            want = QSeries.from_q_laurent(-c_multisum(t, 1, n - 1).shift(t - n))
         items.append((f"beta''-beta at n={n}", got, want, trunc))
     return items
 

@@ -3,13 +3,15 @@
 ``invert`` (with ``is_monomial``) is the recurrence inversion of a series
 that ``series._by_binomials`` replaced for every Pochhammer quotient, and
 ``divexact`` the long division of Laurent polynomials that
-``laurent._over_binomials`` replaced; ``swap_x`` substitutes x -> 1/x.  They
-are the former ``QSeries`` and ``XLaurent`` methods, verbatim but for taking
-the series or polynomial as their first argument.
+``laurent._over_binomials`` replaced; ``swap_x`` substitutes x -> 1/x, and
+``cyclo_mul`` multiplies two elements of a cyclotomic field.  They are the
+former ``QSeries``, ``XLaurent`` and ``CycloNum`` methods, verbatim but for
+taking the series, polynomial or field element as their first argument.
 """
 
 from fractions import Fraction
 
+from qknot.cyclo import CycloNum, _reduce
 from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm
 from qknot.series import Mono, QSeries, WindowError
 
@@ -105,3 +107,15 @@ def invert(self: QSeries, trunc: int | None = None) -> QSeries:
         if acc is not None and not acc.is_zero():
             inverse[m] = -acc
     return QSeries(inverse, self.scale, w_core).mul_mono(inv0)
+
+
+def cyclo_mul(self: CycloNum, other: CycloNum) -> CycloNum:
+    """The product of two elements of one cyclotomic field."""
+    self._same_field(other)
+    raw = [0] * (2 * len(self.coeffs) - 1)
+    terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+    for i, a in enumerate(self.coeffs):
+        if a:
+            for j, b in terms:
+                raw[i + j] += a * b
+    return CycloNum(self.order, _reduce(raw, self.order))

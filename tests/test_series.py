@@ -1,5 +1,6 @@
 """Truncated-series layer: windows, inversion, Pochhammer products."""
 
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -103,14 +104,14 @@ def test_first_difference_reports_smallest_exponent():
     assert first_difference(a, b) == (Fraction(2), 1, 1, 3)
 
 
-def test_rescale_and_reduce_roundtrip():
-    s = QSeries({3: 1, 11: XLaurent({1: -2})}, scale=4, trunc=16)
-    up = s.rescale(8)
-    assert up.scale == 8 and up.trunc == 32 and 22 in up.terms
-    assert up.reduce_scale() == s.reduce_scale()
-    integral = QSeries({8: 5, 16: 7}, scale=8, trunc=24)
-    red = integral.reduce_scale()
-    assert red.scale == 1 and red.trunc == 3 and red.terms[1] == XLaurent({0: 5})
+def test_series_combine_only_at_one_scale():
+    a, b = QSeries({0: 1, 2: 1}, 2, 3), QSeries({0: 1, 1: 1}, 1, 3)
+    for op in (operator.add, operator.sub, operator.mul, first_difference):
+        with pytest.raises(ValueError, match="scales 2 and 1 do not combine"):
+            op(a, b)
+    # the same value on two grids is two different series
+    assert QSeries({0: 1}, 2) != QSeries({0: 1}, 1)
+    assert QSeries({0: 1, 2: 1}, 2, 3) != QSeries({0: 1}, 2, 3)
 
 
 def test_to_q_laurent_guards():
@@ -229,7 +230,7 @@ def test_packed_product_matches_schoolbook(pair):
     a, b = pair
     for x, y in ((a, b), (a, a), (b, b)):
         packed = x * y
-        with mock.patch("qknot.series._packed_product", return_value=None):
+        with mock.patch("qknot.laurent._packed_product", return_value=None):
             school = x * y
         assert (packed.scale, packed.trunc) == (school.scale, school.trunc)
         assert coeffs_of(packed) == coeffs_of(school)
@@ -260,12 +261,11 @@ def _sound(result, exact):
 
 
 @st.composite
-def cut_series(draw, scale=1, stride=1, exact_ok=True):
+def cut_series(draw, exact_ok=True):
     """(an exact random series, a copy truncated anywhere around its terms)."""
-    terms = draw(st.dictionaries(st.integers(-3, 8), xpolys, max_size=5))
-    exact = QSeries({stride * e: c for e, c in terms.items()}, scale)
+    exact = QSeries(draw(st.dictionaries(st.integers(-3, 8), xpolys, max_size=5)))
     w = draw(st.one_of(st.none(), st.integers(-4, 10)) if exact_ok else st.integers(-4, 10))
-    return exact, exact.with_trunc(None if w is None else stride * w)
+    return exact, exact.with_trunc(w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,36 +288,6 @@ def test_ring_and_substitution_windows_are_sound(ab, cd, m, w):
     for got, want, rule in cases:
         assert _window(got) >= rule  # not vacuous: no window lost beyond the rule
         _sound(got, want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([1, 2, 4, 6]),
-    st.sampled_from([1, 2, 3]),
-    st.data(),
-    st.integers(1, 3),
-)
-def test_scale_windows_are_sound(scale, stride, data, f):
-    A, a = data.draw(cut_series(scale, stride, exact_ok=False))
-    up = a.rescale(scale * f)
-    assert up.trunc == a.trunc * f
-    _sound(up, A)
-    red = a.reduce_scale()
-    g = scale // red.scale
-    assert red.trunc * g == a.trunc  # the same window, exactly on the new grid
-    assert red.rescale(scale) == a and red.rescale(scale).terms == a.terms
-    _sound(red, A)
-
-
-def test_reduce_scale_keeps_a_window_off_the_coarser_grid():
-    # scale 2, window 3 (true exponent 3/2): a scale-1 copy would have to
-    # claim q^(3/2) absent (window 2) or drop the known q^1 (window 1)
-    A = QSeries({0: 1, 2: 1, 3: 1}, 2)
-    red = A.with_trunc(3).reduce_scale()
-    assert (red.scale, red.trunc) == (2, 3)
-    _sound(red, A)
-    assert QSeries({0: 1, 2: 1}, 2, 3) != QSeries({0: 1}, 2, 3)
-    assert QSeries({0: 1, 2: 1}, 2, 4).reduce_scale().trunc == 2
 
 
 @st.composite
