@@ -16,14 +16,14 @@ window it is asked for.  Sums whose terms share Pochhammer factors are nested
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .cyclotomic_coeffs import c_product
 from .jones import jones_left
 from .laurent import ONE, XLaurent, _kronecker, poch_q
 from .report import CheckReport, _timed_report, diff_qseries
-from .series import Mono, QSeries, _by_binomials, _poch
+from .series import Mono, QSeries, _by_binomials, _lattice, _poch
 
 __all__ = [
     "BaileyPair",
@@ -49,7 +49,6 @@ class BaileyPair:
         a_exp: int,
         alpha: TermFn,
         beta: TermFn,
-        provenance: str = "",
         alpha_floor: Optional[FloorFn] = None,
         beta_floor: Optional[FloorFn] = None,
     ):
@@ -59,7 +58,6 @@ class BaileyPair:
         self.a_exp = a_exp
         self._alpha = alpha
         self._beta = beta
-        self.provenance = provenance
         self.alpha_floor = alpha_floor
         self.beta_floor = beta_floor
         self._cache: dict[tuple[str, int, int], QSeries] = {}
@@ -147,7 +145,7 @@ def unit_pair(a_exp: int = 0) -> BaileyPair:
     def beta(n: int, window: int) -> QSeries:
         return _by_binomials(QSeries.one(), over=_q(1, n) + _q(a_exp + 1, n), trunc=window)
 
-    return BaileyPair("unit", a_exp, alpha, beta, "delta pair",
+    return BaileyPair("unit", a_exp, alpha, beta,
                       alpha_floor=lambda n: 0, beta_floor=lambda n: 0)
 
 
@@ -170,7 +168,7 @@ def jones_pair(t: int, m: int = 1) -> BaileyPair:
         return n * (n - 1) // 2 + (0 if j.is_zero() else min(0, j.min_exp()))
 
     return BaileyPair(
-        f"jones(t={t},m={m})", 2, alpha, beta, "cyclotomic expansion pair",
+        f"jones(t={t},m={m})", 2, alpha, beta,
         alpha_floor=alpha_floor, beta_floor=lambda n: 1 - m,
     )
 
@@ -253,7 +251,7 @@ def lovejoy_pair(t: int, ell: int | None = None) -> BaileyPair:
         return 0 if s.is_zero() else min(0, s.min_exp())
 
     return BaileyPair(
-        f"lovejoy(t={t},ell={ell})", 0, alpha, beta, "staircase chain pair",
+        f"lovejoy(t={t},ell={ell})", 0, alpha, beta,
         alpha_floor=alpha_floor, beta_floor=beta_floor,
     )
 
@@ -283,7 +281,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         s = ONE if k == 1 else _chain_poly(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
         return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=window)
 
-    return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta, "seed staircase pair")
+    return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta)
 
 
 def andrews_pair(x: Mono = Mono(1, 1, 0)) -> BaileyPair:
@@ -309,7 +307,7 @@ def andrews_pair(x: Mono = Mono(1, 1, 0)) -> BaileyPair:
         return sum(min(0, f.q_exp) for f in numerator(n))
 
     return BaileyPair(
-        "andrews", 1, alpha, beta, "two-term alpha pair",
+        "andrews", 1, alpha, beta,
         alpha_floor=alpha_floor, beta_floor=beta_floor,
     )
 
@@ -469,7 +467,7 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         floor_b = lambda n: min(base_b(k) + a_exp * k + k * k for k in range(n + 1))
     names = [str(p) for p in (b, c) if p is not None] + ["inf", "inf"]
     return BaileyPair(
-        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta, pair.provenance,
+        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta,
         alpha_floor=floor_a, beta_floor=floor_b,
     )
 
@@ -481,12 +479,8 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
 
 def _neg_val_bound(mono: Mono) -> int:
     """Lower bound for the valuation of the family (mono)_n, any n."""
-    v = 0
-    e = mono.q_exp
-    while e < 0:
-        v += e
-        e += 1
-    return v
+    e = min(0, mono.q_exp)
+    return e * (1 - e) // 2
 
 
 def bailey_limit_identity(
@@ -509,6 +503,8 @@ def bailey_limit_identity(
 def _limit_sides(
     pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
 ) -> tuple[QSeries, QSeries]:
+    """Both sides, each over the n whose bound (head valuation plus floor) is
+    below trunc (``series._lattice``): along n it may fall, then rises."""
     if pair.alpha_floor is None or pair.beta_floor is None:
         raise ValueError("limit identity needs valuation floors on the pair")
     a_exp = pair.a_exp
@@ -531,21 +527,14 @@ def _limit_sides(
     head, den = _lemma(a_exp, b, c)
 
     lhs = QSeries.zero(1, trunc)
-    n = 0
-    while True:
-        low = term_low(n, pair.beta_floor)
-        if low >= trunc:
-            break
+    for (n,), low in _lattice(partial(term_low, floor=pair.beta_floor), trunc):
         lhs = lhs + head(n, n) * pair.beta(n, trunc - min(0, low))
-        n += 1
 
-    top = 0
-    while term_low(top, pair.alpha_floor) < trunc:
-        top += 1
-    inner = QSeries.zero(1, trunc)  # sum_{n < top} head(n, n) alpha_n / den(n), nested
-    for n in range(top - 1, -1, -1):
-        low = term_low(n, pair.alpha_floor)
-        inner = inner + head(n, n) * pair.alpha(n, trunc - min(0, low))
+    lows = {n: low for (n,), low in _lattice(partial(term_low, floor=pair.alpha_floor), trunc)}
+    inner = QSeries.zero(1, trunc)  # sum over lows of head(n, n) alpha_n / den(n), nested
+    for n in range(max(lows, default=-1), -1, -1):
+        if n in lows:
+            inner = inner + head(n, n) * pair.alpha(n, trunc - min(0, lows[n]))
         if n:
             inner = _by_binomials(inner, over=den(n, n - 1), trunc=trunc)
 
@@ -577,6 +566,10 @@ def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
 
 
 def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
+    """The beta sum over n and the alpha sum over (r, n), r outer, over the
+    terms whose bound is below trunc (``series._lattice``).  Along r and the
+    beta sum's n each bound may fall, then rises; the alpha bound
+    3n(n+1)/2 + an + (2n+1)r + alpha_floor(r) is least at n = 0 and grows with n."""
     if pair.a_exp not in (0, 1):
         raise ValueError("conjugate identity applies to pairs relative to 1 or q")
     if pair.alpha_floor is None or pair.beta_floor is None:
@@ -584,29 +577,15 @@ def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
     a_exp = pair.a_exp
 
     lhs = QSeries.zero(1, trunc)
-    n = 0
-    while True:
-        low = n + pair.beta_floor(n)
-        if low >= trunc:
-            break
+    for (n,), low in _lattice(lambda n: n + pair.beta_floor(n), trunc):
         head = _exact(poch_q(a_exp + 1, 2 * n).shift(n))
         lhs = lhs + head * pair.beta(n, trunc - min(0, low))
-        n += 1
 
+    weight = lambda r, n: 3 * n * (n + 1) // 2 + a_exp * n + (2 * n + 1) * r  # head exponent
     inner = QSeries.zero(1, trunc)
-    n = 0
-    while 3 * n * (n + 1) // 2 + a_exp * n < trunc:
-        r = 0
-        while True:
-            low = 3 * n * (n + 1) // 2 + a_exp * n + (2 * n + 1) * r + pair.alpha_floor(r)
-            if low >= trunc:
-                break
-            head = Mono(
-                -1 if n % 2 else 1, 0, 3 * n * (n + 1) // 2 + a_exp * n + (2 * n + 1) * r
-            )
-            inner = inner + pair.alpha(r, trunc - min(0, low)).mul_mono(head)
-            r += 1
-        n += 1
+    for (r, n), low in _lattice(lambda r, n: weight(r, n) + pair.alpha_floor(r), trunc, 2):
+        head = Mono(-1 if n % 2 else 1, 0, weight(r, n))
+        inner = inner + pair.alpha(r, trunc - min(0, low)).mul_mono(head)
     v = int(min(0, inner._valuation()))
     return lhs, _by_binomials(inner, over=_q(1, trunc - v))
 
@@ -634,7 +613,6 @@ def perturbed_pair(pair: BaileyPair, which: str, n_target: int, mono: Mono) -> B
     beta: TermFn = wrap(pair.beta) if which == "beta" else pair.beta
     return BaileyPair(
         pair.label + f"+corrupt({which}[{n_target}])", pair.a_exp, alpha, beta,
-        pair.provenance,
         lowered(pair.alpha_floor) if which == "alpha" else pair.alpha_floor,
         lowered(pair.beta_floor) if which == "beta" else pair.beta_floor,
     )

@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     sp.add_argument("--x", help="x specialization: symbolic (default), minus-one, "
-                                "minus-qN (U only, needs --N), or a rational")
+                                "minus-qN (U only, needs --N), or a rational "
+                                "(a negative one as --x=-1/2)")
     sp.add_argument("--hand", choices=["left", "right", "morton"],
                     help="which torus-knot invariant for 'jones' (default right)")
     sp.add_argument("--inverse", action="store_true", help="evaluate F at the inverse root")

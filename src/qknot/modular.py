@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclo import CycloNum, cyclo_eval
 from .cyclotomic_coeffs import _validate
 from .laurent import XLaurent, bernoulli_b2
-from .series import Mono, QSeries, _by_binomials, _poch
+from .series import Mono, QSeries, _by_binomials, _lattice, _poch
 from .useries import eval_f_at_root
 
 __all__ = [
@@ -52,13 +52,7 @@ def theta_phi(t: int, m: int, trunc: int, product_side: bool = False) -> QSeries
         raise ValueError("need a positive scaled truncation")
     scale = 8 * (2 * t + 1)
     if not product_side:
-        terms: dict[int, int] = {}
-        n = 0
-        while n * n < trunc:
-            ch = chi_periodic(t, m, n)
-            if ch:
-                terms[n * n] = terms.get(n * n, 0) + ch
-            n += 1
+        terms = ((e, chi_periodic(t, m, n)) for (n,), e in _lattice(lambda n: n * n, trunc))
         return QSeries(terms, scale, trunc)
     lead = QSeries.monomial(1, 0, (2 * t + 1 - 2 * m) ** 2, scale, trunc)
     base = Mono(1, 0, (2 * t + 1) * scale)

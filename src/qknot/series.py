@@ -18,7 +18,7 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .laurent import ExactnessError, Scalar, XLaurent, _norm, _product
 
@@ -460,3 +460,45 @@ def first_difference(
             if ca.coeff(d) != cb.coeff(d):
                 return (Fraction(e, s), d, ca.coeff(d), cb.coeff(d))
     return None
+
+
+
+
+_HARD_CAP = 100_000  # runaway guard: no index walks further from its origin
+
+
+def _lattice(
+    bound: Callable[..., int], window: int, dims: int = 1, origin: int = 0, pad: int = 0
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(indices, bound) for every index tuple whose bound is below the window,
+    each index counting away from its origin (up from 0, or down from -1), the
+    first outermost.  Contract on ``bound(*indices)``: over the later indices
+    it is least with them at their origin, and along each index it may fall,
+    but once a step does not fall, no later step falls.
+
+    An index stops at the first value whose bound is at or above the window
+    and no lower than the previous value's (at the origin: when the next
+    value's is no lower), so no later value is below the window.  The stop is
+    not walked unless ``pad`` walks that many values on, whatever their bounds.
+    """
+    yield from _walk(bound, window, (), dims, origin, pad, None)
+
+
+def _walk(bound, window, head, dims, origin, pad, b):
+    """The index after ``head``, the later ones at their origin (bound b there if known)."""
+    step, rest = 1 if origin >= 0 else -1, (origin,) * (dims - len(head) - 1)
+    before = stop = None
+    for i in range(origin, origin + step * _HARD_CAP, step):
+        b = bound(*head, i, *rest) if b is None else b
+        if stop is None and b >= window and (
+            b >= before if before is not None else bound(*head, i + step, *rest) >= b
+        ):
+            stop = i
+        if stop is not None and (i - stop) * step >= pad:
+            return
+        if rest and (b < window or stop is not None):
+            yield from _walk(bound, window, head + (i,), dims, origin, pad, b)
+        elif b < window:
+            yield head + (i,), b
+        before, b = b, None
+    raise RuntimeError("lattice walk ran away")

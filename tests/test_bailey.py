@@ -1,6 +1,8 @@
 """Bailey machinery: named pairs, lemma steps, limiting and conjugate forms."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -15,7 +17,9 @@ from qknot.bailey import (
     lovejoy_alpha_parts,
     make_named_pair,
     perturbed_pair,
+    _conjugate_sides,
     _exact,
+    _limit_sides,
 )
 from qknot.cyclotomic_coeffs import c_multisum
 from qknot.laurent import ExactnessError, XLaurent, poch_q
@@ -213,6 +217,53 @@ def test_limit_identity_rejects_degenerate_quotient():
 def test_conjugate_identity():
     assert conjugate_identity_check(make_named_pair("unit", a_exp=1), 20).passed
     assert conjugate_identity_check(make_named_pair("andrews"), 20).passed
+
+
+# andrews_pair(x) at windows where a term below the window sits past the first
+# crossing of a bound: past the n where 3n(n+1)/2 + an alone reaches the window
+# (the first two), or past a dip of the bound along r (the third)
+_CONJUGATE_PAST_A_CROSSING = [(Mono(1, 0, -8), 15), (Mono(1, 0, -4), 8), (Mono(1, 1, -7), 9)]
+
+
+@pytest.mark.parametrize("x, trunc", _CONJUGATE_PAST_A_CROSSING)
+def test_conjugate_identity_keeps_every_term_below_the_window(x, trunc):
+    assert conjugate_identity_check(andrews_pair(x), trunc).passed
+
+
+@pytest.mark.parametrize("x, trunc", _CONJUGATE_PAST_A_CROSSING)
+def test_conjugate_alpha_side_against_rectangle_bruteforce(x, trunc):
+    # sum_{n, r} (-1)^n q^{3n(n+1)/2 + n + (2n+1)r} alpha_r / (q)_inf with
+    # alpha_r = (-1)^r q^{r(r+1)/2} (x^-r - x^{r+1}), every monomial below the window
+    acc: dict[int, dict[int, int]] = {}
+    for n in range(25):
+        for r in range(60):
+            head = 3 * n * (n + 1) // 2 + n + (2 * n + 1) * r + r * (r + 1) // 2
+            sign = -1 if (n + r) % 2 else 1
+            for k, sgn in ((-r, sign), (r + 1, -sign)):
+                e = head + k * x.q_exp
+                if e < trunc:
+                    acc.setdefault(e, {}).setdefault(k * x.x_exp, 0)
+                    acc[e][k * x.x_exp] += sgn
+    core = QSeries({e: XLaurent(xs) for e, xs in acc.items()}, 1, trunc)
+    low = int(min(0, core._valuation()))
+    brute = invert(qpochhammer(Mono(1, 0, 1), None, trunc=trunc - low)) * core
+    rhs = _conjugate_sides(andrews_pair(x), trunc)[1]
+    assert first_difference(rhs, brute, through=trunc) is None
+
+
+def test_identity_sums_hold_no_reference_to_their_pair():
+    # a reference cycle through the pair would keep it, and its term cache,
+    # alive until the cyclic collector runs
+    gc.disable()
+    try:
+        for sides in (lambda p: _conjugate_sides(p, 12), lambda p: _limit_sides(p, None, None, 12)):
+            pair = andrews_pair()
+            ref = weakref.ref(pair)
+            sides(pair)
+            del pair
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_conjugate_identity_rejects_a_squared():

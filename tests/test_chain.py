@@ -585,7 +585,7 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         floor_b = lambda n: min(base_b(k) + a_exp * k + k * k for k in range(n + 1))
     names = [str(p) for p in (b, c) if p is not None] + ["inf", "inf"]
     return BaileyPair(
-        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta, pair.provenance,
+        pair.label + f"+step({names[0]},{names[1]})", a_exp, alpha, beta,
         alpha_floor=floor_a, beta_floor=floor_b,
     )
 

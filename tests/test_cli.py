@@ -78,6 +78,10 @@ def test_series_x_specializations(capsys):
     code, out2, _ = run(capsys, "series", "U", "--t", "1", "--m", "1", "--trunc", "4",
                         "--x", "1", "--format", "pretty")
     assert code == 0 and out != out2
+    # a negative rational is one token with the flag: "--x -1/2" reads -1/2 as a flag
+    code, out, _ = run(capsys, "series", "U", "--t", "2", "--m", "1", "--trunc", "3",
+                       "--x=-1/2", "--format", "pretty")
+    assert code == 0 and out == "1 + q + (-1/2)q^2\n"
 
 
 def test_series_u_at_minus_q_to_the_n_is_the_invariant(capsys):

@@ -1,5 +1,6 @@
 """Truncated-series layer: windows, inversion, Pochhammer products."""
 
+import itertools
 import operator
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +15,7 @@ from qknot.series import (
     QSeries,
     WindowError,
     _by_binomials,
+    _lattice,
     first_difference,
     qpochhammer,
 )
@@ -458,3 +460,43 @@ def test_division_by_a_non_unit_factor_names_it():
         _by_binomials(one, over=[Mono(1, 1, 0)])
     halved = _by_binomials(one, over=[Mono(3, 0, 0)])  # (1 - 3) is a unit
     assert coeffs_of(halved) == {0: {0: Fraction(-1, 2)}}
+
+
+# (bound, window, dims, origin): each bound keeps the walker's contract
+_LATTICE_CASES = [
+    (lambda n: 3 * n + 1, 20, 1, 0),  # increasing
+    (lambda n: (n - 5) ** 2 - 10, 0, 1, 0),  # below the window from n = 2 to 8
+    (lambda n: (n - 3) ** 2 - 1, 0, 1, 0),  # starts above the window, dips below at n = 3 only
+    (lambda n: n * n + 4 * n, 1, 1, -1),  # the region n < 0: falls to n = -2, then rises
+    (lambda r, n: (r - 4) ** 2 + n * (n + 1) + 2 * n * r - 12, 0, 2, 0),
+    (lambda a, b, c: (a + 3) ** 2 + b * b + c * c - a + a * b - 2 * c, 20, 3, -1),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, window, dims, origin", _LATTICE_CASES,
+    ids=["increasing", "falls-then-rises", "dips-from-above", "origin-minus-one", "2d", "3d"],
+)
+def test_lattice_yields_exactly_the_terms_below_the_window(bound, window, dims, origin):
+    step = 1 if origin == 0 else -1
+    box = itertools.product(range(origin, origin + 20 * step, step), repeat=dims)
+    brute = {idx: bound(*idx) for idx in box if bound(*idx) < window}
+    walked = list(_lattice(bound, window, dims, origin))
+    assert dict(walked) == brute and len(walked) == len(brute)
+    assert list(_lattice(bound, window, dims, origin, pad=3)) == walked
+
+
+def test_lattice_stops_where_the_bound_rises_past_the_window():
+    assert [n for (n,), _ in _lattice(lambda n: (n - 5) ** 2 - 10, 0)] == list(range(2, 9))
+    assert [n for (n,), _ in _lattice(lambda n: (n - 3) ** 2 - 1, 0)] == [3]
+    seen = []
+    assert not list(_lattice(lambda n: seen.append(n) or n + 5, 3))
+    assert seen == [0, 1]  # at the origin the next value decides the stop
+    seen.clear()
+    assert len(list(_lattice(lambda n: seen.append(n) or 3 * n, 7))) == 3
+    assert seen == [0, 1, 2, 3]  # an increasing bound is read once per value, up to its stop
+
+
+def test_lattice_walk_that_never_stops_is_refused():
+    with pytest.raises(RuntimeError, match="ran away"):
+        list(_lattice(lambda n: 0, 1))
