@@ -605,9 +605,12 @@ def perturbed_pair(pair: BaileyPair, which: str, n_target: int, mono: Mono) -> B
         return inner
 
     def lowered(floor: Optional[FloorFn]) -> Optional[FloorFn]:
+        # One shift for every n keeps the shape the lattice walker relies on:
+        # lowering the target's floor alone can make a bound dip again.
         if floor is None:
             return None
-        return lambda n: min(floor(n), mono.q_exp) if n == n_target else floor(n)
+        drop = max(0, floor(n_target) - mono.q_exp)
+        return lambda n: floor(n) - drop
 
     alpha: TermFn = wrap(pair.alpha) if which == "alpha" else pair.alpha
     beta: TermFn = wrap(pair.beta) if which == "beta" else pair.beta

@@ -13,8 +13,11 @@ and a sign, and the route runs twice, first on l1 norms (||[a, b]||_1 =
 C(a, b), ||1 - q^d||_1 <= 2, a monomial has norm 1) to bound every
 coefficient of the result, then on exact ints at q = 2^w, whose result is read back once
 as balanced digits.  The read-back is exact because the bound leaves a sign
-bit in every slot.  The two routes keep their own states and summands, so
-their agreement remains a main verification target.
+bit in every slot.  The multisum runs one chain for every n <= n_max
+(``c_multisums``): only its closing binomial depends on n, so each C_n is
+closed, read back under its own bound and divided from the one chain.  The
+two routes keep their own states and summands, so their agreement remains a
+main verification target.
 """
 
 from __future__ import annotations
@@ -93,22 +96,25 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
     return _kronecker(partial(_c_sum, t, m, n, window))[0].shift(n + 1 - t)
 
 
-def _multisum(t: int, m: int, n: int, binom, one_minus, step):
-    """(q)_{n+1} times the multisum of c_multisum, as a ``laurent._kronecker`` route.
+def _multisum(t: int, m: int, n: int, binom, one_minus, step, every: bool = False):
+    """(q)_{n+1} times the multisum of c_multisum, as a ``laurent._kronecker``
+    route; with ``every``, the list of these for 0, ..., n from one chain.
 
     The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
     position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
     the centre factor 1 - q^{v_t - v_{t-m}} needs.  An edge u -> v carries
     [v choose u], q^{-uv} at positions up to t, and the node factor of v:
     q^{-v} before position t-m, q^{v(v-1)/2} and the sign (-1)^v at t, and
-    q^{v^2} after it.
+    q^{v^2} after it.  The bound only caps v, and v only climbs along a
+    path, so a state with v <= k+1 holds the same value in the chain for n
+    as in the chain for k < n; only the closing [k+1 choose v], zero for
+    v > k+1, depends on k.
     """
-    bound = n + 1
     store = t - m
 
     def edges(state: tuple[int, int | None], low: int):
         u, w = state
-        for v in range(u, bound + 1):
+        for v in range(u, n + 2):
             nxt = (v, v if pos == store else w if pos < t else None)
             if pos < t:
                 yield nxt, binom(v, u), -u * v - (v if pos < store else 0), False
@@ -120,8 +126,17 @@ def _multisum(t: int, m: int, n: int, binom, one_minus, step):
     states: dict = {(0, 0 if store == 0 else None): (1, 0)}
     for pos in range(1, 2 * t):
         states = step(states, edges)
-    closing = lambda s, low: ((None, binom(bound, s[0]), 0, False),)
-    return step(states, closing).get(None, (0, 0))
+
+    def close(k: int):
+        closing = lambda s, low: ((None, binom(k + 1, s[0]), 0, False),)
+        return step(states, closing).get(None, (0, 0))
+
+    return [close(k) for k in range(n + 1)] if every else close(n)
+
+
+def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
+    """C_n from (q)_{n+1} times its multisum: the exact division, sign and shift."""
+    return (-_over_binomials(total, range(1, n + 2))).shift(n + 1 - t)
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +151,16 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    total = _kronecker(partial(_multisum, t, m, n))[0]
-    return (-_over_binomials(total, range(1, n + 2))).shift(n + 1 - t)
+    return _over_pochhammer(t, n, _kronecker(partial(_multisum, t, m, n))[0])
+
+
+def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
+    """[c_multisum(t, m, n) for n in 0..n_max], from one chain."""
+    _validate(t, m)
+    if n_max < 0:
+        return []
+    finals = _kronecker(partial(_multisum, t, m, n_max, every=True))
+    return [_over_pochhammer(t, n, total) for n, (total, _) in enumerate(finals)]
 
 
 class CyclotomicCoeffs:

@@ -31,6 +31,7 @@ division by binomial factors 1 - q^d is one pass per factor (``_over_binomials``
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import abc
@@ -417,24 +418,36 @@ def _read_back(v: int, o: int, w: int, bound: int) -> XLaurent:
     return res
 
 
-@lru_cache(maxsize=1 << 13)
+# How far down its column a call computes the image it starts from, so that
+# a cold call recurses about n / _ROW_STRIDE + _ROW_STRIDE + k images deep.
+_ROW_STRIDE = 64
+
+
 def _binom_image(n: int, k: int, w: int) -> int:
     """[n choose k] at q = 2^w as an exact int; 0 outside 0 <= k <= n.
 
-    [n, k] = [n, k-1] (X^(n-k+1) - 1) / (X^k - 1) at X = 2^w; each quotient
-    is exact because the polynomial one is, and a remainder raises."""
+    Only the images ``_pascal_image`` computes are cached: 1 <= k <= n/2,
+    one entry per image however it was asked for.
+    """
     if k < 0 or n < 0 or k > n:
         return 0
-    if 2 * k > n:
-        return _binom_image(n, n - k, w)
-    if k == 0:
-        return 1
-    quot, rem = divmod(
-        _binom_image(n, k - 1, w) * ((1 << (n - k + 1) * w) - 1), (1 << k * w) - 1
-    )
-    if rem:
-        raise ExactnessError(f"[{n}, {k}] at 2^{w} left a remainder")
-    return quot
+    k = min(k, n - k)
+    return _pascal_image(n, k, w) if k else 1
+
+
+@lru_cache(maxsize=1 << 13)
+def _pascal_image(n: int, k: int, w: int) -> int:
+    """[n choose k] at q = 2^w for 1 <= k <= n/2.
+
+    q-Pascal, [n, k] = [n-1, k-1] + X^k [n-1, k] at X = 2^w: one shift and
+    one add per image, exact at every w because the identity is.  A chain
+    asks for nearly every image below its largest, so the two it needs are
+    cached.  A cold call first computes [n - _ROW_STRIDE, k], which caches
+    every image the recursion would otherwise reach below that row.
+    """
+    if n - _ROW_STRIDE >= 2 * k:
+        _pascal_image(n - _ROW_STRIDE, k, w)
+    return _binom_image(n - 1, k - 1, w) + (_binom_image(n - 1, k, w) << k * w)
 
 
 def _kron_step(states: dict, edges, w: int) -> dict:
@@ -472,38 +485,47 @@ def _l1_binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _kronecker(route) -> tuple[XLaurent, int]:
-    """Sum a chain over Z[q^+-1] at q = 2^w and read the result back once.
+def _kronecker(route):
+    """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
 
     ``route(binom, one_minus, step)`` builds its chain from what it is
-    handed and returns the final (V, o): ``binom(a, b)`` stands for
-    [a choose b], ``one_minus(d)`` for 1 - q^d (d >= 0), and ``step`` is
-    ``_kron_step`` at the pass's width.  The route runs twice.  The first
-    pass sums l1 norms, ||[a, b]||_1 = C(a, b) and ||1 - q^d||_1 <= 2, and
-    the l1 norm of a sum of products is at most the sum of the products of
-    the norms, so its result bounds every coefficient of the second pass's
-    result.  The second pass runs in the image at the width ``_width`` takes
-    from that bound, and its result is read back once; no other value of the
-    chain is ever read.  Returns the result and the bound.
+    handed and returns the final (V, o), or a list of finals:
+    ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
+    (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  The route
+    runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b) and
+    ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
+    sum of the products of the norms, so each of its finals bounds every
+    coefficient of the matching final of the second pass.  The second pass
+    runs in the image at the width ``_width`` takes from the largest bound,
+    and each final is read back once under its own bound; no other value of
+    the chain is ever read.  Returns (result, bound), or a list of them.
     """
-    bound, _ = route(
+    l1 = route(
         _l1_binom, lambda d: 2 if d else 0, lambda states, edges: _kron_step(states, edges, 0)
     )
-    w = _width(bound)
-    v, o = route(
+    many = isinstance(l1, list)
+    finals = l1 if many else [l1]
+    w = _width(max((bound for bound, _ in finals), default=0))
+    images = route(
         lambda n, k: _binom_image(n, k, w),
         lambda d: 1 - (1 << d * w),
         lambda states, edges: _kron_step(states, edges, w),
     )
-    return _read_back(v, o, w, bound), bound
+    out = [
+        (_read_back(v, o, w, bound), bound)
+        for (v, o), (bound, _) in zip(images if many else [images], finals, strict=True)
+    ]
+    return out if many else out[0]
 
 
 def _over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
     """Exact quotient p / prod_{d in ds} (1 - q^d), one factor at a time.
 
-    Dividing by 1 - q^d is the running sum a_j += a_{j-d}, taken a block of
-    d entries at a time.  The quotient ends d below the top, so the last d
-    sums must vanish; otherwise ExactnessError is raised.
+    Dividing by 1 - q^d is the running sum a_j += a_{j-d}, run by C loops
+    in whichever way takes fewer of them: one ``itertools.accumulate`` per
+    residue class a[r::d] when d^2 < len, else one slice addition per block
+    of d entries.  The quotient ends d below the top, so the last d sums
+    must vanish; otherwise ExactnessError is raised.
     """
     if not p.coeffs:
         return XLaurent()
@@ -512,8 +534,12 @@ def _over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
     for e, c in p.coeffs.items():
         a[e - lo] = c
     for d in ds:
-        for j in range(d, len(a), d):
-            a[j : j + d] = map(operator.add, a[j : j + d], a[j - d : j])
+        if d * d < len(a):
+            for r in range(d):
+                a[r::d] = itertools.accumulate(a[r::d])
+        else:
+            for j in range(d, len(a), d):
+                a[j : j + d] = map(operator.add, a[j : j + d], a[j - d : j])
         if any(a[-d:]):
             raise ExactnessError(f"not divisible by 1 - q^{d}")
         del a[-d:]

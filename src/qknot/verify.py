@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import bailey
 from .cyclo import CycloNum, cyclo_eval
-from .cyclotomic_coeffs import c_multisum, c_product
+from .cyclotomic_coeffs import c_multisum, c_multisums, c_product
 from .hecke import hecke_u1_double, hecke_u_series_x
 from .jones import habiro_inverse, habiro_reconstruct, jones_hyper, jones_left, jones_morton, mirror
 from .laurent import XLaurent
@@ -230,8 +230,8 @@ def check_hecke_stability(t: int, m: int, order: int, pad: int = 5) -> list[Evid
 @_family("cyclotomic", _T, _M, _N_MAX, mutation=(2, 2, 5))
 def check_cyclotomic_coeffs(t: int, m: int, n_max: int) -> list[Evidence]:
     return [
-        (f"multisum vs product at n={n}", c_multisum(t, m, n), c_product(t, m, n))
-        for n in range(n_max + 1)
+        (f"multisum vs product at n={n}", multisum, c_product(t, m, n))
+        for n, multisum in enumerate(c_multisums(t, m, n_max))
     ]
 
 

@@ -7,9 +7,17 @@ that ``series._by_binomials`` replaced for every Pochhammer quotient, and
 ``cyclo_mul`` multiplies two elements of a cyclotomic field.  They are the
 former ``QSeries``, ``XLaurent`` and ``CycloNum`` methods, verbatim but for
 taking the series, polynomial or field element as their first argument.
+
+``binom_image`` (the division recurrence that q-Pascal replaced) and
+``over_binomials`` (the block pass that the per-class running sums
+replaced) are the former ``laurent._binom_image`` and
+``laurent._over_binomials``, verbatim but for their names.
 """
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 from qknot.cyclo import CycloNum, _reduce
 from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm
@@ -119,3 +127,47 @@ def cyclo_mul(self: CycloNum, other: CycloNum) -> CycloNum:
             for j, b in terms:
                 raw[i + j] += a * b
     return CycloNum(self.order, _reduce(raw, self.order))
+
+
+@lru_cache(maxsize=1 << 13)
+def binom_image(n: int, k: int, w: int) -> int:
+    """[n choose k] at q = 2^w as an exact int; 0 outside 0 <= k <= n.
+
+    [n, k] = [n, k-1] (X^(n-k+1) - 1) / (X^k - 1) at X = 2^w; each quotient
+    is exact because the polynomial one is, and a remainder raises."""
+    if k < 0 or n < 0 or k > n:
+        return 0
+    if 2 * k > n:
+        return binom_image(n, n - k, w)
+    if k == 0:
+        return 1
+    quot, rem = divmod(
+        binom_image(n, k - 1, w) * ((1 << (n - k + 1) * w) - 1), (1 << k * w) - 1
+    )
+    if rem:
+        raise ExactnessError(f"[{n}, {k}] at 2^{w} left a remainder")
+    return quot
+
+
+def over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
+    """Exact quotient p / prod_{d in ds} (1 - q^d), one factor at a time.
+
+    Dividing by 1 - q^d is the running sum a_j += a_{j-d}, taken a block of
+    d entries at a time.  The quotient ends d below the top, so the last d
+    sums must vanish; otherwise ExactnessError is raised.
+    """
+    if not p.coeffs:
+        return XLaurent()
+    lo = p.min_exp()
+    a = [0] * (p.max_exp() - lo + 1)
+    for e, c in p.coeffs.items():
+        a[e - lo] = c
+    for d in ds:
+        for j in range(d, len(a), d):
+            a[j : j + d] = map(operator.add, a[j : j + d], a[j - d : j])
+        if any(a[-d:]):
+            raise ExactnessError(f"not divisible by 1 - q^{d}")
+        del a[-d:]
+    res = XLaurent.__new__(XLaurent)
+    res.coeffs = {lo + j: c for j, c in enumerate(a) if c}
+    return res

@@ -310,6 +310,26 @@ def test_corrupted_alpha_fails_conjugate():
     assert not report.passed and report.witness is not None
 
 
+@pytest.mark.parametrize("target, q_exp, at", [(12, -60, -48), (8, -100, -92)])
+def test_corrupted_alpha_at_a_late_target_fails_conjugate(target, q_exp, at):
+    # lowering the target's floor alone let the walk along r stop before it
+    bad = perturbed_pair(andrews_pair(), "alpha", target, Mono(1, 0, q_exp))
+    report = conjugate_identity_check(bad, 20)
+    assert not report.passed
+    assert report.witness["q_exp"] == str(at)
+
+
+def test_corrupted_floors_shift_together():
+    pair = andrews_pair()
+    bad = perturbed_pair(pair, "alpha", 12, Mono(1, 0, -60))
+    drop = pair.alpha_floor(12) + 60
+    assert [bad.alpha_floor(r) for r in range(20)] == [pair.alpha_floor(r) - drop for r in range(20)]
+    assert bad.beta_floor(5) == pair.beta_floor(5)
+    # a monomial at or above the floor leaves every floor as it is
+    same = perturbed_pair(pair, "alpha", 2, Mono(1, 0, pair.alpha_floor(2) + 1))
+    assert [same.alpha_floor(r) for r in range(20)] == [pair.alpha_floor(r) for r in range(20)]
+
+
 def test_andrews_beta_floor_is_the_valuation_for_any_x():
     # x with a q-power: the floor is the sum of the numerator factors'
     # valuations; a floor that only falls with n kept the conjugate sum open

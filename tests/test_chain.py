@@ -1028,6 +1028,13 @@ def test_kronecker_routes_match_their_chain_oracles(t, m):
             assert cyclotomic_coeffs.c_series(t, m, n, window) == old, (n, window)
 
 
+@pytest.mark.parametrize("t, m", _TM)
+def test_one_multisum_chain_matches_the_chain_oracle_at_every_n(t, m):
+    oracle = [c_multisum_chain(t, m, n) for n in range(13)]
+    assert cyclotomic_coeffs.c_multisums(t, m, 12) == oracle
+    assert cyclotomic_coeffs.c_multisums(t, m, -1) == []
+
+
 @pytest.mark.parametrize("t", range(1, 5))
 def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
     for n_color in range(1, 15):
@@ -1086,6 +1093,31 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
         lambda states, edges: laurent._kron_step(states, edges, 8),
     )
     assert laurent._read_back(v, o, 8, 0) != true
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclotomic_coeffs.c_multisums(3, 1, 8)
+    # the batched route reads each n back under its own bound: every n whose
+    # bound needs more than 8 bits raises, and the others read back true
+    monkeypatch.undo()
+    batched = partial(cyclotomic_coeffs._multisum, 3, 1, 8, every=True)
+    truths = laurent._kronecker(batched)
+    read_back, outcomes = laurent._read_back, []
+
+    def recording(v, o, w, bound):
+        try:
+            outcomes.append(read_back(v, o, w, bound))
+        except ExactnessError as err:
+            outcomes.append(err)
+
+    monkeypatch.setattr(laurent, "_width", lambda bound: 8)
+    monkeypatch.setattr(laurent, "_read_back", recording)
+    laurent._kronecker(batched)
+    assert len(outcomes) == len(truths) == 9
+    for n, (outcome, (true, bound)) in enumerate(zip(outcomes, truths)):
+        if bound >= 1 << 7:
+            assert isinstance(outcome, ExactnessError) and "8-bit slots" in str(outcome), n
+        else:
+            assert outcome == true, n
+    assert sum(isinstance(outcome, ExactnessError) for outcome in outcomes) == 7
 
 
 @pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])

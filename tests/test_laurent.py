@@ -1,6 +1,7 @@
 """Laurent-polynomial layer: hand values, independent oracles, ring laws."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qknot.laurent import (
     _binom_image,
     _over_binomials,
     _packed_product,
+    _pascal_image,
     _read_back,
     _width,
     bernoulli_b2,
@@ -27,7 +29,7 @@ from qknot.laurent import (
     qbinomial,
 )
 
-from kernel_oracles import divexact
+from kernel_oracles import binom_image, divexact, over_binomials
 
 
 def lp(d):
@@ -100,6 +102,21 @@ def test_binomial_images_are_exact_at_any_width():
         for n in range(18):
             for k in range(-1, n + 2):
                 assert _binom_image(n, k, w) == _at(qbinomial(n, k), w)[0], (w, n, k)
+
+
+def test_pascal_images_match_the_division_oracle():
+    for w in (8, 32, 64):
+        for n in range(61):
+            for k in range(-1, n + 2):
+                assert _binom_image(n, k, w) == binom_image(n, k, w), (w, n, k)
+
+
+def test_a_tall_column_does_not_recurse_past_the_limit():
+    # q-Pascal walks n rows down a cold column; the division oracle only k
+    _pascal_image.cache_clear()
+    assert _binom_image(1200, 2, 32) == binom_image(1200, 2, 32)
+    _pascal_image.cache_clear()
+    assert _binom_image(1100, 3, 8) == binom_image(1100, 3, 8)
 
 
 def test_width_rule():
@@ -230,6 +247,24 @@ def test_over_binomials_roundtrip_and_failure():
         _over_binomials(a * b + lp({0: 1}), ds)
     with pytest.raises(ExactnessError, match="1 - q\\^5"):
         _over_binomials(a, [5])  # shorter than the factor
+
+
+def test_over_binomials_matches_the_block_oracle():
+    rng = random.Random(14)
+    for _ in range(150):
+        size = rng.randint(1, 60)
+        p = XLaurent({e: rng.randint(-9, 9) for e in range(size)}).shift(rng.randint(-6, 6))
+        # d below and above the square root of the dividend's length
+        ds = [rng.choice((1, 2, 3, rng.randint(4, 40))) for _ in range(rng.randint(1, 4))]
+        total = p
+        for d in ds:
+            total = total - total.shift(d)
+        assert _over_binomials(total, ds) == over_binomials(total, ds) == p, (p, ds)
+        if total:
+            bad = total + XLaurent.term(total.max_exp() + 1)
+            for divide in (_over_binomials, over_binomials):
+                with pytest.raises(ExactnessError):
+                    divide(bad, ds)
 
 
 def test_descale_checks_divisibility():
