@@ -121,9 +121,9 @@ def _chain_poly(
         for pos in range(1, length + 1):
             states = step(states, edges)
         closing = lambda v, low: ((None, binom(bound, v), fold(v), False),)
-        return step(states, closing).get(None, (0, 0))
+        return [step(states, closing).get(None, (0, 0))]
 
-    return _kronecker(route)[0]
+    return _kronecker(route)[0][0]
 
 
 def _q(first: int, count: int) -> list[Mono]:

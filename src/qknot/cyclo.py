@@ -139,7 +139,7 @@ def _root_pass(order: int, route, w: int) -> int:
     """One pass of a chain over Z[zeta_order] at q = zeta, on plain ints.
 
     ``route(binom, poch, step)`` builds its chain from what it is handed and
-    returns the final (V, o), as a ``laurent._kronecker`` route does:
+    returns its final (V, o), as each final of a ``laurent._kronecker`` route:
     ``binom(a, b)`` stands for [a choose b] and ``poch(k)`` for (q)_k
     (k < order), and ``step`` is ``laurent._kron_step`` at the pass's width,
     followed by one settle per merged state.

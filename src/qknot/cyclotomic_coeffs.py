@@ -23,6 +23,7 @@ main verification target.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from typing import Sequence
 
 from .laurent import XLaurent, _kronecker, _over_binomials
 
@@ -58,7 +59,7 @@ def _c_sum(t: int, m: int, n: int, cutoff: int | None, binom, one_minus, step):
     base = n + 1 - t
     kt = n + 1
     if t == 1:
-        return (0, 0) if cutoff is not None and base >= cutoff else (1, 0)
+        return [(0, 0) if cutoff is not None and base >= cutoff else (1, 0)]
 
     def edges(state: tuple[int, int], low: int):
         k, pref = state
@@ -76,7 +77,7 @@ def _c_sum(t: int, m: int, n: int, cutoff: int | None, binom, one_minus, step):
     states: dict = {(0, 0): (1, 0)}
     for i in range(t - 1):
         states = step(states, edges)
-    return states.get(None, (0, 0))
+    return [states.get(None, (0, 0))]
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +86,7 @@ def c_product(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, n, None))[0].shift(n + 1 - t)
+    return _kronecker(partial(_c_sum, t, m, n, None))[0][0].shift(n + 1 - t)
 
 
 def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
@@ -93,23 +94,24 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, n, window))[0].shift(n + 1 - t)
+    return _kronecker(partial(_c_sum, t, m, n, window))[0][0].shift(n + 1 - t)
 
 
-def _multisum(t: int, m: int, n: int, binom, one_minus, step, every: bool = False):
-    """(q)_{n+1} times the multisum of c_multisum, as a ``laurent._kronecker``
-    route; with ``every``, the list of these for 0, ..., n from one chain.
+def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
+    """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``, as a
+    ``laurent._kronecker`` route that runs one chain for all of them.
 
-    The chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed position by
-    position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
+    With n = max(ns), the chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed
+    position by position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
     the centre factor 1 - q^{v_t - v_{t-m}} needs.  An edge u -> v carries
     [v choose u], q^{-uv} at positions up to t, and the node factor of v:
     q^{-v} before position t-m, q^{v(v-1)/2} and the sign (-1)^v at t, and
     q^{v^2} after it.  The bound only caps v, and v only climbs along a
     path, so a state with v <= k+1 holds the same value in the chain for n
     as in the chain for k < n; only the closing [k+1 choose v], zero for
-    v > k+1, depends on k.
+    v > k+1, depends on k, and the chain is closed once for each k in ns.
     """
+    n = max(ns)
     store = t - m
 
     def edges(state: tuple[int, int | None], low: int):
@@ -131,7 +133,7 @@ def _multisum(t: int, m: int, n: int, binom, one_minus, step, every: bool = Fals
         closing = lambda s, low: ((None, binom(k + 1, s[0]), 0, False),)
         return step(states, closing).get(None, (0, 0))
 
-    return [close(k) for k in range(n + 1)] if every else close(n)
+    return [close(k) for k in ns]
 
 
 def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
@@ -151,7 +153,7 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _over_pochhammer(t, n, _kronecker(partial(_multisum, t, m, n))[0])
+    return _over_pochhammer(t, n, _kronecker(partial(_multisum, t, m, (n,)))[0][0])
 
 
 def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
@@ -159,7 +161,7 @@ def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
     _validate(t, m)
     if n_max < 0:
         return []
-    finals = _kronecker(partial(_multisum, t, m, n_max, every=True))
+    finals = _kronecker(partial(_multisum, t, m, range(n_max + 1)))
     return [_over_pochhammer(t, n, total) for n, (total, _) in enumerate(finals)]
 
 

@@ -82,7 +82,7 @@ def _jones_chain(t: int, n: int, binom, one_minus, step):
     states = step({None: (1, 0)}, heads)
     for _ in range(t - 1):
         states = step(states, edges)
-    return step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))
+    return [step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))]
 
 
 def jones_hyper(t: int, n_color: int) -> XLaurent:
@@ -93,7 +93,7 @@ def jones_hyper(t: int, n_color: int) -> XLaurent:
     """
     if t < 1 or n_color < 1:
         raise ValueError("need t >= 1 and a positive color")
-    return _kronecker(partial(_jones_chain, t, n_color))[0].shift(t * (1 - n_color))
+    return _kronecker(partial(_jones_chain, t, n_color))[0][0].shift(t * (1 - n_color))
 
 
 def jones_left(t: int, m: int, n_color: int) -> XLaurent:

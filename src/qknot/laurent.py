@@ -377,7 +377,7 @@ def qbinomial(n: int, k: int) -> XLaurent:
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    return _kronecker(lambda binom, one_minus, step: (binom(n, k), 0))[0]
+    return _kronecker(lambda binom, one_minus, step: [(binom(n, k), 0)])[0][0]
 
 
 # -- chain sums at q = 2^w ---------------------------------------------------
@@ -418,36 +418,57 @@ def _read_back(v: int, o: int, w: int, bound: int) -> XLaurent:
     return res
 
 
-# How far down its column a call computes the image it starts from, so that
-# a cold call recurses about n / _ROW_STRIDE + _ROW_STRIDE + k images deep.
-_ROW_STRIDE = 64
+# Canonical binomial images (1 <= k <= n/2), the oldest dropped first once
+# there are more than _IMAGES_MAX of them.
+_IMAGES: dict[tuple[int, int, int], int] = {}
+_IMAGES_MAX = 1 << 13
 
 
 def _binom_image(n: int, k: int, w: int) -> int:
     """[n choose k] at q = 2^w as an exact int; 0 outside 0 <= k <= n.
 
-    Only the images ``_pascal_image`` computes are cached: 1 <= k <= n/2,
-    one entry per image however it was asked for.
+    q-Pascal, [m, j] = [m-1, j-1] + X^j [m-1, j] at X = 2^w: one shift and
+    one add per image, exact at every w because the identity is.  Only
+    canonical images (1 <= k <= n/2) are cached.  A miss runs down the rows
+    in a loop, row m holding the band [m, j], k - (n - m) <= j <= k, that
+    [n, k] depends on, from the highest row whose band is cached, at worst
+    row 0: at most (k + 1)(n - k + 1) images whatever the cache holds.  A
+    chain asks for nearly every image below its largest, so the run caches
+    every image it computes, unless they could be more than a quarter of
+    the cache: then it keeps only [n, k], so as not to evict what it needs.
     """
     if k < 0 or n < 0 or k > n:
         return 0
     k = min(k, n - k)
-    return _pascal_image(n, k, w) if k else 1
-
-
-@lru_cache(maxsize=1 << 13)
-def _pascal_image(n: int, k: int, w: int) -> int:
-    """[n choose k] at q = 2^w for 1 <= k <= n/2.
-
-    q-Pascal, [n, k] = [n-1, k-1] + X^k [n-1, k] at X = 2^w: one shift and
-    one add per image, exact at every w because the identity is.  A chain
-    asks for nearly every image below its largest, so the two it needs are
-    cached.  A cold call first computes [n - _ROW_STRIDE, k], which caches
-    every image the recursion would otherwise reach below that row.
-    """
-    if n - _ROW_STRIDE >= 2 * k:
-        _pascal_image(n - _ROW_STRIDE, k, w)
-    return _binom_image(n - 1, k - 1, w) + (_binom_image(n - 1, k, w) << k * w)
+    if not k:
+        return 1
+    image = _IMAGES.get((n, k, w))
+    if image is not None:
+        return image
+    m, band = n, [None]
+    while None in band:
+        m -= 1
+        lo = max(0, k - n + m)
+        band = [
+            1 if j in (0, m) else _IMAGES.get((m, min(j, m - j), w))
+            for j in range(lo, min(k, m) + 1)
+        ]
+    keep_all = (n - m) * (k + 1) <= _IMAGES_MAX // 4
+    for m in range(m + 1, n + 1):
+        row_lo = max(0, k - n + m)
+        band = [
+            (band[j - 1 - lo] if j > lo else 0)
+            + (band[j - lo] << j * w if j - lo < len(band) else 0)
+            for j in range(row_lo, min(k, m) + 1)
+        ]
+        lo = row_lo
+        if keep_all or m == n:
+            for j, image in enumerate(band, lo):
+                if 0 < j < m:
+                    _IMAGES[m, min(j, m - j), w] = image
+    while len(_IMAGES) > _IMAGES_MAX:
+        del _IMAGES[next(iter(_IMAGES))]
+    return band[-1]
 
 
 def _kron_step(states: dict, edges, w: int) -> dict:
@@ -485,11 +506,11 @@ def _l1_binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _kronecker(route):
+def _kronecker(route) -> list[tuple[XLaurent, int]]:
     """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
 
     ``route(binom, one_minus, step)`` builds its chain from what it is
-    handed and returns the final (V, o), or a list of finals:
+    handed and returns the list of its finals (V, o), most routes just one:
     ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
     (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  The route
     runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b) and
@@ -498,24 +519,23 @@ def _kronecker(route):
     coefficient of the matching final of the second pass.  The second pass
     runs in the image at the width ``_width`` takes from the largest bound,
     and each final is read back once under its own bound; no other value of
-    the chain is ever read.  Returns (result, bound), or a list of them.
+    the chain is ever read.  Returns (result, bound) for every final.
     """
-    l1 = route(
-        _l1_binom, lambda d: 2 if d else 0, lambda states, edges: _kron_step(states, edges, 0)
-    )
-    many = isinstance(l1, list)
-    finals = l1 if many else [l1]
-    w = _width(max((bound for bound, _ in finals), default=0))
-    images = route(
+    bounds = [
+        bound
+        for bound, _ in route(
+            _l1_binom, lambda d: 2 if d else 0, lambda states, edges: _kron_step(states, edges, 0)
+        )
+    ]
+    w = _width(max(bounds, default=0))
+    finals = route(
         lambda n, k: _binom_image(n, k, w),
         lambda d: 1 - (1 << d * w),
         lambda states, edges: _kron_step(states, edges, w),
     )
-    out = [
-        (_read_back(v, o, w, bound), bound)
-        for (v, o), (bound, _) in zip(images if many else [images], finals, strict=True)
+    return [
+        (_read_back(v, o, w, bound), bound) for (v, o), bound in zip(finals, bounds, strict=True)
     ]
-    return out if many else out[0]
 
 
 def _over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:

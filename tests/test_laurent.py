@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qknot
+from qknot import laurent
 from qknot.laurent import (
     ONE,
     ZERO,
@@ -20,7 +21,6 @@ from qknot.laurent import (
     _binom_image,
     _over_binomials,
     _packed_product,
-    _pascal_image,
     _read_back,
     _width,
     bernoulli_b2,
@@ -113,10 +113,32 @@ def test_pascal_images_match_the_division_oracle():
 
 def test_a_tall_column_does_not_recurse_past_the_limit():
     # q-Pascal walks n rows down a cold column; the division oracle only k
-    _pascal_image.cache_clear()
+    laurent._IMAGES.clear()
     assert _binom_image(1200, 2, 32) == binom_image(1200, 2, 32)
-    _pascal_image.cache_clear()
+    laurent._IMAGES.clear()
     assert _binom_image(1100, 3, 8) == binom_image(1100, 3, 8)
+
+
+def test_a_cone_wider_than_the_cache_is_one_bounded_run():
+    # about 40,000 images under [600, 100], five times the cache: the run
+    # keeps only its result instead of evicting what it still needs
+    laurent._IMAGES.clear()
+    assert _binom_image(600, 100, 32) == binom_image(600, 100, 32)
+    assert list(laurent._IMAGES) == [(600, 100, 32)]
+
+
+def test_images_in_any_order_and_under_eviction_match_the_oracle(monkeypatch):
+    rng = random.Random(7)
+    keys = [(n, k, w) for w in (8, 32) for n in range(41) for k in range(n + 1)]
+    for limit in (laurent._IMAGES_MAX, 16):
+        monkeypatch.setattr(laurent, "_IMAGES_MAX", limit)
+        laurent._IMAGES.clear()
+        rng.shuffle(keys)
+        for n, k, w in keys:
+            assert _binom_image(n, k, w) == binom_image(n, k, w), (limit, n, k, w)
+            assert len(laurent._IMAGES) <= limit
+            assert all(1 <= j <= m // 2 for m, j, _ in laurent._IMAGES)
+    laurent._IMAGES.clear()
 
 
 def test_width_rule():
