@@ -16,7 +16,7 @@ from .bailey import (
     make_named_pair,
 )
 from .cyclo import CycloNum, cyclo_eval
-from .cyclotomic_coeffs import CyclotomicCoeffs, c_multisum, c_product
+from .cyclotomic_coeffs import c_multisum, c_product
 from .hecke import hecke_u1_double, hecke_u_series, hecke_u_series_x
 from .jones import (
     habiro_inverse,
@@ -46,7 +46,6 @@ __all__ = [
     "BaileyPair",
     "CheckReport",
     "CycloNum",
-    "CyclotomicCoeffs",
     "ExactnessError",
     "Mono",
     "QSeries",

@@ -22,9 +22,9 @@ import time
 from fractions import Fraction
 
 from . import verify
-from .cyclotomic_coeffs import c_product
+from .cyclotomic_coeffs import c_product, c_products
 from .hecke import hecke_u1_double, hecke_u_series_x
-from .jones import jones_hyper, jones_left, jones_morton
+from .jones import habiro_reconstruct, jones_hyper, jones_left, jones_morton
 from .modular import theta_phi
 from .serialize import (
     cyclo_to_json_dict,
@@ -125,10 +125,7 @@ def _cmd_series(args) -> int:
         if args.x == "minus-qN":
             # x -> -q^N terminates the expansion; evaluate the finite sum
             _need(args, "m", "N")
-            from .cyclotomic_coeffs import CyclotomicCoeffs
-            from .jones import habiro_reconstruct
-
-            poly = habiro_reconstruct(CyclotomicCoeffs(args.t, args.m), args.N)
+            poly = habiro_reconstruct(c_products(args.t, args.m, args.N - 1), args.N)
             _emit_series(xlaurent_to_qseries(poly), args)
             return 0
         _need(args, "m", "trunc")

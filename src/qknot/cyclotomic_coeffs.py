@@ -13,11 +13,13 @@ and a sign, and the route runs twice, first on l1 norms (||[a, b]||_1 =
 C(a, b), ||1 - q^d||_1 <= 2, a monomial has norm 1) to bound every
 coefficient of the result, then on exact ints at q = 2^w, whose result is read back once
 as balanced digits.  The read-back is exact because the bound leaves a sign
-bit in every slot.  The multisum runs one chain for every n <= n_max
-(``c_multisums``): only its closing binomial depends on n, so each C_n is
-closed, read back under its own bound and divided from the one chain.  The
-two routes keep their own states and summands, so their agreement remains a
-main verification target.
+bit in every slot.  Both routes run one chain for every n <= n_max
+(``c_products``, ``c_multisums``): only the closing binomial depends on n,
+so one keyed last step closes every n and each C_n is read back under its
+own bound.  The two routes keep their own states and summands, so their
+agreement remains a main verification target.  The product form's chain
+works in any ring: U(-1; zeta_N) closes it at q = zeta_N with (zeta)_n^2
+(``useries.u_eval_at_root``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from .laurent import XLaurent, _kronecker, _over_binomials
 
-__all__ = ["CyclotomicCoeffs", "c_multisum", "c_product", "c_series"]
+__all__ = ["c_multisum", "c_product", "c_series"]
 
 
 def _validate(t: int, m: int) -> None:
@@ -37,47 +39,52 @@ def _validate(t: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= t, got m={m}, t={t}")
 
 
-def _c_sum(t: int, m: int, n: int, cutoff: int | None, binom, one_minus, step):
-    """The inner sum of the product form (no q^{n+1-t} prefactor applied), as
-    a ``laurent._kronecker`` route.
+def _c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus, step):
+    """The inner sums of the product form (no q^{n+1-t} prefactor applied) for
+    every n in the range ``ns``, as a ``laurent._kronecker`` route that runs
+    one chain for all of them.
 
     Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
     q^{k_i^2} (i < t) and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i], where the
     chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  Each edge
-    carries the q^{k^2} of the state it enters; the step into level t-1 also
-    carries the closing binomial, so the widest level is never held.
+    carries the q^{k^2} of the state it enters.  The levels run once, k
+    capped at max(ns)+1: as in ``_multisum``, a state holds the same value
+    for every n with n+1 >= k, and one keyed last step closes each such n
+    with its binomial into k_t = n+1 (with t = 1, [n+1, n+1] = 1).
 
-    cutoff, when given, bounds the *full* C_n exponent: an edge whose minimal
-    contribution (n+1-t) + o + k^2 reaches it is pruned, o the offset of the
-    state it leaves.  Every summand has nonnegative coefficients and every
-    nonzero binomial has constant term 1, so nothing cancels and o is the
-    exact minimal exponent of the state's value (the lowest set bit of its
-    image); pruning is sound because every factor has nonnegative valuation.
-    The l1 pass tracks the same offsets, prunes the same edges and so bounds
-    exactly the pruned sum.
+    cutoff, when given, is for a single n and bounds the *full* C_n
+    exponent: an edge whose minimal contribution (n+1-t) + o + k^2 reaches it
+    is pruned, o the offset of the state it leaves, and so is a closing edge
+    once (n+1-t) + o reaches it.  Every summand has nonnegative coefficients
+    and every nonzero binomial has constant term 1, so nothing cancels and o
+    is the exact minimal exponent of the state's value (the lowest set bit of
+    its image); pruning is sound because every factor has nonnegative
+    valuation.  The l1 pass tracks the same offsets, prunes the same edges
+    and so bounds exactly the pruned sum.
     """
-    base = n + 1 - t
-    kt = n + 1
-    if t == 1:
-        return [(0, 0) if cutoff is not None and base >= cutoff else (1, 0)]
+    top = ns[-1] + 1
+    base = top - t
 
     def edges(state: tuple[int, int], low: int):
         k, pref = state
-        for k2 in range(max(k, 1) if i + 1 == m else k, kt + 1):
+        for k2 in range(max(k, 1) if i + 1 == m else k, top + 1):
             sq = k2 * k2
             if cutoff is not None and base + low + sq >= cutoff:
                 break
-            b = binom(k2 - k - i + pref, k2 - k)
-            p2 = pref + 2 * k2 + (1 if m > i + 1 else 0)
-            if i + 1 < t - 1:
-                yield (k2, p2), b, sq, False
-            else:
-                yield None, b * binom(kt - k2 - i - 1 + p2, kt - k2), sq, False
+            yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0)), binom(k2 - k - i + pref, k2 - k), sq, False
+
+    def close(state: tuple[int, int], low: int):
+        k, pref = state
+        if cutoff is not None and base + low >= cutoff:
+            return
+        for n in ns[max(k - 1 - ns.start, 0) :]:
+            yield n, binom(n + 1 - k - (t - 1) + pref, n + 1 - k), 0, False
 
     states: dict = {(0, 0): (1, 0)}
     for i in range(t - 1):
         states = step(states, edges)
-    return [states.get(None, (0, 0))]
+    finals = step(states, close)
+    return [finals.get(n, (0, 0)) for n in ns]
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +93,16 @@ def c_product(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, n, None))[0][0].shift(n + 1 - t)
+    return _kronecker(partial(_c_sum, t, m, range(n, n + 1), None))[0][0].shift(n + 1 - t)
+
+
+def c_products(t: int, m: int, n_max: int) -> list[XLaurent]:
+    """[c_product(t, m, n) for n in 0..n_max], from one chain."""
+    _validate(t, m)
+    if n_max < 0:
+        return []
+    finals = _kronecker(partial(_c_sum, t, m, range(n_max + 1), None))
+    return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
 def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
@@ -94,7 +110,7 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, n, window))[0][0].shift(n + 1 - t)
+    return _kronecker(partial(_c_sum, t, m, range(n, n + 1), window))[0][0].shift(n + 1 - t)
 
 
 def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
@@ -129,11 +145,9 @@ def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
     for pos in range(1, 2 * t):
         states = step(states, edges)
 
-    def close(k: int):
-        closing = lambda s, low: ((None, binom(k + 1, s[0]), 0, False),)
-        return step(states, closing).get(None, (0, 0))
-
-    return [close(k) for k in ns]
+    close = lambda state, low: ((k, binom(k + 1, state[0]), 0, False) for k in ns if k + 1 >= state[0])
+    finals = step(states, close)
+    return [finals.get(k, (0, 0)) for k in ns]
 
 
 def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
@@ -163,20 +177,3 @@ def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
         return []
     finals = _kronecker(partial(_multisum, t, m, range(n_max + 1)))
     return [_over_pochhammer(t, n, total) for n, (total, _) in enumerate(finals)]
-
-
-class CyclotomicCoeffs:
-    """Lazy family n -> C_n for fixed (t, m), backed by the product form."""
-
-    def __init__(self, t: int, m: int):
-        _validate(t, m)
-        self.t = t
-        self.m = m
-
-    def __call__(self, n: int) -> XLaurent:
-        return c_product(self.t, self.m, n)
-
-    __getitem__ = __call__
-
-    def __repr__(self) -> str:
-        return f"CyclotomicCoeffs(t={self.t}, m={self.m})"

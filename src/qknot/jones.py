@@ -20,7 +20,7 @@ import math
 from functools import partial
 from typing import Callable, Sequence
 
-from .laurent import XLaurent, _kronecker, _over_binomials, poch_q, qbinomial
+from .laurent import XLaurent, _kronecker, _over_binomials, qbinomial
 
 __all__ = [
     "habiro_inverse",
@@ -120,15 +120,19 @@ def jones_left(t: int, m: int, n_color: int) -> XLaurent:
 def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]", n_color: int) -> XLaurent:
     """Rebuild J_N from cyclotomic coefficients: sum of C_n (q^{1+N})_n (q^{1-N})_n.
 
-    Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.
+    Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.  The
+    sum is taken in nested (Horner) form from the top,
+    T <- C_i + (1 - q^{i+1+N})(1 - q^{i+1-N}) T for i = N-1 down to 0: two
+    shift-subtracts per i.
     """
     if n_color < 1:
         raise ValueError("color must be a positive integer")
     get = coeffs.__getitem__ if not callable(coeffs) else coeffs
     n = n_color
     total = XLaurent()
-    for i in range(n):
-        total = total + get(i) * poch_q(1 + n, i) * poch_q(1 - n, i)
+    for i in range(n - 1, -1, -1):
+        total = total - total.shift(i + 1 + n)
+        total = total - total.shift(i + 1 - n) + get(i)
     return total
 
 

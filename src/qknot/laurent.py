@@ -432,7 +432,8 @@ def _binom_image(n: int, k: int, w: int) -> int:
     canonical images (1 <= k <= n/2) are cached.  A miss runs down the rows
     in a loop, row m holding the band [m, j], k - (n - m) <= j <= k, that
     [n, k] depends on, from the highest row whose band is cached, at worst
-    row 0: at most (k + 1)(n - k + 1) images whatever the cache holds.  A
+    row 0: at most (k + 1)(n - k + 1) images whatever the cache holds.  The
+    band is updated in place, top down, so only one band is ever held.  A
     chain asks for nearly every image below its largest, so the run caches
     every image it computes, unless they could be more than a quarter of
     the cache: then it keeps only [n, k], so as not to evict what it needs.
@@ -455,13 +456,13 @@ def _binom_image(n: int, k: int, w: int) -> int:
         ]
     keep_all = (n - m) * (k + 1) <= _IMAGES_MAX // 4
     for m in range(m + 1, n + 1):
-        row_lo = max(0, k - n + m)
-        band = [
-            (band[j - 1 - lo] if j > lo else 0)
-            + (band[j - lo] << j * w if j - lo < len(band) else 0)
-            for j in range(row_lo, min(k, m) + 1)
-        ]
-        lo = row_lo
+        if m <= k:
+            band.append(0)  # [m-1, m]
+        for i in range(len(band) - 1, 0, -1):
+            band[i] = band[i - 1] + (band[i] << (lo + i) * w)
+        if k - n + m > 0:
+            del band[0]
+            lo += 1
         if keep_all or m == n:
             for j, image in enumerate(band, lo):
                 if 0 < j < m:
@@ -581,7 +582,6 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> XLaurent:
     """The cyclotomic polynomial of the given order, with integer coefficients:
     prod_{d | order} (1 - q^d)^mu(order / d), negated at order 1."""

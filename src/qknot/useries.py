@@ -4,8 +4,9 @@ F_t^{(m)} diverges off roots of unity, so it only ever appears here as an
 exact cyclotomic-field value (the q-Pochhammer factor kills all but finitely
 many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
-it collapses to a finite sum evaluated directly in the field.  Both field
-values are routes of ``cyclo._root_sum``: their nested chains run on plain
+it collapses to a finite sum evaluated directly in the field, the product
+form of the C_n (``cyclotomic_coeffs._c_sum``) closed with (q)_n^2.  Both
+field values are routes of ``cyclo._root_sum``: their nested chains run on plain
 ints in the image of Z[zeta_N] at zeta = 2^w (``laurent._kron_step``, each
 merged state reduced mod Phi_N(2^w) once) and are read back once, under a
 proven bound.  Their Gaussian binomials at q = zeta_N come by the q-Lucas
@@ -17,7 +18,7 @@ zeta_N^-1 is the Galois conjugate of F at zeta_N (zeta -> zeta^-1).
 from __future__ import annotations
 
 from .cyclo import CycloNum, _root_sum, cyclo_eval
-from .cyclotomic_coeffs import _validate, c_series
+from .cyclotomic_coeffs import _c_sum, _validate, c_series
 from .laurent import XLaurent
 from .series import Mono, QSeries, _by_binomials
 
@@ -55,12 +56,12 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
 def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     """U_t^{(m)}(-1; zeta_N) as an exact field element.
 
-    At x = -1 the two Pochhammers square to (q)_{k_t-1}^2, which vanishes
-    once k_t - 1 >= N, so the nested sum is finite (k_t <= N).  Below the
-    top the chain has the product form's states (k_i, p_i) and binomials
-    (tops up to about (2t+1)N, read by q-Lucas from the N-row table), with
-    q^{k_i^2} on each edge into k_i; the top keeps k_t alone and closes with
-    (q)_{k_t-1}^2 q^{k_t-t}, all at q = zeta in ``cyclo._root_sum``.
+    At x = -1 the two Pochhammers square to (q)_n^2, which vanishes once
+    n >= N, so U(-1; zeta_N) = sum_{n<N} C_n (zeta)_n^2 is finite.  It is the
+    product form's chain (``cyclotomic_coeffs._c_sum``), run once for every
+    n < N with binomials read by q-Lucas from the N-row table (tops up to
+    about (2t+1)N), then closed by one step with weight (q)_n^2 and shift
+    n+1-t, all at q = zeta in ``cyclo._root_sum``.
     """
     _validate(t, m)
     if n_root < 1:
@@ -68,17 +69,9 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     order = n_root
 
     def route(binom, poch, step):
-        def edges(state: tuple[int, int], low: int):
-            k, pref = state
-            for k2 in range(max(k, 1) if i + 1 == m else k, order + 1):
-                nxt = (k2, pref + 2 * k2 + (1 if m > i + 1 else 0) if i < t - 1 else None)
-                yield nxt, binom(k2 - k - i + pref, k2 - k), k2 * k2 if i < t - 1 else 0, False
-
-        states: dict = {(0, 0): (1, 0)}
-        for i in range(t):
-            states = step(states, edges)
-        closing = lambda s, low: ((None, poch(s[0] - 1) * poch(s[0] - 1), s[0] - t, False),)
-        return step(states, closing).get(None, (0, 0))
+        finals = _c_sum(t, m, range(order), None, binom, None, step)
+        closing = lambda n, low: ((None, poch(n) * poch(n), n + 1 - t, False),)
+        return step(dict(enumerate(finals)), closing).get(None, (0, 0))
 
     return _root_sum(order, route)[0]
 

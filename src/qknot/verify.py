@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import bailey
 from .cyclo import CycloNum, cyclo_eval
-from .cyclotomic_coeffs import c_multisum, c_multisums, c_product
+from .cyclotomic_coeffs import c_multisums, c_products
 from .hecke import hecke_u1_double, hecke_u_series_x
 from .jones import habiro_inverse, habiro_reconstruct, jones_hyper, jones_left, jones_morton, mirror
 from .laurent import XLaurent
@@ -229,19 +229,17 @@ def check_hecke_stability(t: int, m: int, order: int, pad: int = 5) -> list[Evid
 
 @_family("cyclotomic", _T, _M, _N_MAX, mutation=(2, 2, 5))
 def check_cyclotomic_coeffs(t: int, m: int, n_max: int) -> list[Evidence]:
-    return [
-        (f"multisum vs product at n={n}", multisum, c_product(t, m, n))
-        for n, multisum in enumerate(c_multisums(t, m, n_max))
-    ]
+    sides = enumerate(zip(c_multisums(t, m, n_max), c_products(t, m, n_max), strict=True))
+    return [(f"multisum vs product at n={n}", multisum, product) for n, (multisum, product) in sides]
 
 
 @_family("habiro", _T, _M, Param("order", 0, "N", "max"), mutation=(2, 1, 4))
 def check_habiro_roundtrip(t: int, m: int, order: int) -> list[Evidence]:
     items: list[Evidence] = []
     family = lambda l: jones_left(t, m, l)
-    coeffs = lambda i: c_product(t, m, i)
+    coeffs = c_products(t, m, order)
     for n in range(order + 1):
-        items.append((f"inverse transform at n={n}", habiro_inverse(family, n), c_product(t, m, n)))
+        items.append((f"inverse transform at n={n}", habiro_inverse(family, n), coeffs[n]))
     for n_color in range(1, order + 1):
         items.append(
             (f"reconstruction at N={n_color}", habiro_reconstruct(coeffs, n_color), jones_left(t, m, n_color))
@@ -295,13 +293,14 @@ def check_bailey_pipeline(t: int, n_max: int, trunc: int) -> list[Evidence]:
     cur = bailey.make_named_pair("star", t=t)
     for _ in range(t):
         cur = bailey.bailey_step(cur, None, None)
+    coeffs = c_multisums(t, 1, n_max - 1)
     items: list[Evidence] = []
     for n in range(n_max + 1):
         got = cur.beta(n, trunc) - lov.beta(n, trunc)
         if n == 0:
             want = QSeries.zero(1, trunc)
         else:
-            want = QSeries.from_q_laurent(-c_multisum(t, 1, n - 1).shift(t - n))
+            want = QSeries.from_q_laurent(-coeffs[n - 1].shift(t - n))
         items.append((f"beta''-beta at n={n}", got, want, trunc))
     return items
 

@@ -12,15 +12,19 @@ taking the series, polynomial or field element as their first argument.
 ``over_binomials`` (the block pass that the per-class running sums
 replaced) are the former ``laurent._binom_image`` and
 ``laurent._over_binomials``, verbatim but for their names.
+
+``habiro_reconstruct`` is the former ``jones.habiro_reconstruct``, verbatim,
+which multiplied each C_n by its two Pochhammer products; the library now
+sums in nested (Horner) form.
 """
 
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
-from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm
+from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm, poch_q
 from qknot.series import Mono, QSeries, WindowError
 
 
@@ -171,3 +175,18 @@ def over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
     res = XLaurent.__new__(XLaurent)
     res.coeffs = {lo + j: c for j, c in enumerate(a) if c}
     return res
+
+
+def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]", n_color: int) -> XLaurent:
+    """Rebuild J_N from cyclotomic coefficients: sum of C_n (q^{1+N})_n (q^{1-N})_n.
+
+    Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.
+    """
+    if n_color < 1:
+        raise ValueError("color must be a positive integer")
+    get = coeffs.__getitem__ if not callable(coeffs) else coeffs
+    n = n_color
+    total = XLaurent()
+    for i in range(n):
+        total = total + get(i) * poch_q(1 + n, i) * poch_q(1 - n, i)
+    return total

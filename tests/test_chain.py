@@ -57,7 +57,7 @@ from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
-from kernel_oracles import cyclo_mul, divexact
+from kernel_oracles import cyclo_mul, divexact, habiro_reconstruct
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -1035,6 +1035,23 @@ def test_one_multisum_chain_matches_the_chain_oracle_at_every_n(t, m):
     assert cyclotomic_coeffs.c_multisums(t, m, -1) == []
 
 
+@pytest.mark.parametrize("t, m", _TM)
+def test_one_product_chain_matches_c_product_at_every_n(t, m):
+    expected = [cyclotomic_coeffs.c_product(t, m, n) for n in range(15)]
+    assert cyclotomic_coeffs.c_products(t, m, 14) == expected
+    assert cyclotomic_coeffs.c_products(t, m, -1) == []
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_nested_habiro_reconstruction_matches_its_oracle(t, m):
+    coeffs = cyclotomic_coeffs.c_products(t, m, 11)
+    get = coeffs.__getitem__
+    for n_color in range(1, 13):
+        old = habiro_reconstruct(coeffs, n_color)
+        assert jones.habiro_reconstruct(coeffs, n_color) == old, n_color
+        assert jones.habiro_reconstruct(get, n_color) == old, n_color
+
+
 @pytest.mark.parametrize("t", range(1, 5))
 def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
     for n_color in range(1, 15):
@@ -1044,10 +1061,11 @@ def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
 def _routes():
     """Every chain route at every grid point, as ``laurent._kronecker`` takes it."""
     for (t, m), n in itertools.product(_TM, range(15)):
-        yield partial(cyclotomic_coeffs._c_sum, t, m, n, None)
-        yield partial(cyclotomic_coeffs._c_sum, t, m, n, 3 * n)
+        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), None)
+        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), 3 * n)
         yield partial(cyclotomic_coeffs._multisum, t, m, (n,))
     for t, m in _TM:
+        yield partial(cyclotomic_coeffs._c_sum, t, m, range(15), None)
         yield partial(cyclotomic_coeffs._multisum, t, m, range(15))
     for t in range(1, 5):
         for n_color in range(1, 15):
@@ -1078,7 +1096,7 @@ def test_l1_bound_covers_every_decoded_coefficient():
 
 
 def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
-    route = partial(cyclotomic_coeffs._c_sum, 3, 1, 8, None)
+    route = partial(cyclotomic_coeffs._c_sum, 3, 1, range(8, 9), None)
     [(true, _)] = laurent._kronecker(route)
     assert max(true.coeffs.values()) >= 1 << 7
     monkeypatch.setattr(laurent, "_width", lambda bound: 8)
@@ -1120,6 +1138,13 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
         else:
             assert outcome == true, n
     assert sum(isinstance(outcome, ExactnessError) for outcome in outcomes) == 7
+
+
+def test_a_narrow_slot_rejects_the_one_product_chain(monkeypatch):
+    assert max(cyclotomic_coeffs.c_products(3, 1, 8)[8].coeffs.values()) >= 1 << 7
+    monkeypatch.setattr(laurent, "_width", lambda bound: 8)
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclotomic_coeffs.c_products(3, 1, 8)
 
 
 @pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qknot.cyclotomic_coeffs import CyclotomicCoeffs, c_multisum, c_product, c_series
+from qknot.cyclotomic_coeffs import c_multisum, c_product, c_series
 from qknot.laurent import XLaurent
 
 
@@ -49,16 +49,10 @@ def test_negative_index_is_zero():
     assert c_multisum(2, 1, -1).is_zero()
 
 
-def test_family_object():
-    fam = CyclotomicCoeffs(2, 1)
-    assert fam(1) == c_product(2, 1, 1)
-    assert fam[0] == XLaurent({0: 1})
-    with pytest.raises(ValueError):
-        CyclotomicCoeffs(2, 3)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         c_product(0, 1, 1)
+    with pytest.raises(ValueError):
+        c_product(2, 3, 1)
     with pytest.raises(ValueError):
         c_multisum(2, 0, 1)
