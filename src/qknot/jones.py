@@ -10,8 +10,9 @@ The nested sum of jones_hyper is a ``laurent._kronecker`` route: it is summed
 level by level on l1 norms for a coefficient bound (||[a, b]||_1 = C(a, b),
 each head factor 1 - q^e has norm 2), then on exact ints at q = 2^w, which
 map Z[q] into Z as a ring homomorphism, with the negative exponents kept in an
-offset.  The result is read back once as balanced base-2^w digits, exact
-because w leaves a sign bit above the bound.
+offset.  Its levels are q-binomial transforms, shift-adds that read no
+Gaussian binomial.  The result is read back once as balanced base-2^w
+digits, exact because w leaves a sign bit above the bound.
 """
 
 from __future__ import annotations
@@ -64,9 +65,12 @@ def _jones_chain(t: int, n: int, binom, one_minus, step):
     """The nested sum of jones_hyper, as a ``laurent._kronecker`` route.
 
     The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
-    is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the edge into k_i
+    is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the level into k_i
     carries [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  Each
-    head factor 1 - q^{-e} (e = N-1-j >= 1) is written -q^{-e}(1 - q^e).
+    head factor 1 - q^{-e} (e = N-1-j >= 1) is written -q^{-e}(1 - q^e).  No
+    level reads a binomial: sum_j a_j prod_{i<j} (1 + z q^i) has z^k coefficient
+    q^{k(k-1)/2} sum_j [j, k] a_j (Andrews, Theory of Partitions, Thm 3.3), and
+    S <- a_j + (1 + z q^j) S, j from the top down, is one step per j.
     """
 
     def heads(_, low: int):
@@ -76,12 +80,14 @@ def _jones_chain(t: int, n: int, binom, one_minus, step):
             weight *= one_minus(n - 1 - k)
             shift -= n - 1 - k
 
-    edges = lambda k_next, low: (
-        (k, binom(k_next, k), k * (k + 1 - 2 * n), False) for k in range(k_next + 1)
-    )
+    horner = lambda k, low: ((0, 1, 0, False),) if k is None else ((k, 1, 0, False), (k + 1, 1, j, False))
+    node = lambda k, low: ((k, 1, k * (k + 1 - 2 * n) - k * (k - 1) // 2, False),)
     states = step({None: (1, 0)}, heads)
     for _ in range(t - 1):
-        states = step(states, edges)
+        total: dict = {}
+        for j in range(n - 1, -1, -1):  # every k < N is a state
+            total = step({**total, None: states[j]}, horner)
+        states = step(total, node)
     return [step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))]
 
 

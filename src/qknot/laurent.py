@@ -513,7 +513,8 @@ def _kronecker(route) -> list[tuple[XLaurent, int]]:
     ``route(binom, one_minus, step)`` builds its chain from what it is
     handed and returns the list of its finals (V, o), most routes just one:
     ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
-    (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  The route
+    (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  Routes may run
+    generating-function passes on ``step``: weight-1 shift-adds.  The route
     runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b) and
     ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
     sum of the products of the norms, so each of its finals bounds every

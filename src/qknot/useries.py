@@ -5,7 +5,7 @@ exact cyclotomic-field value (the q-Pochhammer factor kills all but finitely
 many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
 it collapses to a finite sum evaluated directly in the field, the product
-form of the C_n (``cyclotomic_coeffs._c_sum``) closed with (q)_n^2.  Both
+form of the C_n (``cyclotomic_coeffs._c_levels``) closed with (q)_n^2.  Both
 field values are routes of ``cyclo._root_sum``: their nested chains run on plain
 ints in the image of Z[zeta_N] at zeta = 2^w (``laurent._kron_step``, each
 merged state reduced mod Phi_N(2^w) once) and are read back once, under a
@@ -18,7 +18,7 @@ zeta_N^-1 is the Galois conjugate of F at zeta_N (zeta -> zeta^-1).
 from __future__ import annotations
 
 from .cyclo import CycloNum, _root_sum, cyclo_eval
-from .cyclotomic_coeffs import _c_sum, _validate, c_series
+from .cyclotomic_coeffs import _c_levels, _keyed_close, _validate, c_series
 from .laurent import XLaurent
 from .series import Mono, QSeries, _by_binomials
 
@@ -58,10 +58,10 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
 
     At x = -1 the two Pochhammers square to (q)_n^2, which vanishes once
     n >= N, so U(-1; zeta_N) = sum_{n<N} C_n (zeta)_n^2 is finite.  It is the
-    product form's chain (``cyclotomic_coeffs._c_sum``), run once for every
-    n < N with binomials read by q-Lucas from the N-row table (tops up to
-    about (2t+1)N), then closed by one step with weight (q)_n^2 and shift
-    n+1-t, all at q = zeta in ``cyclo._root_sum``.
+    product form's chain (``cyclotomic_coeffs._c_levels`` and its keyed close)
+    for every n < N with binomials read by q-Lucas from the N-row table (tops
+    up to about (2t+1)N), then closed by one step with weight (q)_n^2 and
+    shift n+1-t, all at q = zeta in ``cyclo._root_sum``.
     """
     _validate(t, m)
     if n_root < 1:
@@ -69,7 +69,8 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     order = n_root
 
     def route(binom, poch, step):
-        finals = _c_sum(t, m, range(order), None, binom, None, step)
+        states = _c_levels(t, m, order, None, binom, step)
+        finals = _keyed_close(t, range(order), None, states, binom, step)
         closing = lambda n, low: ((None, poch(n) * poch(n), n + 1 - t, False),)
         return step(dict(enumerate(finals)), closing).get(None, (0, 0))
 

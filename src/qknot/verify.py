@@ -236,14 +236,12 @@ def check_cyclotomic_coeffs(t: int, m: int, n_max: int) -> list[Evidence]:
 @_family("habiro", _T, _M, Param("order", 0, "N", "max"), mutation=(2, 1, 4))
 def check_habiro_roundtrip(t: int, m: int, order: int) -> list[Evidence]:
     items: list[Evidence] = []
-    family = lambda l: jones_left(t, m, l)
+    colour = {ell: jones_left(t, m, ell) for ell in range(1, order + 2)}.__getitem__
     coeffs = c_products(t, m, order)
     for n in range(order + 1):
-        items.append((f"inverse transform at n={n}", habiro_inverse(family, n), coeffs[n]))
+        items.append((f"inverse transform at n={n}", habiro_inverse(colour, n), coeffs[n]))
     for n_color in range(1, order + 1):
-        items.append(
-            (f"reconstruction at N={n_color}", habiro_reconstruct(coeffs, n_color), jones_left(t, m, n_color))
-        )
+        items.append((f"reconstruction at N={n_color}", habiro_reconstruct(coeffs, n_color), colour(n_color)))
     return items
 
 

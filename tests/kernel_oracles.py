@@ -16,6 +16,12 @@ replaced) are the former ``laurent._binom_image`` and
 ``habiro_reconstruct`` is the former ``jones.habiro_reconstruct``, verbatim,
 which multiplied each C_n by its two Pochhammer products; the library now
 sums in nested (Horner) form.
+
+``keyed_c_sum`` (one closing binomial per state and n) and
+``per_edge_jones_chain`` (one binomial per level edge) are the former
+``cyclotomic_coeffs._c_sum`` and ``jones._jones_chain``, verbatim but for
+their names; the library now closes the product form and runs the Jones
+levels as shift-add generating-function passes.
 """
 
 import operator
@@ -190,3 +196,76 @@ def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]",
     for i in range(n):
         total = total + get(i) * poch_q(1 + n, i) * poch_q(1 - n, i)
     return total
+
+
+def keyed_c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus, step):
+    """The inner sums of the product form (no q^{n+1-t} prefactor applied) for
+    every n in the range ``ns``, as a ``laurent._kronecker`` route that runs
+    one chain for all of them.
+
+    Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
+    q^{k_i^2} (i < t) and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i], where the
+    chain state p_i = sum_{j<=i} (2 k_j + [m > j]) rides with k_i.  Each edge
+    carries the q^{k^2} of the state it enters.  The levels run once, k
+    capped at max(ns)+1: as in ``_multisum``, a state holds the same value
+    for every n with n+1 >= k, and one keyed last step closes each such n
+    with its binomial into k_t = n+1 (with t = 1, [n+1, n+1] = 1).
+
+    cutoff, when given, is for a single n and bounds the *full* C_n
+    exponent: an edge whose minimal contribution (n+1-t) + o + k^2 reaches it
+    is pruned, o the offset of the state it leaves, and so is a closing edge
+    once (n+1-t) + o reaches it.  Every summand has nonnegative coefficients
+    and every nonzero binomial has constant term 1, so nothing cancels and o
+    is the exact minimal exponent of the state's value (the lowest set bit of
+    its image); pruning is sound because every factor has nonnegative
+    valuation.  The l1 pass tracks the same offsets, prunes the same edges
+    and so bounds exactly the pruned sum.
+    """
+    top = ns[-1] + 1
+    base = top - t
+
+    def edges(state: tuple[int, int], low: int):
+        k, pref = state
+        for k2 in range(max(k, 1) if i + 1 == m else k, top + 1):
+            sq = k2 * k2
+            if cutoff is not None and base + low + sq >= cutoff:
+                break
+            yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0)), binom(k2 - k - i + pref, k2 - k), sq, False
+
+    def close(state: tuple[int, int], low: int):
+        k, pref = state
+        if cutoff is not None and base + low >= cutoff:
+            return
+        for n in ns[max(k - 1 - ns.start, 0) :]:
+            yield n, binom(n + 1 - k - (t - 1) + pref, n + 1 - k), 0, False
+
+    states: dict = {(0, 0): (1, 0)}
+    for i in range(t - 1):
+        states = step(states, edges)
+    finals = step(states, close)
+    return [finals.get(n, (0, 0)) for n in ns]
+
+
+def per_edge_jones_chain(t: int, n: int, binom, one_minus, step):
+    """The nested sum of jones_hyper, as a ``laurent._kronecker`` route.
+
+    The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
+    is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the edge into k_i
+    carries [k_{i+1} choose k_i] and the node factor q^{k_i(k_i+1-2N)}.  Each
+    head factor 1 - q^{-e} (e = N-1-j >= 1) is written -q^{-e}(1 - q^e).
+    """
+
+    def heads(_, low: int):
+        weight, shift = 1, 0
+        for k in range(n):
+            yield k, weight, shift - n * k, k % 2 == 1
+            weight *= one_minus(n - 1 - k)
+            shift -= n - 1 - k
+
+    edges = lambda k_next, low: (
+        (k, binom(k_next, k), k * (k + 1 - 2 * n), False) for k in range(k_next + 1)
+    )
+    states = step({None: (1, 0)}, heads)
+    for _ in range(t - 1):
+        states = step(states, edges)
+    return [step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))]

@@ -57,7 +57,9 @@ from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
-from kernel_oracles import cyclo_mul, divexact, habiro_reconstruct
+from kernel_oracles import (
+    cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, per_edge_jones_chain,
+)
 
 # ---------------------------------------------------------------------------
 # reference oracles: the replaced implementations, verbatim
@@ -1070,6 +1072,56 @@ def _routes():
     for t in range(1, 5):
         for n_color in range(1, 15):
             yield partial(jones._jones_chain, t, n_color)
+
+
+def _rewritten_routes():
+    """The routes on generating-function passes, each with its per-binomial
+    oracle from ``kernel_oracles``, on the ``_routes`` grid."""
+    for (t, m), n in itertools.product(_TM, range(15)):
+        for cutoff in (None, 3 * n):
+            args = (t, m, range(n, n + 1), cutoff)
+            yield partial(cyclotomic_coeffs._c_sum, *args), partial(keyed_c_sum, *args)
+    for (t, m), start in itertools.product(_TM, (0, 6, 14)):
+        args = (t, m, range(start, 15), None)
+        yield partial(cyclotomic_coeffs._c_sum, *args), partial(keyed_c_sum, *args)
+    for t in range(1, 5):
+        for n_color in range(1, 15):
+            yield partial(jones._jones_chain, t, n_color), partial(per_edge_jones_chain, t, n_color)
+
+
+def test_generating_function_passes_match_the_per_binomial_routes():
+    # same results and same l1 bounds, so the same slot widths and read-backs
+    for new, old in _rewritten_routes():
+        assert laurent._kronecker(new) == laurent._kronecker(old), new
+    # an empty range closes nothing (the oracle indexed ns[-1] and could not run)
+    for t, m in _TM:
+        for ns in (range(0), range(5, 5)):
+            assert laurent._kronecker(partial(cyclotomic_coeffs._c_sum, t, m, ns, None)) == []
+
+
+def _binomials_asked(route) -> list:
+    """Every (a, b) that ``route`` hands to ``binom``, over both passes."""
+    asked: list = []
+
+    def spied(binom, one_minus, step):
+        return route(lambda a, b: asked.append((a, b)) or binom(a, b), one_minus, step)
+
+    laurent._kronecker(spied)
+    return asked
+
+
+def test_only_the_product_form_levels_read_binomials():
+    for t in range(1, 5):
+        assert _binomials_asked(partial(jones._jones_chain, t, 12)) == [], t
+    for (t, m), ns in itertools.product(_TM, (range(9, 10), range(12))):
+
+        def levels_only(binom, one_minus, step):
+            cyclotomic_coeffs._c_levels(t, m, ns[-1] + 1, None, binom, step)
+            return []
+
+        levels = _binomials_asked(levels_only)
+        assert bool(levels) == (t > 1)
+        assert _binomials_asked(partial(cyclotomic_coeffs._c_sum, t, m, ns, None)) == levels, (t, m, ns)
 
 
 def test_the_l1_pass_sums_the_norm_of_every_factor():
