@@ -10,8 +10,14 @@ denominator (q)_n via Gaussian multinomials, their chains summed on ints at
 q = 2^w (``laurent._kronecker``).  Every q-Pochhammer denominator,
 finite or infinite, is divided out factor by factor (``series._by_binomials``),
 which keeps the numerator's window, so each term is built at exactly the
-window it is asked for.  Sums whose terms share Pochhammer factors are nested
-(Horner form), so each factor is applied once per sum, not once per term.
+window it is asked for.  Sums whose terms share Pochhammer factors run in
+nested (Horner) form, ``_nested``: from the top index down S <- term_n + rise S,
+rise a monomial times binomials (1 - f) over binomials, in one pass, so no sum
+multiplies two series.  So run both pair relations, the conjugate identity's
+beta side and both sides of the limiting identity; a lemma step multiplies
+each term by its head's factors inside that term's pass.  The relations ask
+each beta_j once, at the widest window a level needs, trunc + n_max j -
+j(j+1)/2, and cut it where a level needs less.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from typing import Callable, Optional
 
 from .cyclotomic_coeffs import c_product
 from .jones import jones_left
-from .laurent import ONE, XLaurent, _kronecker, poch_q
+from .laurent import ONE, XLaurent, _kronecker
 from .report import CheckReport, _timed_report, diff_qseries
-from .series import Mono, QSeries, _by_binomials, _lattice, _poch
+from .series import _UNIT, Mono, QSeries, _by_binomials, _lattice, _poch
 
 __all__ = [
     "BaileyPair",
@@ -127,8 +133,33 @@ def _chain_poly(
 
 
 def _q(first: int, count: int) -> list[Mono]:
-    """The factors of poch_q(first, count)."""
-    return _poch(Mono(1, 0, first), count)
+    """The factors of (q^first)_count."""
+    return [Mono(1, 0, e) for e in range(first, first + count)]
+
+
+def _nested(terms: dict[int, QSeries], rise: Callable, trunc: int) -> QSeries:
+    """sum_n rise(0) ... rise(n-1) terms[n] below trunc, run from the top n as
+    S <- terms[n] + rise(n-1) S with one ``_by_binomials`` pass per level, where
+    rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over).
+    Level n is held below trunc - v_n, v_n the valuation of its head's mono and times."""
+    top = max(terms, default=0)
+    vals = [0]
+    for i in range(top):
+        mono, times, _ = rise(i)
+        vals.append(vals[-1] + mono.q_exp + sum(min(0, f.q_exp) for f in times))
+    out = QSeries.zero(1, trunc - vals[top])
+    for n in range(top, -1, -1):
+        if n in terms:
+            out = out + terms[n]
+        if n:
+            mono, times, over = rise(n - 1)
+            out = _by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
+    return out
+
+
+def _on_lattice(term: TermFn, bound: Callable[[int], int], trunc: int) -> dict[int, QSeries]:
+    """term(n, trunc - min(0, bound(n))) for every n that ``series._lattice`` keeps."""
+    return {n: term(n, trunc - min(0, low)) for (n,), low in _lattice(bound, trunc)}
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +299,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         num_plus = (2 * k - 1) * n * n - (2 * ell + 1) * n
         assert num_minus % 2 == 0 and num_plus % 2 == 0
         s = -1 if n % 2 else 1
-        return _exact(
-            XLaurent({-num_minus // 2: s}) + XLaurent({-num_plus // 2: s})
-        )
+        return _exact(XLaurent({-num_minus // 2: s, -num_plus // 2: s}))
 
     def beta(n: int, window: int) -> QSeries:
         head = Mono(-1 if n % 2 else 1, 0, -n * (n + 1) // 2)
@@ -362,24 +391,22 @@ def bailey_verify(pair: BaileyPair, n_max: int, trunc: int) -> CheckReport:
 def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
     """Witness of the first n at which either pair relation fails, or None."""
     a_exp = pair.a_exp
+    # beta_j is needed below trunc + nj - j(j+1)/2 at level n; n = n_max's is the widest
+    beta = lambda j: pair.beta(j, trunc + n_max * j - j * (j + 1) // 2)
     for n in range(n_max + 1):
-        # (aq)_{2n} sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}), nested from j = 0: term
-        # j - 1 has the extra factor (1 - aq^{n+j}) / (1 - q^{n-j+1}) over term j
-        rhs = pair.alpha(0, trunc)
-        for j in range(1, n + 1):
-            rhs = _by_binomials(rhs, _q(a_exp + n + j, 1), _q(n - j + 1, 1), trunc=trunc)
-            rhs = rhs + pair.alpha(j, trunc)
-        rhs = _by_binomials(rhs, over=_q(a_exp + 1, 2 * n), trunc=trunc)
-        witness = diff_qseries(pair.beta(n, trunc), rhs, label=f"beta relation at n={n}")
+        # sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}) = S_0 / ((q)_n (aq)_n), where term
+        # j + 1 of S has the extra factor (1 - q^{n-j}) / (1 - aq^{n+j+1}) over term j
+        alphas = {j: pair.alpha(j, trunc) for j in range(n + 1)}
+        rhs = _nested(alphas, lambda j: (_UNIT, _q(n - j, 1), _q(a_exp + n + j + 1, 1)), trunc)
+        rhs = _by_binomials(rhs, over=_q(1, n) + _q(a_exp + 1, n), trunc=trunc)
+        lhs = beta(n)  # cut to trunc, where an exact beta stays exact
+        lhs = lhs if lhs.is_exact() else lhs.with_trunc(trunc)
+        witness = diff_qseries(lhs, rhs, label=f"beta relation at n={n}")
         if witness is None and n > 0:
-            inner = QSeries.zero(1, trunc)
-            for j in range(n + 1):
-                piece = (poch_q(-n, j) * poch_q(a_exp + n, j)).shift(j)
-                if piece.is_zero():
-                    continue
-                # beta_j is needed below trunc - val(piece), val(piece) = j(j+1)/2 - nj;
-                # n = n_max's window is the widest, so one beta_j serves every n here
-                inner = inner + pair.beta(j, trunc + n_max * j - j * (j + 1) // 2) * _exact(piece)
+            # sum_j (q^{-n})_j (aq^n)_j q^j beta_j: term j + 1 has the extra factor
+            # q (1 - q^{j-n}) (1 - aq^{n+j}) over term j
+            rise = lambda j: (Mono(1, 0, 1), [Mono(1, 0, j - n), Mono(1, 0, a_exp + n + j)], ())
+            inner = _nested({j: beta(j) for j in range(n, -1, -1)}, rise, trunc)
             sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
             pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
             rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
@@ -402,33 +429,30 @@ def _req(mono: Mono, what: str) -> Mono:
 
 
 def _lemma(a_exp: int, b: Mono | None, c: Mono | None):
-    """The lemma with parameters b, c (None is a limit) as (head, den):
+    """The lemma with parameters b, c (None is a limit) as (head, rise, den):
     alpha'_n = head(n, n) alpha_n / den(n) and
-    beta'_n = sum_k head(k, n) beta_k / ((q)_{n-k} den(n)), where den(n, first)
-    lists the factors of (aq/b)_n (aq/c)_n from index first on, over the set b, c.
+    beta'_n = sum_k head(k, n) beta_k / ((q)_{n-k} den(n)), where head(k, n) =
+    (mono, factors) stands for mono prod(1 - f), rise(n) = (mono, factors) is
+    head(n+1, n+1) / head(n, n) in that form, and den(n, first) lists the
+    factors of (aq/b)_n (aq/c)_n from index first on, over the set b, c.
     """
     aq = Mono(1, 0, a_exp + 1)
     quos = [aq.divide(p) for p in (b, c) if p is not None]
+    at = lambda p, n: p.times(Mono(1, 0, n))
     if b is None and c is None:
-
-        def head(k: int, n: int) -> QSeries:
-            return QSeries.from_mono(Mono(1, 0, a_exp * k + k * k))
-
+        head = lambda k, n: (Mono(1, 0, a_exp * k + k * k), [])
+        rise = lambda n: (Mono(1, 0, a_exp + 2 * n + 1), [])
     elif b is not None and c is not None:
         ratio = aq.divide(b.times(c))
-
-        def head(k: int, n: int) -> QSeries:
-            factors = _poch(b, k) + _poch(c, k) + _poch(ratio, n - k)
-            return _by_binomials(QSeries.one(), factors).mul_mono(ratio.power(k))
-
+        head = lambda k, n: (ratio.power(k), _poch(b, k) + _poch(c, k) + _poch(ratio, n - k))
+        rise = lambda n: (ratio, [at(b, n), at(c, n)])
     else:
         fin = b if b is not None else c
-
-        def head(k: int, n: int) -> QSeries:
-            sign = Mono((-1) ** k, 0, k * (k - 1) // 2).times(quos[0].power(k))
-            return _by_binomials(QSeries.one(), _poch(fin, k)).mul_mono(sign)
-
-    return head, lambda n, first=0: [f for quo in quos for f in _poch(quo, n)[first:]]
+        head = lambda k, n: (
+            Mono((-1) ** k, 0, k * (k - 1) // 2).times(quos[0].power(k)), _poch(fin, k)
+        )
+        rise = lambda n: (Mono(-1, 0, n).times(quos[0]), [at(fin, n)])
+    return head, rise, lambda n, first=0: [f for quo in quos for f in _poch(quo, n)[first:]]
 
 
 def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
@@ -442,11 +466,14 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
     beta term of the stepped pair comes back at exactly the window asked for.
     """
     a_exp = pair.a_exp
-    head, den = _lemma(a_exp, b, c)
+    head, _, den = _lemma(a_exp, b, c)
 
     def headed(term: TermFn, k: int, n: int, window: int) -> QSeries:
-        h = head(k, n)  # exact, so term k is needed below window - val(h) only
-        return h * term(k, window - h.min_exp()) if h.terms else h
+        mono, factors = head(k, n)  # so term k is needed below window - val(head) only
+        if _UNIT in factors:
+            return QSeries.zero()
+        low = mono.q_exp + sum(min(0, f.q_exp) for f in factors)
+        return _by_binomials(term(k, window - low), factors).mul_mono(mono)
 
     def alpha(n: int, window: int) -> QSeries:
         return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
@@ -524,19 +551,11 @@ def _limit_sides(
         quo = aq.divide(fin)
         return n * (n - 1) // 2 + n * quo.q_exp + _neg_val_bound(fin) + floor(n)
 
-    head, den = _lemma(a_exp, b, c)
-
-    lhs = QSeries.zero(1, trunc)
-    for (n,), low in _lattice(partial(term_low, floor=pair.beta_floor), trunc):
-        lhs = lhs + head(n, n) * pair.beta(n, trunc - min(0, low))
-
-    lows = {n: low for (n,), low in _lattice(partial(term_low, floor=pair.alpha_floor), trunc)}
-    inner = QSeries.zero(1, trunc)  # sum over lows of head(n, n) alpha_n / den(n), nested
-    for n in range(max(lows, default=-1), -1, -1):
-        if n in lows:
-            inner = inner + head(n, n) * pair.alpha(n, trunc - min(0, lows[n]))
-        if n:
-            inner = _by_binomials(inner, over=den(n, n - 1), trunc=trunc)
+    _, rise, den = _lemma(a_exp, b, c)
+    betas = _on_lattice(pair.beta, partial(term_low, floor=pair.beta_floor), trunc)
+    lhs = _nested(betas, lambda i: (*rise(i), ()), trunc)
+    alphas = _on_lattice(pair.alpha, partial(term_low, floor=pair.alpha_floor), trunc)
+    inner = _nested(alphas, lambda i: (*rise(i), den(i + 1, i)), trunc)  # of head alpha_n / den(n)
 
     v = int(min(0, inner._valuation()))
     w = trunc - v
@@ -576,10 +595,10 @@ def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
         raise ValueError("conjugate identity needs valuation floors on the pair")
     a_exp = pair.a_exp
 
-    lhs = QSeries.zero(1, trunc)
-    for (n,), low in _lattice(lambda n: n + pair.beta_floor(n), trunc):
-        head = _exact(poch_q(a_exp + 1, 2 * n).shift(n))
-        lhs = lhs + head * pair.beta(n, trunc - min(0, low))
+    lhs = _nested(  # term n + 1 has the extra factor q (1 - aq^{2n+1}) (1 - aq^{2n+2}) over term n
+        _on_lattice(pair.beta, lambda n: n + pair.beta_floor(n), trunc),
+        lambda n: (Mono(1, 0, 1), _q(a_exp + 2 * n + 1, 2), ()), trunc,
+    )
 
     weight = lambda r, n: 3 * n * (n + 1) // 2 + a_exp * n + (2 * n + 1) * r  # head exponent
     inner = QSeries.zero(1, trunc)

@@ -146,7 +146,7 @@ class XLaurent:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "XLaurent | Scalar") -> "XLaurent":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not XLaurent and isinstance(other, (int, Fraction)):
             other = XLaurent.const(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -175,6 +175,8 @@ class XLaurent:
     def scaled(self, c: Scalar) -> "XLaurent":
         if not c:
             return XLaurent()
+        if c == 1:
+            return self
         res = XLaurent.__new__(XLaurent)
         res.coeffs = {e: _norm(v * c) for e, v in self.coeffs.items()}
         return res
@@ -357,15 +359,14 @@ ZERO = XLaurent()
 ONE = XLaurent({0: 1})
 
 
-@lru_cache(maxsize=None)
 def poch_q(first: int, count: int) -> XLaurent:
     """Finite q-shifted factorial (q^first)_count = prod_{j<count} (1 - q^(first+j))."""
     if count < 0:
         raise ValueError("negative Pochhammer length")
-    if count == 0:
-        return ONE
-    prev = poch_q(first, count - 1)
-    return prev - prev.shift(first + count - 1)
+    out = ONE
+    for e in range(first, first + count):
+        out = out - out.shift(e)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -62,10 +62,7 @@ class Mono:
     def power(self, n: int) -> "Mono":
         if n < 0:
             return self.inverse().power(-n)
-        c = Fraction(self.coeff) ** n
-        if c.denominator == 1:
-            c = c.numerator
-        return Mono(c, self.x_exp * n, self.q_exp * n)
+        return Mono(_norm(self.coeff**n), self.x_exp * n, self.q_exp * n)
 
 
 class QSeries:
@@ -103,6 +100,13 @@ class QSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict[int, XLaurent], scale: int, trunc: int | None) -> "QSeries":
+        """A series over terms with no zero and no exponent at or above trunc, unwalked."""
+        out = cls.__new__(cls)
+        out.terms, out.scale, out.trunc = terms, scale, trunc
+        return out
+
+    @classmethod
     def zero(cls, scale: int = 1, trunc: int | None = None) -> "QSeries":
         return cls((), scale, trunc)
 
@@ -133,7 +137,7 @@ class QSeries:
             if trunc is None or e < trunc:
                 row = rows[e] = XLaurent.__new__(XLaurent)
                 row.coeffs = {0: c}
-        return cls(rows, 1, trunc)
+        return cls._of(rows, 1, trunc)
 
     # -- window helpers -----------------------------------------------------
 
@@ -160,7 +164,7 @@ class QSeries:
             return self
         if self.trunc is not None and self.trunc < trunc:
             trunc = self.trunc
-        return QSeries(self.terms, self.scale, trunc)
+        return QSeries._of({e: c for e, c in self.terms.items() if e < trunc}, self.scale, trunc)
 
     def coefficient(self, q_exp: int) -> XLaurent:
         """x-Laurent coefficient at a scaled exponent; loud outside the window."""
@@ -189,7 +193,7 @@ class QSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QSeries | Scalar") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QSeries and isinstance(other, (int, Fraction)):
             other = QSeries.monomial(other, scale=self.scale)
         scale = _one_scale(self, other)
         w = min(self._window(), other._window())
@@ -204,12 +208,14 @@ class QSeries:
                     data[e] = v
             else:
                 data[e] = c
-        return QSeries(data, scale, trunc)
+        if trunc is not None:
+            data = {e: c for e, c in data.items() if e < trunc}
+        return QSeries._of(data, scale, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.scale, self.trunc)
+        return QSeries._of({e: -c for e, c in self.terms.items()}, self.scale, self.trunc)
 
     def __sub__(self, other: "QSeries | Scalar") -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -260,8 +266,12 @@ class QSeries:
         return out
 
     def mul_mono(self, m: Mono) -> "QSeries":
+        if m == _UNIT:
+            return self
         trunc = None if self.trunc is None else self.trunc + m.q_exp
-        return QSeries(
+        if not m.coeff:
+            return QSeries.zero(self.scale, trunc)
+        return QSeries._of(
             {e + m.q_exp: c.shift(m.x_exp).scaled(m.coeff) for e, c in self.terms.items()},
             self.scale,
             trunc,
@@ -406,13 +416,14 @@ def _by_binomials(
 
 def _wrap_rows(rows: Mapping[int, dict[int, Scalar]], scale: int, trunc: int | None) -> QSeries:
     """A QSeries over x-exponent -> coefficient rows that the caller owns and
-    that hold no zero coefficient, wrapped as they are; empty rows are dropped."""
+    that hold no zero coefficient and no row at or above trunc, wrapped as they
+    are; empty rows are dropped."""
     out: dict[int, XLaurent] = {}
     for e, row in rows.items():
         if row:
             c = out[e] = XLaurent.__new__(XLaurent)
             c.coeffs = row
-    return QSeries(out, scale, trunc)
+    return QSeries._of(out, scale, trunc)
 
 
 def _axpy(target: dict[int, Scalar], source: dict[int, Scalar], c: Scalar, dx: int) -> None:

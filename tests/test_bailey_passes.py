@@ -1,0 +1,98 @@
+"""The Bailey sums in nested form against the product-form sums they replaced.
+
+``bailey_oracles`` keeps the former ``_first_failure``, ``bailey_step``,
+``_limit_sides`` and ``_conjugate_sides`` verbatim; each multiplied a pair's
+terms by whole Pochhammer heads.  The library runs the same sums as chains of
+``_by_binomials`` passes and must reproduce them exactly, windows included,
+on passing pairs and on corrupted ones, where every witness must stay put.
+"""
+
+import itertools
+
+import pytest
+
+import bailey_oracles as oracle
+from qknot import bailey
+from qknot.bailey import (
+    andrews_pair, bailey_limit_identity, bailey_verify, conjugate_identity_check,
+    make_named_pair, perturbed_pair, unit_pair,
+)
+from qknot.series import Mono
+
+_X = Mono(1, 1, 0)
+
+
+def test_nested_conjugate_sides_match_their_oracle():
+    pairs = [unit_pair(0), unit_pair(1), andrews_pair(_X), andrews_pair(Mono(1, -1, 0))]
+    for pair in pairs:
+        for trunc in range(1, 26, 4):
+            new = bailey._conjugate_sides(pair, trunc)
+            old = oracle._conjugate_sides(pair, trunc)
+            assert new[0] == old[0] and new[1] == old[1], (pair, trunc)
+
+
+_STEPS = [
+    (None, None), (_X, Mono(1, -1, 0)), (_X, None), (None, Mono(1, -1, 0)),
+    (Mono(1, 1, -1), Mono(1, -1, 0)), (Mono(1, 1, -1), None),  # heads of negative valuation
+]
+
+
+@pytest.mark.parametrize("b, c", _STEPS)
+def test_stepped_terms_match_the_product_form_step(b, c):
+    for base in (unit_pair(), make_named_pair("lovejoy", t=2), andrews_pair()):
+        new, old = bailey.bailey_step(base, b, c), oracle.bailey_step(base, b, c)
+        for n in range(6):
+            for window in (1, 6, 15):
+                assert new.alpha(n, window) == old.alpha(n, window), (base, n, window)
+                assert new.beta(n, window) == old.beta(n, window), (base, n, window)
+
+
+def _corrupted_runs():
+    """(pair name, params, kind, target, monomial) for every corrupted run."""
+    named = [("unit", {}), ("andrews", {}), ("jones", {"t": 2}), ("star", {"t": 3})]
+    monos = [Mono(1, 0, 2), Mono(-1, 1, 1)]
+    return itertools.product(named, ("alpha", "beta"), range(5), monos)
+
+
+def _reports(name, params, kind, target, mono) -> list:
+    """The three checks on one corrupted pair: report JSON without elapsed_ms,
+    or the error a check raised."""
+    out = []
+    checks = [
+        lambda pair: bailey_verify(pair, 5, 14),
+        lambda pair: conjugate_identity_check(pair, 12),
+        lambda pair: bailey_limit_identity(pair, None, None, 12),
+        lambda pair: bailey_limit_identity(pair, _X, Mono(1, -1, 0), 12),
+    ]
+    for check in checks:
+        pair = perturbed_pair(make_named_pair(name, **params), kind, target, mono)
+        try:
+            report = check(pair).to_json_dict()
+        except (ArithmeticError, ValueError) as err:
+            out.append((type(err).__name__, str(err)))
+            continue
+        report.pop("elapsed_ms")
+        out.append(report)
+    return out
+
+
+def test_corrupted_pairs_report_as_their_oracle(monkeypatch):
+    runs = list(_corrupted_runs())
+    new = [_reports(*run[0], *run[1:]) for run in runs]
+    for name in ("_first_failure", "_limit_sides", "_conjugate_sides"):
+        monkeypatch.setattr(bailey, name, getattr(oracle, name))
+    old = [_reports(*run[0], *run[1:]) for run in runs]
+    failed = 0
+    for run, got, want in zip(runs, new, old):
+        assert got == want, run
+        failed += sum(isinstance(r, dict) and r["status"] == "fail" for r in got)
+    assert failed >= len(runs)  # the runs exercise witnesses, not only passes
+
+
+def test_relations_build_each_beta_once_at_its_widest_window():
+    for pair in (unit_pair(), andrews_pair(), make_named_pair("lovejoy", t=2)):
+        asked = []
+        beta = pair._beta
+        pair._beta = lambda n, window: asked.append((n, window)) or beta(n, window)
+        assert bailey._first_failure(pair, 6, 12) is None
+        assert asked == [(j, 12 + 6 * j - j * (j + 1) // 2) for j in range(7)], pair

@@ -46,7 +46,7 @@ import pytest
 
 from qknot import bailey, cyclo, cyclotomic_coeffs, jones, laurent, modular, useries, verify
 from qknot.bailey import (
-    BaileyPair, FloorFn, TermFn, _exact, _lemma, _neg_val_bound, _q, _req, make_named_pair,
+    BaileyPair, FloorFn, TermFn, _exact, _neg_val_bound, _q, _req, make_named_pair,
 )
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate, c_series
@@ -57,6 +57,7 @@ from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
+from bailey_oracles import _lemma
 from kernel_oracles import (
     cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, per_edge_jones_chain,
 )

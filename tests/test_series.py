@@ -500,3 +500,38 @@ def test_lattice_stops_where_the_bound_rises_past_the_window():
 def test_lattice_walk_that_never_stops_is_refused():
     with pytest.raises(RuntimeError, match="ran away"):
         list(_lattice(lambda n: 0, 1))
+
+
+def _normal_rows(s: QSeries) -> bool:
+    """No zero coefficient, no empty row and no row at or above the window."""
+    below = s.trunc is None or all(e < s.trunc for e in s.terms)
+    return below and all(c.coeffs and all(c.coeffs.values()) for c in s.terms.values())
+
+
+factors = st.lists(
+    st.builds(Mono, st.sampled_from([1, -1, 2]), st.integers(-1, 1), st.integers(-3, 4)), max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_pairs, small_qseries, factors, factors, st.one_of(st.none(), st.integers(-2, 12)))
+def test_products_and_passes_wrap_only_normal_rows(pair, s, times, over, trunc):
+    a, b = pair
+    for x, y in ((a, b), (a, a), (b, b)):
+        assert _normal_rows(x * y)
+        with mock.patch("qknot.laurent._packed_product", return_value=None):
+            assert _normal_rows(x * y)
+    try:
+        out = _by_binomials(s, times, over, trunc)
+    except (ArithmeticError, ValueError):  # a zero or non-unit factor, or an exact dividend
+        return
+    assert _normal_rows(out)
+
+
+def test_a_cancelled_row_is_not_wrapped():
+    # (1 - q)(1 + q) = 1 - q^2: the q^1 row cancels in the product and in the pass
+    one_minus_q = QSeries({0: 1, 1: -1})
+    product = one_minus_q * QSeries({0: 1, 1: 1}, trunc=5)
+    for out in (product, _by_binomials(one_minus_q, [Mono(-1, 0, 1)])):
+        assert _normal_rows(out) and sorted(out.terms) == [0, 2]
+
