@@ -299,7 +299,9 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         num_plus = (2 * k - 1) * n * n - (2 * ell + 1) * n
         assert num_minus % 2 == 0 and num_plus % 2 == 0
         s = -1 if n % 2 else 1
-        return _exact(XLaurent({-num_minus // 2: s, -num_plus // 2: s}))
+        return _exact(
+            XLaurent({-num_minus // 2: s}) + XLaurent({-num_plus // 2: s})
+        )
 
     def beta(n: int, window: int) -> QSeries:
         head = Mono(-1 if n % 2 else 1, 0, -n * (n + 1) // 2)
