@@ -481,10 +481,8 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
 
     def beta(n: int, window: int) -> QSeries:
-        out = QSeries.zero(1, window)  # sum_k term_k / (q)_{n-k}, in nested form
-        for k in range(n + 1):
-            out = _by_binomials(out, over=_q(n - k + 1, 1), trunc=window)
-            out = out + headed(pair.beta, k, n, window)
+        terms = {n - k: headed(pair.beta, k, n, window) for k in range(n + 1)}
+        out = _nested(terms, lambda j: (_UNIT, (), _q(j + 1, 1)), window)  # sum_k term_k/(q)_{n-k}
         return _by_binomials(out, over=den(n), trunc=window)
 
     floor_a = floor_b = None  # floors are carried through the (inf, inf) step only

@@ -13,6 +13,12 @@ taking the series, polynomial or field element as their first argument.
 replaced) are the former ``laurent._binom_image`` and
 ``laurent._over_binomials``, verbatim but for their names.
 
+``packed_rows_product`` and ``pack_rows`` are the former
+``laurent._packed_product`` and ``laurent._pack``, verbatim but for their
+names: the bivariate Kronecker product, with its slot grid, stride gcd,
+window cut and own decoder, that the one-row packing read back by
+``laurent._read_back`` replaced.
+
 ``habiro_reconstruct`` is the former ``jones.habiro_reconstruct``, verbatim,
 which multiplied each C_n by its two Pochhammer products; the library now
 sums in nested (Horner) form.
@@ -24,13 +30,14 @@ their names; the library now closes the product form and runs the Jones
 levels as shift-add generating-function passes.
 """
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
-from qknot.laurent import ExactnessError, Scalar, XLaurent, _norm, poch_q
+from qknot.laurent import _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _norm, poch_q
 from qknot.series import Mono, QSeries, WindowError
 
 
@@ -181,6 +188,91 @@ def over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:
     res = XLaurent.__new__(XLaurent)
     res.coeffs = {lo + j: c for j, c in enumerate(a) if c}
     return res
+
+
+_Rows = Mapping[int, Mapping[int, Scalar]]
+
+
+def packed_rows_product(
+    a: _Rows, b: _Rows, limit: int | None = None
+) -> dict[int, dict[int, int]] | None:
+    """Product of two bivariate polynomials by one big-int multiply.
+
+    Operands map a q-exponent e to a nonempty row ``{d: c}`` of the terms
+    ``c * q^e * x^d``.  Returns the product's nonzero rows with ``e < limit``
+    in the same form, or None when the term-by-term loop should run instead:
+    too few term pairs, a packing with more than four product slots per
+    term pair, or a coefficient that is not an int.
+
+    A term goes to slot ``((e - e_min) / g) * dx + (d - d_min)``, where g is
+    the gcd of all q-offsets and dx the x-width of the product, so distinct
+    product terms land in distinct slots.  A slot holds a whole number of
+    bytes and at least one bit more than ``max|a| * max|b| * min(#a, #b)``,
+    which bounds every product coefficient; adding half the slot range to
+    every slot makes them all nonnegative, so each reads back without carries.
+    """
+    na = sum(map(len, a.values()))
+    nb = sum(map(len, b.values()))
+    if na * nb < _PACK_MIN_OPS:
+        return None
+    ea0, eb0 = min(a), min(b)
+    da0 = min(min(row) for row in a.values())
+    db0 = min(min(row) for row in b.values())
+    da1 = max(max(row) for row in a.values())
+    db1 = max(max(row) for row in b.values())
+    dx = da1 - da0 + db1 - db0 + 1
+    g = math.gcd(*(e - ea0 for e in a), *(e - eb0 for e in b)) or 1
+    rows_a, rows_b = (max(a) - ea0) // g + 1, (max(b) - eb0) // g + 1
+    if (rows_a + rows_b - 1) * dx * 4 > na * nb:
+        return None
+    types: set[type] = set()
+    for row in (*a.values(), *b.values()):
+        types.update(map(type, row.values()))
+    if types != {int}:
+        return None
+    bound = (
+        max(max(map(abs, row.values())) for row in a.values())
+        * max(max(map(abs, row.values())) for row in b.values())
+        * min(na, nb)
+    )
+    wb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    product = pack_rows(a, ea0, da0, g, dx, wb, rows_a) * pack_rows(b, eb0, db0, g, dx, wb, rows_b)
+    e0, d0 = ea0 + eb0, da0 + db0
+    rows = rows_a + rows_b - 1
+    if limit is not None:
+        rows = min(rows, max(0, -((e0 - limit) // g)))
+    half = 1 << (8 * wb - 1)
+    zero = half.to_bytes(wb, "little")
+    width = rows * dx * wb
+    bias = int.from_bytes(zero * (rows * dx), "little")
+    buf = ((product + bias) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    out: dict[int, dict[int, int]] = {}
+    for r in range(rows):
+        row = {}
+        base = r * dx * wb
+        for col in range(dx):
+            i = base + col * wb
+            chunk = buf[i : i + wb]
+            if chunk != zero:
+                row[d0 + col] = int.from_bytes(chunk, "little") - half
+        if row:
+            out[e0 + r * g] = row
+    return out
+
+
+def pack_rows(terms: _Rows, e0: int, d0: int, g: int, dx: int, wb: int, rows: int) -> int:
+    """One operand as a signed big int; positive and negative parts packed apart."""
+    pos = bytearray(rows * dx * wb)
+    neg = bytearray(rows * dx * wb)
+    for e, row in terms.items():
+        base = (e - e0) // g * dx - d0
+        for d, c in row.items():
+            i = (base + d) * wb
+            if c > 0:
+                pos[i : i + wb] = c.to_bytes(wb, "little")
+            else:
+                neg[i : i + wb] = (-c).to_bytes(wb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]", n_color: int) -> XLaurent:

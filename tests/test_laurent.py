@@ -1,14 +1,16 @@
 """Laurent-polynomial layer: hand values, independent oracles, ring laws."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qknot
@@ -29,7 +31,7 @@ from qknot.laurent import (
     qbinomial,
 )
 
-from kernel_oracles import binom_image, divexact, over_binomials
+from kernel_oracles import binom_image, divexact, over_binomials, packed_rows_product
 
 
 def lp(d):
@@ -359,7 +361,7 @@ def test_kronecker_product_agrees_with_schoolbook():
         (lp({i: (1 << 46) - 1 for i in range(16)}), lp({i: 1 - (1 << 46) for i in range(16)})),
     ]
     for a, b in cases:
-        assert _packed_product({0: a.coeffs}, {0: b.coeffs}) is not None
+        assert _packed_product(a.coeffs, b.coeffs) is not None
         assert a * b == _schoolbook(a, b)
         assert b * a == _schoolbook(a, b)
 
@@ -372,8 +374,46 @@ def test_kronecker_declines_what_the_schoolbook_handles():
         lp({1000 * i: (-1) ** i for i in range(16)}),  # far more slots than term pairs
     ]
     for other in declined:
-        assert _packed_product({0: dense.coeffs}, {0: other.coeffs}) is None
+        assert _packed_product(dense.coeffs, other.coeffs) is None
         assert dense * other == _schoolbook(dense, other)
+
+
+@st.composite
+def packable(draw):
+    """A Laurent polynomial {e: c}: any offset, a stride, coefficients up to 2^100,
+    now and then a rational one."""
+    stride = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    lo = draw(st.integers(-60, 60))
+    big = draw(st.sampled_from([3, 1 << 40, 1 << 100]))
+    size = draw(st.integers(1, 40))
+    cs = draw(st.lists(st.integers(-big, big), min_size=size, max_size=size))
+    terms = {lo + stride * i: c for i, c in enumerate(cs) if c}
+    assume(terms)
+    if draw(st.integers(0, 9)) == 0:
+        terms[lo - stride] = Fraction(1, 3)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(packable(), packable())
+@example({i: (1 << 46) - 1 for i in range(16)}, {i: 1 - (1 << 46) for i in range(16)})
+def test_packed_product_matches_its_oracle(a, b):
+    old = packed_rows_product({0: a}, {0: b})
+    new = _packed_product(a, b)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert old == {0: new.coeffs}
+    # two-row operands never reach the packed kernel: they multiply term by term
+    two_a, two_b = {0: a, 2: b}, {-1: b, 5: a}
+    with mock.patch("qknot.laurent._packed_product", wraps=_packed_product) as spy:
+        rows = laurent._product(two_a, two_b)
+    assert not spy.called
+    expected: dict = {}
+    for (e1, r1), (e2, r2) in itertools.product(two_a.items(), two_b.items()):
+        expected[e1 + e2] = expected.get(e1 + e2, ZERO) + XLaurent(r1) * XLaurent(r2)
+    assert {e: r for e, r in rows.items() if r} == {e: p.coeffs for e, p in expected.items() if p}
+    old = packed_rows_product(two_a, two_b)
+    assert old is None or old == {e: r for e, r in rows.items() if r}
 
 
 def test_import_does_not_load_numpy():

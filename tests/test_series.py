@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknot.laurent import ExactnessError, XLaurent, _packed_product
+from qknot.laurent import ExactnessError, XLaurent
 from qknot.series import (
     Mono,
     QSeries,
@@ -236,18 +236,6 @@ def test_packed_product_matches_schoolbook(pair):
             school = x * y
         assert (packed.scale, packed.trunc) == (school.scale, school.trunc)
         assert coeffs_of(packed) == coeffs_of(school)
-
-
-def test_packed_path_runs_on_dense_integer_products():
-    # q-exponents strided by 5: packed only if the stride is divided out
-    dense = QSeries({5 * e: XLaurent({d: e - d - 5 for d in range(-2, 2)}) for e in range(10)}, 5)
-    wide = dense.mul_mono(Mono(1 << 100, 1, 0))
-    for a, b in ((dense, dense), (dense, wide)):
-        rows = _packed_product(
-            {e: c.coeffs for e, c in a.terms.items()}, {e: c.coeffs for e, c in b.terms.items()}
-        )
-        assert rows is not None
-        assert coeffs_of(a * b) == rows
 
 
 # -- window soundness: each operation on truncated copies of exact series ---
