@@ -16,10 +16,14 @@ as balanced digits.  The read-back is exact because the bound leaves a sign
 bit in every slot.  Both routes run one chain for every n <= n_max
 (``c_products``, ``c_multisums``): only the close into k_t = n+1 depends on
 n.  ``c_product(s)`` close the product form by a generating-function pass
-that reads no binomial (``_nested_close``); ``c_series`` and U(-1; zeta_N)
-(``useries.u_eval_at_root``, closed at q = zeta_N with (zeta)_n^2) keep the
-keyed close.  The two routes keep their own states and summands, so their
-agreement remains a main verification target.
+that reads no binomial (``_nested_close``).  ``c_series``, the C_n of the U
+series cut below one window, runs the same chain windowed: each state and
+node is carried modulo q^L, L the exponent below which some n still needs
+it, so its image stays a few slots wide, and each final is read back below
+the window only.  U(-1; zeta_N) (``useries.u_eval_at_root``, closed at
+q = zeta_N with (zeta)_n^2) keeps the keyed close.  The two routes keep
+their own states and summands, so their agreement remains a main
+verification target.
 """
 
 from __future__ import annotations
@@ -39,32 +43,38 @@ def _validate(t: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= t, got m={m}, t={t}")
 
 
-def _c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus, step):
+def _c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step):
     """The product form's inner sums (no q^{n+1-t}) for every n in ``ns``, as a
-    ``laurent._kronecker`` route: nested close, or keyed when pruned."""
-    states = _c_levels(t, m, max(ns, default=-1) + 1, cutoff, binom, step)
-    if cutoff is None:
-        return _nested_close(t, ns, states, step)
-    return _keyed_close(t, ns, cutoff, states, binom, step)
+    ``laurent._kronecker`` route closed by ``_nested_close``.  With a window
+    it is windowed: node (c, j) of the close, like state (j, p) of the levels,
+    is needed below window - j + t, so the final for n below window - (n+1-t)."""
+    states = _c_levels(t, m, max(ns, default=-1) + 1, window, binom, step)
+    if window is not None:
+        step = partial(step, limit=lambda node: window - node[1] + t)
+    return _nested_close(t, ns, states, step)
 
 
-def _c_levels(t: int, m: int, top: int, cutoff: int | None, binom, step) -> dict:
+def _c_levels(t: int, m: int, top: int, window: int | None, binom, step) -> dict:
     """The states (k_{t-1}, p_{t-1}) of the product form's levels, k <= top:
     the product of q^{k_i^2} and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i] over
     top >= k_{t-1} >= ... >= k_1 >= 0 with k_m >= 1, p_i = sum_{j<=i} (2 k_j +
     [m > j]), each edge carrying the q^{k^2} of the state it enters.  A state
     holds the same value for every n < top with n+1 >= k (as in ``_multisum``).
-    cutoff, for the single n = top-1, prunes an edge once (n+1-t) + o + k^2
-    reaches it, o the offset it leaves, the exact least exponent there since
-    nothing cancels (nonnegative coefficients, binomials with constant term 1);
-    no factor has negative valuation, and the l1 pass bounds the pruned sum.
+
+    A window makes the steps windowed for every such n at once: state (k, p)
+    is needed below window - k + t, since C_n carries q^{n+1-t} and n+1 >= k,
+    and an edge into k2 is pruned once k2 - t + o + k2^2 reaches the window,
+    o the offset it leaves, the exact least exponent there since nothing
+    cancels (nonnegative coefficients, binomials with constant term 1).
     """
+    if window is not None:
+        step = partial(step, limit=lambda state: window - state[0] + t)
 
     def edges(state: tuple[int, int], low: int):
         k, pref = state
         for k2 in range(max(k, 1) if i + 1 == m else k, top + 1):
             sq = k2 * k2
-            if cutoff is not None and top - t + low + sq >= cutoff:
+            if window is not None and k2 - t + low + sq >= window:
                 break
             yield (k2, pref + 2 * k2 + (1 if m > i + 1 else 0)), binom(k2 - k - i + pref, k2 - k), sq, False
 
@@ -74,19 +84,15 @@ def _c_levels(t: int, m: int, top: int, cutoff: int | None, binom, step) -> dict
     return states
 
 
-def _keyed_close(t: int, ns: range, cutoff: int | None, states: dict, binom, step) -> list:
+def _keyed_close(t: int, ns: range, states: dict, binom, step) -> list:
     """One step sending state (k, p) into each n in ns with n+1 >= k by
-    [j + c, j], j = n+1-k, c = p-(t-1), pruned as in ``_c_levels``.  It stays
-    for ``c_series``, whose per-n chains in ``u_series`` share binomial images
-    (``u_series(3, 1, 150)``: 0.90 s, 1.87 s on the nested close), and for
-    ``u_eval_at_root``, whose l1 pass here keeps the q-Lucas norms (29 bits,
-    47 nested at (t, m, N) = (2, 1, 24); (3, 2, 72): 0.83 s, 2.16 s nested).
+    [j + c, j], j = n+1-k, c = p-(t-1).  It stays for ``u_eval_at_root``,
+    whose l1 pass here keeps the q-Lucas norms (29 bits, 47 nested at
+    (t, m, N) = (2, 1, 24); (3, 2, 72): 0.83 s, 2.16 s nested).
     """
 
     def close(state: tuple[int, int], low: int):
         k, pref = state
-        if cutoff is not None and ns[-1] + 1 - t + low >= cutoff:
-            return
         for n in ns[max(k - 1 - ns.start, 0) :]:
             yield n, binom(n + 1 - k - (t - 1) + pref, n + 1 - k), 0, False
 
@@ -139,12 +145,15 @@ def c_products(t: int, m: int, n_max: int) -> list[XLaurent]:
     return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
-def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
-    """C_n with terms guaranteed only strictly below the window exponent."""
+def c_series(t: int, m: int, n_max: int, window: int) -> list[XLaurent]:
+    """[C_n for n in 0..n_max], each cut below q^window, from one windowed chain."""
     _validate(t, m)
-    if n < 0:
-        return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, range(n, n + 1), window))[0][0].shift(n + 1 - t)
+    if n_max < 0:
+        return []
+    ns = range(n_max + 1)
+    limits = [window - (n + 1 - t) for n in ns]
+    finals = _kronecker(partial(_c_sum, t, m, ns, window), limits)
+    return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
 def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):

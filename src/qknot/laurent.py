@@ -23,10 +23,15 @@ exact at any w; only the read-back needs a width.  The chain is first summed
 on l1 norms, which bound every coefficient of its result, and ``_width``
 leaves a sign bit above that bound; the result's coefficients are
 then the unique balanced base-2^w digits of its image (``_read_back``), which
-raises on a slot too narrow for the bound.  ``qbinomial`` is read back the
-same way under the bound C(n, k).  ``_kron_step`` is the library's only chain
-step; ``cyclo`` runs the root-of-unity chains on it in Z / Phi_N(2^w).  Exact
-division by binomial factors 1 - q^d is one pass per factor (``_over_binomials``).
+raises on a slot too narrow for the bound.  A windowed route names, per
+state, the exponent below which its value is needed: q -> 2^w also induces
+a ring map Z[q]/(q^L) -> Z / 2^(wL), so the image pass carries each value mod
+2^(w (L - o)) and reads each final back only below its limit, while the
+l1 pass, on the untruncated chain, still bounds every coefficient read.
+``qbinomial`` is read back the same way under the bound C(n, k).
+``_kron_step`` is the library's only chain step; ``cyclo`` runs the
+root-of-unity chains on it in Z / Phi_N(2^w).  Exact division by binomial
+factors 1 - q^d is one pass per factor (``_over_binomials``).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 import operator
 from collections import abc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -351,15 +356,17 @@ def _width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 32) * 32
 
 
-def _read_back(v: int, o: int, w: int, bound: int) -> XLaurent:
+def _read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> XLaurent:
     """The Laurent polynomial q^o P(q) with P(2^w) = v, P an integer polynomial
-    whose coefficients have absolute value at most bound.
+    whose coefficients have absolute value at most bound; with a limit, only
+    its terms below q^limit, from any v congruent to P(2^w) mod 2^(w (limit - o)).
 
     The coefficients are the balanced base-2^w digits of v, each in
     [-2^(w-1), 2^(w-1)): adding 2^(w-1) to every slot makes them the plain
     digits of a nonnegative int.  Such digits are unique, so the read-back is
     exact once bound < 2^(w-1); a narrower slot raises rather than wraps.
-    w is a multiple of 8.
+    Carries only run upward, so the digits below the limit are those of
+    v + 2^(w-1) (1 + 2^w + ... ) mod 2^(w (limit - o)).  w is a multiple of 8.
     """
     if bound >= 1 << (w - 1):
         raise ExactnessError(f"{w}-bit slots cannot hold coefficients up to {bound}")
@@ -368,10 +375,11 @@ def _read_back(v: int, o: int, w: int, bound: int) -> XLaurent:
     if not v:
         return res
     wb = w // 8
-    slots = abs(v).bit_length() // w + 2
     half = 1 << (w - 1)
     zero = half.to_bytes(wb, "little")
-    buf = (v + int.from_bytes(zero * slots, "little")).to_bytes(slots * wb, "little")
+    slots = abs(v).bit_length() // w + 2 if limit is None else max(limit - o, 0)
+    v = (v + int.from_bytes(zero * slots, "little")) & ((1 << slots * w) - 1)
+    buf = v.to_bytes(slots * wb, "little")
     for i in range(slots):
         chunk = buf[i * wb : (i + 1) * wb]
         if chunk != zero:
@@ -468,7 +476,7 @@ def _l1_binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _kronecker(route) -> list[tuple[XLaurent, int]]:
+def _kronecker(route, limits: list[int] | None = None) -> list[tuple[XLaurent, int]]:
     """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
 
     ``route(binom, one_minus, step)`` builds its chain from what it is
@@ -483,22 +491,60 @@ def _kronecker(route) -> list[tuple[XLaurent, int]]:
     runs in the image at the width ``_width`` takes from the largest bound,
     and each final is read back once under its own bound; no other value of
     the chain is ever read.  Returns (result, bound) for every final.
+
+    A windowed route passes ``step`` a third argument, ``limit(state)``: the
+    exponent below which that state's value is needed, no lower than the
+    limits of the states it reaches.  The image pass then keeps V mod
+    2^(w (limit - o)) (``_windowed_edges`` cuts each weight, and a merged
+    state is cut, or dropped once o >= limit), exact since q -> 2^w induces a
+    ring map Z[q]/(q^L) -> Z/2^(wL) that sums, integer weights and shifts by
+    q^s, s >= 0, respect; a negative shift raises.  ``limits`` holds the
+    finals' limits, each read back below its own; the l1 pass is the
+    untruncated chain's, whose bounds cover every coefficient read.
     """
     bounds = [
         bound
         for bound, _ in route(
-            _l1_binom, lambda d: 2 if d else 0, lambda states, edges: _kron_step(states, edges, 0)
+            _l1_binom,
+            lambda d: 2 if d else 0,
+            lambda states, edges, limit=None: _kron_step(states, edges, 0),
         )
     ]
     w = _width(max(bounds, default=0))
-    finals = route(
-        lambda n, k: _binom_image(n, k, w),
-        lambda d: 1 - (1 << d * w),
-        lambda states, edges: _kron_step(states, edges, w),
-    )
+    windowed = False
+
+    def step(states: dict, edges, limit=None) -> dict:
+        nonlocal windowed
+        if limit is None:
+            return _kron_step(states, edges, w)
+        windowed = True
+        out = {}
+        for state, (v, o) in _kron_step(states, partial(_windowed_edges, edges, limit, w), w).items():
+            top = limit(state)
+            if o < top:
+                out[state] = (v & ((1 << (top - o) * w) - 1), o)
+        return out
+
+    finals = route(lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step)
+    if windowed and limits is None:
+        raise ValueError("a windowed route is read back only below its limits")
+    reads = [None] * len(bounds) if limits is None else limits
     return [
-        (_read_back(v, o, w, bound), bound) for (v, o), bound in zip(finals, bounds, strict=True)
+        (_read_back(v, o, w, bound, limit), bound)
+        for (v, o), bound, limit in zip(finals, bounds, reads, strict=True)
     ]
+
+
+def _windowed_edges(edges, limit, w: int, state, o: int):
+    """``edges`` in a windowed step at width w: each weight is cut mod
+    2^(w room), room the slots its term has below the limit of the state it
+    enters, and a term with no room is dropped; a negative shift raises."""
+    for nxt, weight, shift, negate in edges(state, o):
+        if shift < 0:
+            raise ValueError("a windowed step cannot shift a value down")
+        room = limit(nxt) - o - shift
+        if room > 0:
+            yield nxt, weight & ((1 << room * w) - 1), shift, negate
 
 
 def _over_binomials(p: XLaurent, ds: Iterable[int]) -> XLaurent:

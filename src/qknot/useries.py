@@ -70,7 +70,7 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
 
     def route(binom, poch, step):
         states = _c_levels(t, m, order, None, binom, step)
-        finals = _keyed_close(t, range(order), None, states, binom, step)
+        finals = _keyed_close(t, range(order), states, binom, step)
         closing = lambda n, low: ((None, poch(n) * poch(n), n + 1 - t, False),)
         return step(dict(enumerate(finals)), closing).get(None, (0, 0))
 
@@ -83,13 +83,15 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
     The slice at k_t = n+1 is C_n (valuation n+1-m) times (-xq)_n (-x^{-1}q)_n,
     so n < trunc+m-1.  It is summed in nested (Horner) form from the top,
     T <- C_n + (1 + xq^{n+1})(1 + x^{-1}q^{n+1}) T: both factors have positive
-    q-exponents, so they keep T's window, and each C_n is cut at it.
+    q-exponents, so they keep T's window, and every C_n comes cut at it from
+    one windowed chain (``cyclotomic_coeffs.c_series``).
     """
     _validate(t, m)
     if trunc <= 1 - m:
         raise ValueError("window too small to contain any terms")
     total = QSeries.zero(1, trunc)
+    coeffs = c_series(t, m, trunc + m - 2, trunc)
     for n in range(trunc + m - 2, -1, -1):
         total = _by_binomials(total, [Mono(-1, 1, n + 1), Mono(-1, -1, n + 1)])
-        total = total + QSeries.from_q_laurent(c_series(t, m, n, trunc), trunc)
+        total = total + QSeries.from_q_laurent(coeffs[n], trunc)
     return total

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import inspect
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
@@ -514,6 +513,8 @@ def run_suite(profile: str = "desk", parallelism: int = 1, seed: int = 0) -> lis
         raise ValueError(f"unknown profile {profile!r}; know {sorted(PROFILES)}")
     tasks = suite_tasks(prof)
     if parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: keeps import qknot light
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:

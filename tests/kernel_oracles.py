@@ -27,17 +27,22 @@ sums in nested (Horner) form.
 ``per_edge_jones_chain`` (one binomial per level edge) are the former
 ``cyclotomic_coeffs._c_sum`` and ``jones._jones_chain``, verbatim but for
 their names; the library now closes the product form and runs the Jones
-levels as shift-add generating-function passes.
+levels as shift-add generating-function passes.  ``keyed_c_sum``'s cutoff
+branch also ran the per-n ``c_series`` chains of the U series; ``c_series``
+is the former ``cyclotomic_coeffs.c_series``, verbatim but for that route's
+name.  Its C_n is exact below the window and holds pruned sums above it;
+the library now runs every C_n of a window from one windowed chain.
 """
 
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
-from qknot.laurent import _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _norm, poch_q
+from qknot.cyclotomic_coeffs import _validate
+from qknot.laurent import _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, poch_q
 from qknot.series import Mono, QSeries, WindowError
 
 
@@ -336,6 +341,14 @@ def keyed_c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus,
         states = step(states, edges)
     finals = step(states, close)
     return [finals.get(n, (0, 0)) for n in ns]
+
+
+def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
+    """C_n with terms guaranteed only strictly below the window exponent."""
+    _validate(t, m)
+    if n < 0:
+        return XLaurent()
+    return _kronecker(partial(keyed_c_sum, t, m, range(n, n + 1), window))[0][0].shift(n + 1 - t)
 
 
 def per_edge_jones_chain(t: int, n: int, binom, one_minus, step):

@@ -24,7 +24,9 @@ term of a sum to that term; the library now sums them in nested (Horner) form.
 ``bernoulli_rhs`` is a verbatim copy that added one full field element per
 term; the library now evaluates the weights once.  All must be reproduced
 exactly, windows included.  ``u_series`` calls ``QSeries.from_q_laurent``
-without the scale argument that method no longer takes.
+without the scale argument that method no longer takes, and takes each C_n
+from the per-n ``kernel_oracles.c_series`` that the library's one windowed
+chain replaced.
 
 ``_context``, ``cyclo_eval`` and ``cyclo_mul_by_table`` (the body of
 ``CycloNum.__mul__``) are verbatim copies of the field layer that reduced
@@ -49,7 +51,7 @@ from qknot.bailey import (
     BaileyPair, FloorFn, TermFn, _exact, _neg_val_bound, _q, _req, make_named_pair,
 )
 from qknot.cyclo import CycloNum
-from qknot.cyclotomic_coeffs import _validate, c_series
+from qknot.cyclotomic_coeffs import _validate
 from qknot.laurent import (
     ONE, ExactnessError, XLaurent, bernoulli_b2, cyclotomic_polynomial, poch_q, qbinomial,
 )
@@ -59,7 +61,7 @@ from qknot.series import Mono, QSeries, _by_binomials, _poch
 
 from bailey_oracles import _lemma
 from kernel_oracles import (
-    cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, per_edge_jones_chain,
+    c_series, cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, per_edge_jones_chain,
 )
 
 # ---------------------------------------------------------------------------
@@ -808,12 +810,11 @@ def test_product_and_multisum_match_their_oracles(t, m):
 
 @pytest.mark.parametrize("t, m", _TM)
 def test_c_series_matches_its_oracle_below_the_window(t, m):
-    for n in range(7):
-        for window in range(21):
-            new = cyclotomic_coeffs.c_series(t, m, n, window)
+    for window in range(21):
+        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
+        for n, new in enumerate(cyclotomic_coeffs.c_series(t, m, 6, window)):
             old = _c_sum(t, m, n, window).shift(n + 1 - t)
-            below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
-            assert below(new) == below(old), (n, window)
+            assert new.coeffs == below(old), (n, window)
 
 
 @pytest.mark.parametrize("t", range(1, 5))
@@ -1025,10 +1026,40 @@ def test_kronecker_routes_match_their_chain_oracles(t, m):
         assert cyclotomic_coeffs.c_product(t, m, n) == full, n
         multisum = c_multisum_chain(t, m, n) if n >= 0 else XLaurent()
         assert cyclotomic_coeffs.c_multisum(t, m, n) == multisum, n
-        for window in range(-2, 61):
-            # identical pruning: equal in every term, not only below the window
-            old = _c_sum_chain(t, m, n, window).shift(n + 1 - t) if n >= 0 else XLaurent()
-            assert cyclotomic_coeffs.c_series(t, m, n, window) == old, (n, window)
+    for window in range(-2, 61):
+        # the oracle is exact below the window; c_series has no term at or above it
+        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
+        for n, new in enumerate(cyclotomic_coeffs.c_series(t, m, 14, window)):
+            old = _c_sum_chain(t, m, n, window).shift(n + 1 - t)
+            assert new.coeffs == below(old), (n, window)
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_one_windowed_chain_matches_the_per_n_chains(t, m):
+    # every n up to the first whose valuation n + 1 - m reaches the window
+    for window in range(1 - m, 61):
+        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
+        series = cyclotomic_coeffs.c_series(t, m, window + m - 1, window)
+        assert len(series) == window + m and not series[-1], window
+        for n, new in enumerate(series):
+            assert new.coeffs == below(c_series(t, m, n, window)), (n, window)
+    assert cyclotomic_coeffs.c_series(t, m, -1, 10) == []
+
+
+def test_a_windowed_step_keeps_each_state_below_its_limit():
+    # [4, 2] = 1 + q + 2q^2 + q^3 + q^4 enters a at q^1 (needed below q^3) and
+    # b at q^5 (needed below q^4): a keeps q + q^2, b is dropped
+    def route(binom, one_minus, step, shift=1):
+        edges = lambda state, low: (("a", binom(4, 2), shift, False), ("b", binom(4, 2), 5, True))
+        out = step({None: (1, 0)}, edges, {"a": 3, "b": 4}.get)
+        return [out.get("a", (0, 0)), out.get("b", (0, 0))]
+
+    assert laurent._kronecker(route, [3, 4]) == [(XLaurent({1: 1, 2: 1}), 6), (XLaurent(), 6)]
+    assert laurent._kronecker(route, [2, 4])[0] == (XLaurent({1: 1}), 6)
+    with pytest.raises(ValueError, match="limits"):
+        laurent._kronecker(route)
+    with pytest.raises(ValueError, match="shift a value down"):
+        laurent._kronecker(partial(route, shift=-1), [3, 4])
 
 
 @pytest.mark.parametrize("t, m", _TM)
@@ -1062,26 +1093,27 @@ def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
 
 
 def _routes():
-    """Every chain route at every grid point, as ``laurent._kronecker`` takes it."""
+    """Every chain route at every grid point, as the arguments that
+    ``laurent._kronecker`` takes: the route, and a windowed route's limits."""
     for (t, m), n in itertools.product(_TM, range(15)):
-        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), None)
-        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), 3 * n)
-        yield partial(cyclotomic_coeffs._multisum, t, m, (n,))
+        yield (partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), None),)
+        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), 3 * n), [2 * n - 1 + t]
+        yield (partial(cyclotomic_coeffs._multisum, t, m, (n,)),)
     for t, m in _TM:
-        yield partial(cyclotomic_coeffs._c_sum, t, m, range(15), None)
-        yield partial(cyclotomic_coeffs._multisum, t, m, range(15))
+        yield (partial(cyclotomic_coeffs._c_sum, t, m, range(15), None),)
+        yield partial(cyclotomic_coeffs._c_sum, t, m, range(15), 20), [19 - n + t for n in range(15)]
+        yield (partial(cyclotomic_coeffs._multisum, t, m, range(15)),)
     for t in range(1, 5):
         for n_color in range(1, 15):
-            yield partial(jones._jones_chain, t, n_color)
+            yield (partial(jones._jones_chain, t, n_color),)
 
 
 def _rewritten_routes():
     """The routes on generating-function passes, each with its per-binomial
     oracle from ``kernel_oracles``, on the ``_routes`` grid."""
     for (t, m), n in itertools.product(_TM, range(15)):
-        for cutoff in (None, 3 * n):
-            args = (t, m, range(n, n + 1), cutoff)
-            yield partial(cyclotomic_coeffs._c_sum, *args), partial(keyed_c_sum, *args)
+        args = (t, m, range(n, n + 1), None)
+        yield partial(cyclotomic_coeffs._c_sum, *args), partial(keyed_c_sum, *args)
     for (t, m), start in itertools.product(_TM, (0, 6, 14)):
         args = (t, m, range(start, 15), None)
         yield partial(cyclotomic_coeffs._c_sum, *args), partial(keyed_c_sum, *args)
@@ -1143,9 +1175,9 @@ def test_the_l1_pass_sums_the_norm_of_every_factor():
 
 
 def test_l1_bound_covers_every_decoded_coefficient():
-    for route in _routes():
-        for result, bound in laurent._kronecker(route):
-            assert max(map(abs, result.coeffs.values()), default=0) <= bound, route
+    for args in _routes():
+        for result, bound in laurent._kronecker(*args):
+            assert max(map(abs, result.coeffs.values()), default=0) <= bound, args
 
 
 def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
@@ -1175,9 +1207,9 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
     truths = laurent._kronecker(batched)
     read_back, outcomes = laurent._read_back, []
 
-    def recording(v, o, w, bound):
+    def recording(v, o, w, bound, limit=None):
         try:
-            outcomes.append(read_back(v, o, w, bound))
+            outcomes.append(read_back(v, o, w, bound, limit))
         except ExactnessError as err:
             outcomes.append(err)
 
@@ -1198,11 +1230,16 @@ def test_a_narrow_slot_rejects_the_one_product_chain(monkeypatch):
     monkeypatch.setattr(laurent, "_width", lambda bound: 8)
     with pytest.raises(ExactnessError, match="8-bit slots"):
         cyclotomic_coeffs.c_products(3, 1, 8)
+    # the windowed chain reads only below the window, under the same bound
+    with pytest.raises(ExactnessError, match="8-bit slots"):
+        cyclotomic_coeffs.c_series(3, 1, 8, 30)
 
 
-@pytest.mark.parametrize("t, m", [(t, m) for t in range(1, 4) for m in range(1, t + 1)])
+@pytest.mark.parametrize("t, m", _TM)
 def test_horner_u_series_matches_its_oracle(t, m):
-    for window in range(1, 41):
+    # every window from the least (2 - m) on: the library takes its C_n from
+    # one windowed chain, the oracle from one per-n chain per n
+    for window in range(2 - m, 41):
         assert useries.u_series(t, m, window) == u_series(t, m, window), window
 
 

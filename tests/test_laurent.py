@@ -165,6 +165,27 @@ def test_read_back_inverts_the_image_and_rejects_narrow_slots(coeffs, w):
             _read_back(*_at(p, w), w, bound)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.dictionaries(st.integers(-60, 60), st.integers(-(1 << 100), 1 << 100), max_size=16),
+    st.sampled_from([32, 96, 104, 128]),
+    st.integers(-70, 70),
+)
+@example({-60: -(1 << 100), 60: 1 << 100}, 104, 0)
+def test_windowed_read_back_is_the_full_read_back_cut_at_the_limit(coeffs, w, limit):
+    p = XLaurent(coeffs)
+    v, o = _at(p, w)
+    masked = v & ((1 << max(limit - o, 0) * w) - 1)
+    bound = max(map(abs, p.coeffs.values()), default=0)
+    if bound < 1 << (w - 1):
+        below = {e: c for e, c in _read_back(v, o, w, bound).coeffs.items() if e < limit}
+        assert _read_back(masked, o, w, bound, limit).coeffs == below
+        assert _read_back(v, o, w, bound, limit).coeffs == below
+    else:
+        with pytest.raises(ExactnessError):
+            _read_back(masked, o, w, bound, limit)
+
+
 def test_read_back_at_the_edge_of_the_slot():
     for w in (8, 32, 64):
         top = (1 << (w - 1)) - 1

@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,14 @@ def test_parallel_suite_matches_serial():
         {k: v for k, v in r.to_json_dict().items() if k != "elapsed_ms"} for r in rs
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_import_does_not_load_the_process_pool():
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, qknot; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
 
 
 def test_mutation_controls_all_catch():
