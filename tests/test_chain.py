@@ -799,6 +799,10 @@ def test_kron_step_merges_states_and_aligns_offsets():
     assert laurent._read_back(6, -3, 8, 36) == XLaurent({-3: 6})
 
 
+def _below(p: XLaurent, window: int) -> dict:
+    return {e: c for e, c in p.coeffs.items() if e < window}
+
+
 @pytest.mark.parametrize("t, m", _TM)
 def test_product_and_multisum_match_their_oracles(t, m):
     for n in range(-1, 7):
@@ -811,10 +815,9 @@ def test_product_and_multisum_match_their_oracles(t, m):
 @pytest.mark.parametrize("t, m", _TM)
 def test_c_series_matches_its_oracle_below_the_window(t, m):
     for window in range(21):
-        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
         for n, new in enumerate(cyclotomic_coeffs.c_series(t, m, 6, window)):
             old = _c_sum(t, m, n, window).shift(n + 1 - t)
-            assert new.coeffs == below(old), (n, window)
+            assert new.coeffs == _below(old, window), (n, window)
 
 
 @pytest.mark.parametrize("t", range(1, 5))
@@ -1028,21 +1031,19 @@ def test_kronecker_routes_match_their_chain_oracles(t, m):
         assert cyclotomic_coeffs.c_multisum(t, m, n) == multisum, n
     for window in range(-2, 61):
         # the oracle is exact below the window; c_series has no term at or above it
-        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
         for n, new in enumerate(cyclotomic_coeffs.c_series(t, m, 14, window)):
             old = _c_sum_chain(t, m, n, window).shift(n + 1 - t)
-            assert new.coeffs == below(old), (n, window)
+            assert new.coeffs == _below(old, window), (n, window)
 
 
 @pytest.mark.parametrize("t, m", _TM)
 def test_one_windowed_chain_matches_the_per_n_chains(t, m):
     # every n up to the first whose valuation n + 1 - m reaches the window
     for window in range(1 - m, 61):
-        below = lambda p: {e: c for e, c in p.coeffs.items() if e < window}
         series = cyclotomic_coeffs.c_series(t, m, window + m - 1, window)
         assert len(series) == window + m and not series[-1], window
         for n, new in enumerate(series):
-            assert new.coeffs == below(c_series(t, m, n, window)), (n, window)
+            assert new.coeffs == _below(c_series(t, m, n, window), window), (n, window)
     assert cyclotomic_coeffs.c_series(t, m, -1, 10) == []
 
 
