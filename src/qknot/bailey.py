@@ -7,13 +7,14 @@ beta(n, window) produce exact-or-truncated series on demand, so one pair
 serves every truncation level.  Pairs are relative to a = q^a_exp with
 a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
 denominator (q)_n via Gaussian multinomials, their chains summed on ints at
-q = 2^w (``laurent._kronecker``).  Every q-Pochhammer denominator,
+q = 2^w as staircases (``cyclotomic_coeffs._staircase``), the route of the
+C_n multisum.  Every q-Pochhammer denominator,
 finite or infinite, is divided out factor by factor (``series._by_binomials``),
 which keeps the numerator's window, so each term is built at exactly the
 window it is asked for.  Sums whose terms share Pochhammer factors run in
 nested (Horner) form, ``_nested``: from the top index down S <- term_n + rise S,
 rise a monomial times binomials (1 - f) over binomials, in one pass, so no sum
-multiplies two series.  So run both pair relations, the conjugate identity's
+multiplies two series, and each term is asked only when its level comes.  So run both pair relations, the conjugate identity's
 beta side and both sides of the limiting identity; a lemma step multiplies
 each term by its head's factors inside that term's pass.  The relations ask
 each beta_j once, at the widest window a level needs, trunc + n_max j -
@@ -25,9 +26,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
-from .cyclotomic_coeffs import c_product
+from .cyclotomic_coeffs import _staircase, c_product
 from .jones import jones_left
-from .laurent import ONE, XLaurent, _kronecker
+from .laurent import XLaurent, _kronecker
 from .report import CheckReport, _timed_report, diff_qseries
 from .series import _UNIT, Mono, QSeries, _by_binomials, _lattice, _poch
 
@@ -100,66 +101,37 @@ def _exact(p: XLaurent) -> QSeries:
     return QSeries.from_q_laurent(p)
 
 
-def _chain_poly(
-    length: int,
-    bound: int,
-    node_shift: Callable[[int, int], int],
-    coupled: int,
-    sign_pos: int | None = None,
-    fold_shift: Callable[[int], int] | None = None,
-) -> XLaurent:
-    """sum over chains v_1 <= ... <= v_length <= bound of
-    (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
-    which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
-    The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
-    v, from v_0 = 0; the edge into v at ``pos`` carries the node shift and
-    the sign.  Summed as a ``laurent._kronecker`` route and read back once.
-    """
-    fold = fold_shift or (lambda v: 0)
-
-    def route(binom, one_minus, step):
-        def edges(u: int, low: int):
-            for v in range(u, bound + 1):
-                shift = node_shift(pos, v) - (u * v if pos - 1 <= coupled else 0)
-                yield v, binom(v, u), shift, pos == sign_pos and v % 2 == 1
-
-        states: dict = {0: (1, 0)}
-        for pos in range(1, length + 1):
-            states = step(states, edges)
-        closing = lambda v, low: ((None, binom(bound, v), fold(v), False),)
-        return [step(states, closing).get(None, (0, 0))]
-
-    return _kronecker(route)[0][0]
-
-
 def _q(first: int, count: int) -> list[Mono]:
     """The factors of (q^first)_count."""
     return [Mono(1, 0, e) for e in range(first, first + count)]
 
 
-def _nested(terms: dict[int, QSeries], rise: Callable, trunc: int) -> QSeries:
-    """sum_n rise(0) ... rise(n-1) terms[n] below trunc, run from the top n as
-    S <- terms[n] + rise(n-1) S with one ``_by_binomials`` pass per level, where
-    rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over).
+def _nested(term: Callable[[int], Optional[QSeries]], top: int, rise: Callable, trunc: int) -> QSeries:
+    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
+    n as S <- term(n) + rise(n-1) S with one ``_by_binomials`` pass per level,
+    where rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over)
+    and a term of None is zero.  Each term is asked once, when its level comes.
     Level n is held below trunc - v_n, v_n the valuation of its head's mono and times."""
-    top = max(terms, default=0)
     vals = [0]
     for i in range(top):
         mono, times, _ = rise(i)
         vals.append(vals[-1] + mono.q_exp + sum(min(0, f.q_exp) for f in times))
     out = QSeries.zero(1, trunc - vals[top])
     for n in range(top, -1, -1):
-        if n in terms:
-            out = out + terms[n]
+        s = term(n)
+        if s is not None:
+            out = out + s
         if n:
             mono, times, over = rise(n - 1)
             out = _by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
     return out
 
 
-def _on_lattice(term: TermFn, bound: Callable[[int], int], trunc: int) -> dict[int, QSeries]:
-    """term(n, trunc - min(0, bound(n))) for every n that ``series._lattice`` keeps."""
-    return {n: term(n, trunc - min(0, low)) for (n,), low in _lattice(bound, trunc)}
+def _lattice_terms(term: TermFn, bound: Callable[[int], int], trunc: int) -> tuple[Callable, int]:
+    """n -> term(n, trunc - min(0, bound(n))), asked only when called, for every
+    n that ``series._lattice`` keeps (None elsewhere), and the top such n."""
+    windows = {n: trunc - min(0, low) for (n,), low in _lattice(bound, trunc)}
+    return (lambda n: term(n, windows[n]) if n in windows else None), max(windows, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +212,6 @@ def lovejoy_alpha_parts(t: int, ell: int, n: int) -> tuple[XLaurent, XLaurent]:
 def _lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
     """(q)_n times the (2t-1)-fold staircase chain sum: q^{-v} on the first
     ell positions, q^{v(v + centre)/2} at position t and q^{v^2} beyond."""
-    length = 2 * t - 1
 
     def node(pos: int, v: int) -> int:
         e = 0
@@ -252,7 +223,7 @@ def _lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
             e += v * v
         return e
 
-    return _chain_poly(length, n, node, t - 1, sign_pos=t)
+    return _kronecker(partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
 
 
 def lovejoy_pair(t: int, ell: int | None = None) -> BaileyPair:
@@ -309,7 +280,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         def node(pos: int, v: int) -> int:
             return -v if pos <= ell else 0
 
-        s = ONE if k == 1 else _chain_poly(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
+        s = _kronecker(partial(_staircase, k - 1, [n], node, k - 1, None, fold=lambda v, b: -v * b))[0][0]
         return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=window)
 
     return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta)
@@ -395,11 +366,11 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
     a_exp = pair.a_exp
     # beta_j is needed below trunc + nj - j(j+1)/2 at level n; n = n_max's is the widest
     beta = lambda j: pair.beta(j, trunc + n_max * j - j * (j + 1) // 2)
+    alpha = lambda j: pair.alpha(j, trunc)
     for n in range(n_max + 1):
         # sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}) = S_0 / ((q)_n (aq)_n), where term
         # j + 1 of S has the extra factor (1 - q^{n-j}) / (1 - aq^{n+j+1}) over term j
-        alphas = {j: pair.alpha(j, trunc) for j in range(n + 1)}
-        rhs = _nested(alphas, lambda j: (_UNIT, _q(n - j, 1), _q(a_exp + n + j + 1, 1)), trunc)
+        rhs = _nested(alpha, n, lambda j: (_UNIT, _q(n - j, 1), _q(a_exp + n + j + 1, 1)), trunc)
         rhs = _by_binomials(rhs, over=_q(1, n) + _q(a_exp + 1, n), trunc=trunc)
         lhs = beta(n)  # cut to trunc, where an exact beta stays exact
         lhs = lhs if lhs.is_exact() else lhs.with_trunc(trunc)
@@ -408,7 +379,7 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
             # sum_j (q^{-n})_j (aq^n)_j q^j beta_j: term j + 1 has the extra factor
             # q (1 - q^{j-n}) (1 - aq^{n+j}) over term j
             rise = lambda j: (Mono(1, 0, 1), [Mono(1, 0, j - n), Mono(1, 0, a_exp + n + j)], ())
-            inner = _nested({j: beta(j) for j in range(n, -1, -1)}, rise, trunc)
+            inner = _nested(beta, n, rise, trunc)
             sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
             pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
             rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
@@ -481,8 +452,8 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
 
     def beta(n: int, window: int) -> QSeries:
-        terms = {n - k: headed(pair.beta, k, n, window) for k in range(n + 1)}
-        out = _nested(terms, lambda j: (_UNIT, (), _q(j + 1, 1)), window)  # sum_k term_k/(q)_{n-k}
+        term = lambda j: headed(pair.beta, n - j, n, window)  # term_k at level j = n - k
+        out = _nested(term, n, lambda j: (_UNIT, (), _q(j + 1, 1)), window)  # sum_k term_k/(q)_{n-k}
         return _by_binomials(out, over=den(n), trunc=window)
 
     floor_a = floor_b = None  # floors are carried through the (inf, inf) step only
@@ -552,10 +523,10 @@ def _limit_sides(
         return n * (n - 1) // 2 + n * quo.q_exp + _neg_val_bound(fin) + floor(n)
 
     _, rise, den = _lemma(a_exp, b, c)
-    betas = _on_lattice(pair.beta, partial(term_low, floor=pair.beta_floor), trunc)
-    lhs = _nested(betas, lambda i: (*rise(i), ()), trunc)
-    alphas = _on_lattice(pair.alpha, partial(term_low, floor=pair.alpha_floor), trunc)
-    inner = _nested(alphas, lambda i: (*rise(i), den(i + 1, i)), trunc)  # of head alpha_n / den(n)
+    betas = _lattice_terms(pair.beta, partial(term_low, floor=pair.beta_floor), trunc)
+    lhs = _nested(*betas, lambda i: (*rise(i), ()), trunc)
+    alphas = _lattice_terms(pair.alpha, partial(term_low, floor=pair.alpha_floor), trunc)
+    inner = _nested(*alphas, lambda i: (*rise(i), den(i + 1, i)), trunc)  # of head alpha_n / den(n)
 
     v = int(min(0, inner._valuation()))
     w = trunc - v
@@ -596,7 +567,7 @@ def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
     a_exp = pair.a_exp
 
     lhs = _nested(  # term n + 1 has the extra factor q (1 - aq^{2n+1}) (1 - aq^{2n+2}) over term n
-        _on_lattice(pair.beta, lambda n: n + pair.beta_floor(n), trunc),
+        *_lattice_terms(pair.beta, lambda n: n + pair.beta_floor(n), trunc),
         lambda n: (Mono(1, 0, 1), _q(a_exp + 2 * n + 1, 2), ()), trunc,
     )
 

@@ -21,15 +21,16 @@ series cut below one window, runs the same chain windowed: each state and
 node is carried modulo q^L, L the exponent below which some n still needs
 it, so its image stays a few slots wide, and each final is read back below
 the window only.  U(-1; zeta_N) (``useries.u_eval_at_root``, closed at
-q = zeta_N with (zeta)_n^2) keeps the keyed close.  The two routes keep
-their own states and summands, so their agreement remains a main
+q = zeta_N with (zeta)_n^2) keeps the keyed close.  The multisum runs on
+``_staircase``, the one route that the Bailey chain betas run too.  The two
+routes keep their own states and summands, so their agreement remains a main
 verification target.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .laurent import XLaurent, _kronecker, _over_binomials
 
@@ -156,41 +157,56 @@ def c_series(t: int, m: int, n_max: int, window: int) -> list[XLaurent]:
     return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
-def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
-    """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``, as a
-    ``laurent._kronecker`` route that runs one chain for all of them.
-
-    With n = max(ns), the chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed
-    position by position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
-    the centre factor 1 - q^{v_t - v_{t-m}} needs.  An edge u -> v carries
-    [v choose u], q^{-uv} at positions up to t, and the node factor of v:
-    q^{-v} before position t-m, q^{v(v-1)/2} and the sign (-1)^v at t, and
-    q^{v^2} after it.  The bound only caps v, and v only climbs along a
-    path, so a state with v <= k+1 holds the same value in the chain for n
-    as in the chain for k < n; only the closing [k+1 choose v], zero for
-    v > k+1, depends on k, and the chain is closed once for each k in ns.
+def _staircase(
+    length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
+    binom, one_minus, step, centre: tuple[int, int] | None = None, fold: Callable[[int, int], int] | None = None,
+) -> list:
+    """Staircase chain sums, one per b in ``bounds``, as a ``laurent._kronecker``
+    route: one chain 0 = v_0 <= ... <= v_length <= max(bounds), closed for each
+    b by [b choose v_length] q^{fold(v_length, b)}, zero for v_length > b, so
+    a state holds the same value for every b >= v.  The edge u -> v at
+    position pos carries [v choose u], q^{node(pos, v)}, q^{-uv} at positions
+    up to ``coupled`` and (-1)^v at ``sign``; with ``centre`` = (c, s) the
+    edge at c also carries 1 - q^{v_c - v_s}, and the state keeps v_s from
+    position s to c-1.
     """
-    n = max(ns)
-    store = t - m
+    top = max(bounds)
+    c, s = centre or (0, -1)  # positions run from 1, so no edge reads v_s
 
     def edges(state: tuple[int, int | None], low: int):
         u, w = state
-        for v in range(u, n + 2):
-            nxt = (v, v if pos == store else w if pos < t else None)
-            if pos < t:
-                yield nxt, binom(v, u), -u * v - (v if pos < store else 0), False
-            elif pos == t:
-                yield nxt, binom(v, u) * one_minus(v - w), v * (v - 1) // 2 - u * v, v % 2 == 1
-            else:
-                yield nxt, binom(v, u), v * v, False
+        for v in range(u, top + 1):
+            nxt = (v, v if pos == s else w if pos < c else None)
+            weight = binom(v, u) * one_minus(v - w) if pos == c else binom(v, u)
+            shift = node(pos, v) - (u * v if pos <= coupled else 0)
+            yield nxt, weight, shift, pos == sign and v % 2 == 1
 
-    states: dict = {(0, 0 if store == 0 else None): (1, 0)}
-    for pos in range(1, 2 * t):
+    states: dict = {(0, 0 if s == 0 else None): (1, 0)}
+    for pos in range(1, length + 1):
         states = step(states, edges)
 
-    close = lambda state, low: ((k, binom(k + 1, state[0]), 0, False) for k in ns if k + 1 >= state[0])
+    fold = fold or (lambda v, b: 0)
+    close = lambda state, low: (
+        (i, binom(b, state[0]), fold(state[0], b), False) for i, b in enumerate(bounds) if b >= state[0]
+    )
     finals = step(states, close)
-    return [finals.get(k, (0, 0)) for k in ns]
+    return [finals.get(i, (0, 0)) for i in range(len(bounds))]
+
+
+def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
+    """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``: the
+    staircase of length 2t-1 closed at each bound n+1, with q^{-v} before
+    position t-m, q^{v(v-1)/2}, the sign and the centre factor
+    1 - q^{v_t - v_{t-m}} at t, q^{v^2} after it, and q^{-uv} up to t."""
+    store = t - m
+
+    def node(pos: int, v: int) -> int:
+        if pos < t:
+            return -v if pos < store else 0
+        return v * (v - 1) // 2 if pos == t else v * v
+
+    bounds = [k + 1 for k in ns]
+    return _staircase(2 * t - 1, bounds, node, t, t, binom, one_minus, step, centre=(t, store))
 
 
 def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
@@ -198,7 +214,6 @@ def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
     return (-_over_binomials(total, range(1, n + 2))).shift(n + 1 - t)
 
 
-@lru_cache(maxsize=None)
 def c_multisum(t: int, m: int, n: int) -> XLaurent:
     """C_n via the (2t-1)-fold alternating multisum.
 

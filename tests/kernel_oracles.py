@@ -32,6 +32,11 @@ branch also ran the per-n ``c_series`` chains of the U series; ``c_series``
 is the former ``cyclotomic_coeffs.c_series``, verbatim but for that route's
 name.  Its C_n is exact below the window and holds pruned sums above it;
 the library now runs every C_n of a window from one windowed chain.
+
+``multisum`` and ``chain_poly`` are the former ``cyclotomic_coeffs._multisum``
+and ``bailey._chain_poly``, verbatim but for their names: two routes, each
+with its own edge generator, for the one family of staircase chain sums that
+the library now runs as one route, ``cyclotomic_coeffs._staircase``.
 """
 
 import math
@@ -374,3 +379,72 @@ def per_edge_jones_chain(t: int, n: int, binom, one_minus, step):
     for _ in range(t - 1):
         states = step(states, edges)
     return [step(states, lambda k, low: ((None, 1, 0, False),)).get(None, (0, 0))]
+
+
+def multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
+    """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``, as a
+    ``laurent._kronecker`` route that runs one chain for all of them.
+
+    With n = max(ns), the chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed
+    position by position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
+    the centre factor 1 - q^{v_t - v_{t-m}} needs.  An edge u -> v carries
+    [v choose u], q^{-uv} at positions up to t, and the node factor of v:
+    q^{-v} before position t-m, q^{v(v-1)/2} and the sign (-1)^v at t, and
+    q^{v^2} after it.  The bound only caps v, and v only climbs along a
+    path, so a state with v <= k+1 holds the same value in the chain for n
+    as in the chain for k < n; only the closing [k+1 choose v], zero for
+    v > k+1, depends on k, and the chain is closed once for each k in ns.
+    """
+    n = max(ns)
+    store = t - m
+
+    def edges(state: tuple[int, int | None], low: int):
+        u, w = state
+        for v in range(u, n + 2):
+            nxt = (v, v if pos == store else w if pos < t else None)
+            if pos < t:
+                yield nxt, binom(v, u), -u * v - (v if pos < store else 0), False
+            elif pos == t:
+                yield nxt, binom(v, u) * one_minus(v - w), v * (v - 1) // 2 - u * v, v % 2 == 1
+            else:
+                yield nxt, binom(v, u), v * v, False
+
+    states: dict = {(0, 0 if store == 0 else None): (1, 0)}
+    for pos in range(1, 2 * t):
+        states = step(states, edges)
+
+    close = lambda state, low: ((k, binom(k + 1, state[0]), 0, False) for k in ns if k + 1 >= state[0])
+    finals = step(states, close)
+    return [finals.get(k, (0, 0)) for k in ns]
+
+
+def chain_poly(
+    length: int,
+    bound: int,
+    node_shift: Callable[[int, int], int],
+    coupled: int,
+    sign_pos: int | None = None,
+    fold_shift: Callable[[int], int] | None = None,
+) -> XLaurent:
+    """sum over chains v_1 <= ... <= v_length <= bound of
+    (+-1) q^{shifts} prod_i [v_{i+1} choose v_i] [bound choose v_length],
+    which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
+    The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
+    v, from v_0 = 0; the edge into v at ``pos`` carries the node shift and
+    the sign.  Summed as a ``laurent._kronecker`` route and read back once.
+    """
+    fold = fold_shift or (lambda v: 0)
+
+    def route(binom, one_minus, step):
+        def edges(u: int, low: int):
+            for v in range(u, bound + 1):
+                shift = node_shift(pos, v) - (u * v if pos - 1 <= coupled else 0)
+                yield v, binom(v, u), shift, pos == sign_pos and v % 2 == 1
+
+        states: dict = {0: (1, 0)}
+        for pos in range(1, length + 1):
+            states = step(states, edges)
+        closing = lambda v, low: ((None, binom(bound, v), fold(v), False),)
+        return [step(states, closing).get(None, (0, 0))]
+
+    return _kronecker(route)[0][0]

@@ -17,7 +17,7 @@ from qknot.bailey import (
     andrews_pair, bailey_limit_identity, bailey_verify, conjugate_identity_check,
     make_named_pair, perturbed_pair, unit_pair,
 )
-from qknot.series import Mono
+from qknot.series import Mono, QSeries
 
 _X = Mono(1, 1, 0)
 
@@ -96,3 +96,64 @@ def test_relations_build_each_beta_once_at_its_widest_window():
         pair._beta = lambda n, window: asked.append((n, window)) or beta(n, window)
         assert bailey._first_failure(pair, 6, 12) is None
         assert asked == [(j, 12 + 6 * j - j * (j + 1) // 2) for j in range(7)], pair
+
+
+
+def _nested_sums(monkeypatch, run) -> list:
+    """(top, events) for every ``bailey._nested`` sum that ``run()`` makes, the
+    events in order: n for each term asked, "pass" for each ``_by_binomials``
+    pass the sum makes outside its terms."""
+    sums, running, inside = [], [], []
+    real_nested, real_pass = bailey._nested, bailey._by_binomials
+
+    def nested(term, top, rise, trunc):
+        events = []
+        sums.append((top, events))
+
+        def asked(n):
+            events.append(n)
+            inside.append(n)
+            try:
+                return term(n)
+            finally:
+                inside.pop()
+
+        running.append(events)
+        try:
+            return real_nested(asked, top, rise, trunc)
+        finally:
+            running.pop()
+
+    def level_pass(*args, **kwargs):
+        if running and not inside:
+            running[-1].append("pass")
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(bailey, "_nested", nested)
+    monkeypatch.setattr(bailey, "_by_binomials", level_pass)
+    run()
+    monkeypatch.undo()
+    return sums
+
+
+def test_nested_sums_ask_each_term_once_when_its_level_comes(monkeypatch):
+    # from the top down, one pass between two levels; a term may be None (zero)
+    terms = lambda n: QSeries.one().mul_mono(Mono(1, 0, n)) if n != 2 else None
+    rise = lambda i: (Mono(1, 0, 1), [Mono(1, 0, i + 1)], [Mono(1, 0, i + 2)])
+    [(top, events)] = _nested_sums(monkeypatch, lambda: bailey._nested(terms, 4, rise, 9))
+    assert events == [4, "pass", 3, "pass", 2, "pass", 1, "pass", 0]
+    # every caller: the relations' alpha and beta sums, a lemma step's beta,
+    # both sides of the limiting identity and the conjugate identity's beta side
+    pair = andrews_pair()
+    runs = [
+        lambda: bailey._first_failure(pair, 4, 10),
+        lambda: bailey.bailey_step(unit_pair(), _X, None).beta(5, 12),
+        lambda: bailey._limit_sides(pair, None, None, 12),
+        lambda: bailey._conjugate_sides(pair, 12),
+    ]
+    for run in runs:
+        sums = _nested_sums(monkeypatch, run)
+        assert sums and max(top for top, _ in sums) >= 2
+        for top, events in sums:
+            levels = [[n, "pass"] for n in range(top, 0, -1)]
+            assert events == [e for level in levels for e in level] + [0], (top, events)

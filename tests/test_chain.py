@@ -60,8 +60,9 @@ from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
 from bailey_oracles import _lemma
+import kernel_oracles
 from kernel_oracles import (
-    c_series, cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, per_edge_jones_chain,
+    c_series, chain_poly, cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, multisum, per_edge_jones_chain,
 )
 
 # ---------------------------------------------------------------------------
@@ -971,21 +972,6 @@ def test_a_narrow_root_slot_is_rejected_not_wrapped(monkeypatch):
         assert cyclo._root_read(r, order, 8, 0) != true
 
 
-@pytest.fixture
-def old_chain_poly(monkeypatch):
-    """Route the Bailey chain betas through the oracle _chain_poly.
-
-    The callers now pass the number of coupled edges, which the oracle took
-    as the edge shift -u*v on edges i <= coupled (0 after them).
-    """
-
-    def oracle(length, bound, node_shift, coupled, sign_pos=None, fold_shift=None):
-        edge_shift = lambda i, u, v: -u * v if i <= coupled else 0
-        return _chain_poly(length, bound, node_shift, edge_shift, sign_pos, fold_shift)
-
-    monkeypatch.setattr(bailey, "_chain_poly", oracle)
-
-
 def _bailey_chains():
     bailey._lovejoy_s.cache_clear()  # the closed betas read it, so that each run computes them
     lovejoy = {
@@ -1003,6 +989,51 @@ def _bailey_chains():
     return lovejoy, star, closed
 
 
+def _oracle_bailey_chains(chain):
+    """``_bailey_chains`` on the oracle ``chain``, which takes the arguments
+    that ``bailey._chain_poly`` took: the former ``_lovejoy_s`` and star beta,
+    verbatim but for the chain they call, and the beta wrappers unchanged."""
+
+    def lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
+        length = 2 * t - 1
+
+        def node(pos: int, v: int) -> int:
+            e = 0
+            if pos <= ell:
+                e -= v
+            if pos == t:
+                e += v * (v + centre) // 2
+            if pos > t:
+                e += v * v
+            return e
+
+        return chain(length, n, node, t - 1, sign_pos=t)
+
+    def star_beta(k: int, ell: int, n: int) -> QSeries:
+        head = Mono(-1 if n % 2 else 1, 0, -n * (n + 1) // 2)
+
+        def node(pos: int, v: int) -> int:
+            return -v if pos <= ell else 0
+
+        s = ONE if k == 1 else chain(k - 1, n, node, k - 2, fold_shift=lambda v: -v * n)
+        return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=25)
+
+    lovejoy = {(t, ell, n): lovejoy_s(t, ell, n) for t in range(1, 5) for ell in range(t) for n in range(7)}
+    star = {(k, ell, n): star_beta(k, ell, n) for k in range(1, 5) for ell in range(k) for n in range(7)}
+    closed = {
+        (t, tail, n): _by_binomials(_exact(lovejoy_s(t, tail, n, -1)), over=_q(1, n), trunc=25)
+        for t in range(1, 4) for tail in range(t) for n in range(7)
+    }
+    return lovejoy, star, closed
+
+
+def _edge_shift_chain_poly(length, bound, node_shift, coupled, sign_pos=None, fold_shift=None):
+    """The oracle ``_chain_poly``, which took the edge shift -u*v on edges
+    i <= coupled (0 after them) in place of the number of coupled edges."""
+    edge_shift = lambda i, u, v: -u * v if i <= coupled else 0
+    return _chain_poly(length, bound, node_shift, edge_shift, sign_pos, fold_shift)
+
+
 def _assert_same_chains(new, old):
     for new_family, old_family in zip(new, old, strict=True):
         assert new_family.keys() == old_family.keys()
@@ -1010,16 +1041,43 @@ def _assert_same_chains(new, old):
             assert value == old_family[key], key
 
 
-def test_bailey_chain_betas_match_the_oracle(request):
-    new = _bailey_chains()
-    request.getfixturevalue("old_chain_poly")
-    _assert_same_chains(new, _bailey_chains())
+def test_bailey_chain_betas_match_the_oracle():
+    _assert_same_chains(_bailey_chains(), _oracle_bailey_chains(_edge_shift_chain_poly))
 
 
-def test_bailey_chain_betas_match_their_chain_oracle(monkeypatch):
-    new = _bailey_chains()
-    monkeypatch.setattr(bailey, "_chain_poly", _chain_poly_chain)
-    _assert_same_chains(new, _bailey_chains())
+def test_bailey_chain_betas_match_their_chain_oracle():
+    _assert_same_chains(_bailey_chains(), _oracle_bailey_chains(_chain_poly_chain))
+
+
+def _kronecker_runs(monkeypatch, module) -> list:
+    """Every (result, bound) that ``module``'s ``_kronecker`` returns from now on."""
+    runs, real = [], module._kronecker
+
+    def recording(*args):
+        out = real(*args)
+        runs.extend(out)
+        return out
+
+    monkeypatch.setattr(module, "_kronecker", recording)
+    return runs
+
+
+def test_bailey_chains_match_the_kronecker_oracle_and_its_bounds(monkeypatch):
+    new_runs, old_runs = _kronecker_runs(monkeypatch, bailey), _kronecker_runs(monkeypatch, kernel_oracles)
+    new, old = _bailey_chains(), _oracle_bailey_chains(chain_poly)
+    _assert_same_chains(new, old)
+    # same chains, same l1 bounds, so the same slot widths; star(k=1)'s beta ran
+    # no chain at the oracle, and its length-0 staircase closes to [n, 0] = 1
+    lovejoy = len(new[0])
+    assert new_runs == old_runs[:lovejoy] + [(ONE, 1)] * 7 + old_runs[lovejoy:]
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_multisum_staircase_matches_its_oracle_route(t, m):
+    # the same polynomials and the same l1 bounds, per n and batched
+    for ns in [(n,) for n in range(15)] + [range(15), range(6, 15)]:
+        new = laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, ns))
+        assert new == laurent._kronecker(partial(multisum, t, m, ns)), ns
 
 
 @pytest.mark.parametrize("t, m", _TM)
@@ -1189,7 +1247,7 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
     with pytest.raises(ExactnessError, match="8-bit slots"):
         cyclotomic_coeffs.c_product.__wrapped__(3, 1, 8)
     with pytest.raises(ExactnessError, match="8-bit slots"):
-        cyclotomic_coeffs.c_multisum.__wrapped__(3, 1, 8)
+        cyclotomic_coeffs.c_multisum(3, 1, 8)
     with pytest.raises(ExactnessError, match="8-bit slots"):
         jones.jones_hyper(3, 12)
     # without the guard, the 8-bit image would read back as a wrong polynomial
