@@ -37,6 +37,14 @@ the library now runs every C_n of a window from one windowed chain.
 and ``bailey._chain_poly``, verbatim but for their names: two routes, each
 with its own edge generator, for the one family of staircase chain sums that
 the library now runs as one route, ``cyclotomic_coeffs._staircase``.
+
+``pass_hecke_u_series`` and ``pass_hecke_u1_double`` are the former
+``hecke.hecke_u_series`` and ``hecke.hecke_u1_double``, verbatim but for their
+names: the lattice core times the Pochhammer factors in one
+``series._by_binomials`` pass per factor, and the double sum's core times
+1/(q)_inf from trunc such passes in one multi-row series product.  The
+library now takes both from the Jacobi triple product and Euler's
+pentagonal theorem.
 """
 
 import math
@@ -48,7 +56,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from qknot.cyclo import CycloNum, _reduce
 from qknot.cyclotomic_coeffs import _validate
 from qknot.laurent import _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, poch_q
-from qknot.series import Mono, QSeries, WindowError
+from qknot.hecke import _double_exp, _triple_sum
+from qknot.series import Mono, QSeries, WindowError, _by_binomials, _lattice
 
 
 def is_monomial(p: XLaurent) -> bool:
@@ -448,3 +457,41 @@ def chain_poly(
         return [step(states, closing).get(None, (0, 0))]
 
     return _kronecker(route)[0][0]
+
+
+def pass_hecke_u_series(t: int, m: int, trunc: int, pad: int = 0) -> QSeries:
+    """U_t^{(m)}(-x; q) from the indefinite-theta expansion, window trunc.
+
+    The displayed global sign and prefactor are taken at face value; the
+    series route through the cyclotomic coefficients is the cross-check.
+    """
+    if t < 1 or not 1 <= m <= t:
+        raise ValueError("need 1 <= m <= t")
+    if trunc < 1:
+        raise ValueError("need a positive window")
+    core = _triple_sum(t, m, trunc, pad)
+    ks = range(1, trunc - int(min(0, core._valuation())))  # the factors reaching the window
+    times = [Mono(1, 1, k) for k in ks] + [Mono(1, -1, k) for k in ks]
+    return -_by_binomials(core, times, [Mono(1, 0, k) for k in ks] * 2)
+
+
+def pass_hecke_u1_double(trunc: int, pad: int = 0) -> QSeries:
+    """(1-x) U_1(-x;q) from the double-sum expansion, window trunc.
+
+    Region n,r >= 0 enters positively with x^{-r}; region n,r < 0 is
+    subtracted (and carries positive x-powers after the substitution).
+    """
+    if trunc < 1:
+        raise ValueError("need a positive window")
+    acc: dict[int, dict[int, int]] = {}
+    for origin, outer_sign in ((0, 1), (-1, -1)):
+        for (n, r), e in _lattice(_double_exp, trunc, 2, origin, pad):
+            sign = outer_sign * (-1 if (n + r) % 2 else 1)
+            acc.setdefault(e, {}).setdefault(-r, 0)
+            acc[e][-r] += sign
+
+    core = QSeries({e: XLaurent(xs) for e, xs in acc.items()}, 1, trunc)
+    # 1/(q)_inf carries no x: one term-by-term product with the core beats a
+    # pass per factor over it, 7 against 22 ms at trunc 120, 20 against 85 at 200
+    inverse = _by_binomials(QSeries.one(1, trunc), over=[Mono(1, 0, k) for k in range(1, trunc)])
+    return inverse * core

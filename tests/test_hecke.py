@@ -1,11 +1,15 @@
-"""Indefinite-theta expansions against the nested-sum route."""
+"""Indefinite-theta expansions against the nested-sum route, the pass-based
+route they replaced, and the product identities they rest on."""
 
+import pytest
+
+import qknot.hecke as hecke
 from qknot.hecke import _triple_sum, hecke_u1_double, hecke_u_series, hecke_u_series_x
-from qknot.laurent import XLaurent
+from qknot.laurent import ExactnessError, XLaurent, _width
 from qknot.series import Mono, QSeries, first_difference, qpochhammer
 from qknot.useries import u_series
 
-from kernel_oracles import invert
+from kernel_oracles import invert, pass_hecke_u1_double, pass_hecke_u_series
 
 
 def test_lowest_coefficients_t1():
@@ -20,10 +24,10 @@ def test_appendix_anchor_t2():
 
 
 def test_matches_nested_route():
-    for t in range(1, 4):
+    for t, w in [(1, 16), (2, 16), (3, 16), (1, 40), (2, 40), (3, 40), (4, 40)]:
         for m in range(1, t + 1):
-            d = first_difference(hecke_u_series_x(t, m, 16), u_series(t, m, 16), through=16)
-            assert d is None, (t, m, d)
+            d = first_difference(hecke_u_series_x(t, m, w), u_series(t, m, w), through=w)
+            assert d is None, (t, m, w, d)
 
 
 def test_minus_x_route_is_flip():
@@ -112,3 +116,103 @@ def test_prefactor_normalization():
     )
     core = _triple_sum(t, m, w)
     assert first_difference(-(pref * core), full, through=w) is None
+
+
+# -- the triple-product route against the pass-based route it replaced ----------
+
+_TM = [(t, m) for t in range(1, 5) for m in range(1, t + 1)]
+
+
+@pytest.mark.parametrize("t,m", _TM)
+def test_series_match_the_pass_route(t, m):
+    for w in [*range(1, 31), 45, 60]:
+        for pad in (0, 3):
+            want = pass_hecke_u_series(t, m, w, pad)
+            assert hecke_u_series(t, m, w, pad) == want, (w, pad)
+            assert hecke_u_series_x(t, m, w, pad) == want.negate_x(), (w, pad)
+
+
+def test_series_match_the_pass_route_at_a_wide_window():
+    want = pass_hecke_u_series(3, 1, 150)
+    assert want.trunc == 150 and want.terms
+    assert hecke_u_series(3, 1, 150) == want
+
+
+def test_double_sum_matches_the_pass_route():
+    for w in range(1, 81):
+        for pad in (0, 3):
+            assert hecke_u1_double(w, pad) == pass_hecke_u1_double(w, pad), (w, pad)
+
+
+def test_a_slot_one_width_below_the_bound_raises(monkeypatch):
+    assert hecke_u_series(2, 1, 80) == pass_hecke_u_series(2, 1, 80)
+    monkeypatch.setattr(hecke, "_width", lambda bound: _width(bound) - 32)
+    with pytest.raises(ExactnessError):
+        hecke_u_series(2, 1, 80)
+
+
+def test_hecke_routes_make_only_one_row_products(monkeypatch):
+    seen = []
+
+    def one_row(a, b, limit=None):
+        seen.append((len(a), len(b)))
+        return product(a, b, limit)
+
+    def no_series_product(self, other):
+        raise AssertionError("a series product")
+
+    product = hecke._product
+    monkeypatch.setattr(hecke, "_product", one_row)
+    monkeypatch.setattr(QSeries, "__mul__", no_series_product)
+    hecke_u1_double(40)
+    hecke_u_series(2, 1, 40)
+    assert seen and set(seen) == {(1, 1)}
+
+
+# -- the identities, on series built from their definitions ---------------------
+
+
+def _theta_r(window):
+    """R(x) = sum_n (-1)^n q^(n(n+1)/2) (x^-n - x^(n+1)) below the window."""
+    terms, n = {}, 0
+    while n * (n + 1) // 2 < window:
+        terms[n * (n + 1) // 2] = XLaurent({-n: (-1) ** n, n + 1: -((-1) ** n)})
+        n += 1
+    return QSeries(terms, 1, window)
+
+
+def _sparse(terms, window):
+    return QSeries({e: c for e, c in terms.items() if e < window}, 1, window)
+
+
+def test_jacobi_triple_product():
+    w = 40
+    lhs = (
+        QSeries({0: XLaurent({0: 1, 1: -1})})
+        * qpochhammer(Mono(1, 1, 1), None, trunc=w)
+        * qpochhammer(Mono(1, -1, 1), None, trunc=w)
+        * qpochhammer(Mono(1, 0, 1), None, trunc=w)
+    )
+    assert lhs.trunc == w
+    assert lhs == _theta_r(w)
+
+
+def test_jacobi_cube_and_euler_pentagonal():
+    w = 200
+    poch = qpochhammer(Mono(1, 0, 1), None, trunc=w)
+    jacobi = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(20)}
+    euler = {k * (3 * k - 1) // 2: (-1) ** k for k in range(-12, 13)}
+    assert poch**3 == _sparse(jacobi, w)
+    assert poch == _sparse(euler, w)
+    assert hecke._jacobi_cube(w) == {e: c for e, c in jacobi.items() if e < w}
+    assert hecke._euler(w) == {e: c for e, c in euler.items() if e < w}
+
+
+@pytest.mark.parametrize("series", [hecke._jacobi_cube, hecke._euler])
+def test_reciprocal_times_its_input_is_one(series):
+    for w in (1, 2, 7, 60, 200):
+        f = series(w)
+        a = hecke._reciprocal(f, w)
+        assert len(a) == w
+        prod = [sum(c * a[e - g] for g, c in f.items() if g <= e) for e in range(w)]
+        assert prod == [1] + [0] * (w - 1)
