@@ -8,17 +8,20 @@ serves every truncation level.  Pairs are relative to a = q^a_exp with
 a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
 denominator (q)_n via Gaussian multinomials, their chains summed on ints at
 q = 2^w as staircases (``cyclotomic_coeffs._staircase``), the route of the
-C_n multisum.  Every q-Pochhammer denominator,
-finite or infinite, is divided out factor by factor (``series._by_binomials``),
-which keeps the numerator's window, so each term is built at exactly the
-window it is asked for.  Sums whose terms share Pochhammer factors run in
-nested (Horner) form, ``_nested``: from the top index down S <- term_n + rise S,
-rise a monomial times binomials (1 - f) over binomials, in one pass, so no sum
-multiplies two series, and each term is asked only when its level comes.  So run both pair relations, the conjugate identity's
-beta side and both sides of the limiting identity; a lemma step multiplies
-each term by its head's factors inside that term's pass.  The relations ask
-each beta_j once, at the widest window a level needs, trunc + n_max j -
-j(j+1)/2, and cut it where a level needs less.
+C_n multisum.  Every q-Pochhammer denominator, finite or infinite, is divided
+out factor by factor (``series._by_binomials``), which keeps the numerator's
+window, so each term is built at exactly the window it is asked for.
+
+Every sum here whose terms share Pochhammer factors runs on the engine
+``series._nested``, from the top index down as S <- term_n + rise S, rise a
+monomial times binomials (1 - f) over binomials, one pass per level: both pair
+relations, a lemma step's beta, both sides of the limiting identity and the
+conjugate identity's beta side.  No sum multiplies two series, and each term
+is asked only when its level comes.  A lemma step multiplies each term by its
+head's factors inside that term's pass.  A sum over a lattice takes each
+term's bound from the rises it is summed with (``_lattice_terms``).  The
+relations ask each beta_j once, at the widest window a level needs,
+trunc + n_max j - j(j+1)/2, and compare through trunc.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from .cyclotomic_coeffs import _staircase, c_product
 from .jones import jones_left
 from .laurent import XLaurent, _kronecker
 from .report import CheckReport, _timed_report, diff_qseries
-from .series import _UNIT, Mono, QSeries, _by_binomials, _lattice, _poch
+from .series import _UNIT, Mono, QSeries, _by_binomials, _lattice, _nested, _poch, _val
 
 __all__ = [
     "BaileyPair",
     "bailey_limit_identity",
     "bailey_step",
     "bailey_verify",
-    "beta_chain_closed",
     "conjugate_identity_check",
     "make_named_pair",
     "perturbed_pair",
@@ -106,30 +108,17 @@ def _q(first: int, count: int) -> list[Mono]:
     return [Mono(1, 0, e) for e in range(first, first + count)]
 
 
-def _nested(term: Callable[[int], Optional[QSeries]], top: int, rise: Callable, trunc: int) -> QSeries:
-    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
-    n as S <- term(n) + rise(n-1) S with one ``_by_binomials`` pass per level,
-    where rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over)
-    and a term of None is zero.  Each term is asked once, when its level comes.
-    Level n is held below trunc - v_n, v_n the valuation of its head's mono and times."""
+def _lattice_terms(term: TermFn, rise: Callable, floor: FloorFn, trunc: int) -> tuple[Callable, int]:
+    """n -> term(n, trunc - min(0, bound(n))), asked only when called, for every n
+    whose bound ``series._lattice`` keeps (None elsewhere), and the top such n;
+    bound(n) is floor(n) plus the ``_val`` of the head ``_nested`` puts on term n."""
     vals = [0]
-    for i in range(top):
-        mono, times, _ = rise(i)
-        vals.append(vals[-1] + mono.q_exp + sum(min(0, f.q_exp) for f in times))
-    out = QSeries.zero(1, trunc - vals[top])
-    for n in range(top, -1, -1):
-        s = term(n)
-        if s is not None:
-            out = out + s
-        if n:
-            mono, times, over = rise(n - 1)
-            out = _by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
-    return out
 
+    def bound(n: int) -> int:
+        while len(vals) <= n:
+            vals.append(vals[-1] + _val(*rise(len(vals) - 1)[:2]))
+        return vals[n] + floor(n)
 
-def _lattice_terms(term: TermFn, bound: Callable[[int], int], trunc: int) -> tuple[Callable, int]:
-    """n -> term(n, trunc - min(0, bound(n))), asked only when called, for every
-    n that ``series._lattice`` keeps (None elsewhere), and the top such n."""
     windows = {n: trunc - min(0, low) for (n,), low in _lattice(bound, trunc)}
     return (lambda n: term(n, windows[n]) if n in windows else None), max(windows, default=0)
 
@@ -209,16 +198,16 @@ def lovejoy_alpha_parts(t: int, ell: int, n: int) -> tuple[XLaurent, XLaurent]:
 
 
 @lru_cache(maxsize=None)
-def _lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
+def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
     """(q)_n times the (2t-1)-fold staircase chain sum: q^{-v} on the first
-    ell positions, q^{v(v + centre)/2} at position t and q^{v^2} beyond."""
+    ell positions, q^{v(v + 1)/2} at position t and q^{v^2} beyond."""
 
     def node(pos: int, v: int) -> int:
         e = 0
         if pos <= ell:
             e -= v
         if pos == t:
-            e += v * (v + centre) // 2
+            e += v * (v + 1) // 2
         if pos > t:
             e += v * v
         return e
@@ -305,8 +294,8 @@ def andrews_pair(x: Mono = Mono(1, 1, 0)) -> BaileyPair:
     def alpha_floor(n: int) -> int:
         return n * (n + 1) // 2 + min(0, -n * x.q_exp, (n + 1) * x.q_exp)
 
-    def beta_floor(n: int) -> int:  # each numerator factor (1 - f) has valuation min(0, k)
-        return sum(min(0, f.q_exp) for f in numerator(n))
+    def beta_floor(n: int) -> int:
+        return _val(_UNIT, numerator(n))
 
     return BaileyPair(
         "andrews", 1, alpha, beta,
@@ -339,13 +328,6 @@ def make_named_pair(name: str, **params) -> BaileyPair:
     return fn(**params)
 
 
-def beta_chain_closed(t: int, tail_len: int, n: int, window: int) -> QSeries:
-    """Closed chain form of the t-fold-stepped seed beta: center carries
-    binom(v_t, 2) and the linear tail has tail_len terms."""
-    s = _lovejoy_s(t, tail_len, n, -1)
-    return _by_binomials(_exact(s), over=_q(1, n), trunc=window)
-
-
 # ---------------------------------------------------------------------------
 # the defining relations at finite truncation
 # ---------------------------------------------------------------------------
@@ -374,7 +356,7 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
         rhs = _by_binomials(rhs, over=_q(1, n) + _q(a_exp + 1, n), trunc=trunc)
         lhs = beta(n)  # cut to trunc, where an exact beta stays exact
         lhs = lhs if lhs.is_exact() else lhs.with_trunc(trunc)
-        witness = diff_qseries(lhs, rhs, label=f"beta relation at n={n}")
+        witness = diff_qseries(lhs, rhs, trunc, f"beta relation at n={n}")
         if witness is None and n > 0:
             # sum_j (q^{-n})_j (aq^n)_j q^j beta_j: term j + 1 has the extra factor
             # q (1 - q^{j-n}) (1 - aq^{n+j}) over term j
@@ -383,7 +365,7 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
             sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
             pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
             rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
-            witness = diff_qseries(pair.alpha(n, trunc), rhs2, label=f"alpha relation at n={n}")
+            witness = diff_qseries(pair.alpha(n, trunc), rhs2, trunc, f"alpha relation at n={n}")
         if witness is not None:
             witness["n"] = n
             return witness
@@ -445,8 +427,7 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
         mono, factors = head(k, n)  # so term k is needed below window - val(head) only
         if _UNIT in factors:
             return QSeries.zero()
-        low = mono.q_exp + sum(min(0, f.q_exp) for f in factors)
-        return _by_binomials(term(k, window - low), factors).mul_mono(mono)
+        return _by_binomials(term(k, window - _val(mono, factors)), factors).mul_mono(mono)
 
     def alpha(n: int, window: int) -> QSeries:
         return _by_binomials(headed(pair.alpha, n, n, window), over=den(n), trunc=window)
@@ -475,12 +456,6 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
 # ---------------------------------------------------------------------------
 
 
-def _neg_val_bound(mono: Mono) -> int:
-    """Lower bound for the valuation of the family (mono)_n, any n."""
-    e = min(0, mono.q_exp)
-    return e * (1 - e) // 2
-
-
 def bailey_limit_identity(
     pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
 ) -> CheckReport:
@@ -494,7 +469,7 @@ def bailey_limit_identity(
     return _timed_report(
         "bailey-limit",
         params,
-        lambda: (diff_qseries(*_limit_sides(pair, b, c, trunc), label="limit identity"), None),
+        lambda: (diff_qseries(*_limit_sides(pair, b, c, trunc), trunc, "limit identity"), None),
     )
 
 
@@ -502,47 +477,28 @@ def _limit_sides(
     pair: BaileyPair, b: Mono | None, c: Mono | None, trunc: int
 ) -> tuple[QSeries, QSeries]:
     """Both sides, each over the n whose bound (head valuation plus floor) is
-    below trunc (``series._lattice``): along n it may fall, then rises."""
+    below trunc (``series._lattice``): along n it may fall, then rises.  The
+    parameter checks run first; they keep every head's valuation bound v_n >= 0."""
     if pair.alpha_floor is None or pair.beta_floor is None:
         raise ValueError("limit identity needs valuation floors on the pair")
-    a_exp = pair.a_exp
-    aq = Mono(1, 0, a_exp + 1)
+    aq = Mono(1, 0, pair.a_exp + 1)
+    num, den = [], [aq]  # (num)_inf / (den)_inf multiplies the alpha side
     if (b is None) != (c is None):
-        _req(aq.divide(b if b is not None else c), "the quotient of a mixed limit")
+        num.append(_req(aq.divide(b if b is not None else c), "the quotient of a mixed limit"))
+    elif b is not None:
+        den.append(aq.divide(b.times(c)))
+        if den[1].q_exp <= 0:
+            raise ValueError("aq/(bc) must carry a positive q-exponent")
+        num += [_req(aq.divide(b), "aq/b"), _req(aq.divide(c), "aq/c")]
 
-    def term_low(n: int, floor: FloorFn) -> int:
-        if b is None and c is None:
-            return n * n + a_exp * n + floor(n)
-        if b is not None and c is not None:
-            e = aq.divide(b.times(c)).q_exp
-            if e <= 0:
-                raise ValueError("aq/(bc) must carry a positive q-exponent")
-            return n * e + _neg_val_bound(b) + _neg_val_bound(c) + floor(n)
-        fin = b if b is not None else c
-        quo = aq.divide(fin)
-        return n * (n - 1) // 2 + n * quo.q_exp + _neg_val_bound(fin) + floor(n)
-
-    _, rise, den = _lemma(a_exp, b, c)
-    betas = _lattice_terms(pair.beta, partial(term_low, floor=pair.beta_floor), trunc)
-    lhs = _nested(*betas, lambda i: (*rise(i), ()), trunc)
-    alphas = _lattice_terms(pair.alpha, partial(term_low, floor=pair.alpha_floor), trunc)
-    inner = _nested(*alphas, lambda i: (*rise(i), den(i + 1, i)), trunc)  # of head alpha_n / den(n)
-
-    v = int(min(0, inner._valuation()))
-    w = trunc - v
-
-    def below(mono: Mono, what: str) -> list[Mono]:
-        """The factors of the infinite product (mono)_inf that reach q^w."""
-        return _poch(_req(mono, what), w - mono.q_exp)
-
-    num, den = [], below(aq, "aq")
-    if b is not None:
-        num += below(aq.divide(b), "aq/b")
-    if c is not None:
-        num += below(aq.divide(c), "aq/c")
-    if b is not None and c is not None:
-        den += below(aq.divide(b.times(c)), "aq/bc")
-    return lhs, _by_binomials(inner, num, den)
+    _, rise, den_n = _lemma(pair.a_exp, b, c)
+    beta_rise = lambda i: (*rise(i), ())
+    alpha_rise = lambda i: (*rise(i), den_n(i + 1, i))  # of head alpha_n / den_n(n)
+    lhs = _nested(*_lattice_terms(pair.beta, beta_rise, pair.beta_floor, trunc), beta_rise, trunc)
+    inner = _nested(*_lattice_terms(pair.alpha, alpha_rise, pair.alpha_floor, trunc), alpha_rise, trunc)
+    w = trunc - int(min(0, inner._valuation()))  # the factors of each product that reach q^w
+    below = lambda monos: [f for mono in monos for f in _poch(mono, w - mono.q_exp)]
+    return lhs, _by_binomials(inner, below(num), below(den))
 
 
 def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
@@ -551,7 +507,7 @@ def conjugate_identity_check(pair: BaileyPair, trunc: int) -> CheckReport:
     return _timed_report(
         "bailey-conjugate",
         {"pair": pair.label, "trunc": trunc},
-        lambda: (diff_qseries(*_conjugate_sides(pair, trunc), label="conjugate identity"), None),
+        lambda: (diff_qseries(*_conjugate_sides(pair, trunc), trunc, "conjugate identity"), None),
     )
 
 
@@ -566,10 +522,9 @@ def _conjugate_sides(pair: BaileyPair, trunc: int) -> tuple[QSeries, QSeries]:
         raise ValueError("conjugate identity needs valuation floors on the pair")
     a_exp = pair.a_exp
 
-    lhs = _nested(  # term n + 1 has the extra factor q (1 - aq^{2n+1}) (1 - aq^{2n+2}) over term n
-        *_lattice_terms(pair.beta, lambda n: n + pair.beta_floor(n), trunc),
-        lambda n: (Mono(1, 0, 1), _q(a_exp + 2 * n + 1, 2), ()), trunc,
-    )
+    # term n + 1 has the extra factor q (1 - aq^{2n+1}) (1 - aq^{2n+2}) over term n
+    rise = lambda n: (Mono(1, 0, 1), _q(a_exp + 2 * n + 1, 2), ())
+    lhs = _nested(*_lattice_terms(pair.beta, rise, pair.beta_floor, trunc), rise, trunc)
 
     weight = lambda r, n: 3 * n * (n + 1) // 2 + a_exp * n + (2 * n + 1) * r  # head exponent
     inner = QSeries.zero(1, trunc)

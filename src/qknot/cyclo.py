@@ -4,7 +4,8 @@ Elements are rational-coefficient vectors reduced modulo the M-th
 cyclotomic polynomial, so equality is decidable coefficient-wise and every
 root-of-unity evaluation in the library is exact.  The library only
 evaluates, compares, conjugates and scales such values (``*`` by a rational,
-for ``bernoulli_rhs``); ``+`` and ``-`` remain for the test oracles.  Every
+for ``bernoulli_rhs``), so a field element has no ``+``, ``-`` or product of
+two elements; the test oracles keep those as functions.  Every
 reduction, in evaluation, powers of zeta and the tables below, is one
 top-down pass mod Phi_M (``_reduce``), so a field keeps O(deg) data however
 large M is.
@@ -301,29 +302,6 @@ class CycloNum:
         return out
 
     # -- ring operations ----------------------------------------------------
-
-    def _same_field(self, other: "CycloNum") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed field orders {self.order} and {other.order}")
-
-    def __add__(self, other: "CycloNum | Scalar") -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.order, other)
-        self._same_field(other)
-        return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other: "CycloNum | Scalar") -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.order, other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "CycloNum":
-        return (-self) + other
 
     def __mul__(self, other: Scalar) -> "CycloNum":
         if not isinstance(other, (int, Fraction)):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .laurent import XLaurent, _pack, _product, _read_back, _width
+from .laurent import _pack, _product, _read_back, _width
 from .series import QSeries, _lattice, _wrap_rows
 
 __all__ = ["hecke_u1_double", "hecke_u_series", "hecke_u_series_x"]
@@ -63,9 +63,10 @@ def _exp8(t: int, m: int, r: int, s: int, u: int) -> int:
     )
 
 
-def _triple_sum(t: int, m: int, window: int, pad: int = 0) -> QSeries:
-    """The signed triple sum as a scale-1 series valid strictly below window."""
-    acc: dict[int, dict[int, int]] = {}
+def _triple_sum(t: int, m: int, window: int, pad: int = 0) -> dict[int, dict[int, int]]:
+    """The signed triple sum strictly below q^window as x-power columns
+    {u: {e: c}}, c q^e x^u, with no zero entry and no empty column."""
+    cols: dict[int, dict[int, int]] = {}
     for origin in (0, -1):
         for (r, s, u), e8 in _lattice(partial(_exp8, t, m), 8 * window, 3, origin, pad):
             if (r - s) % 2 == 0:
@@ -74,15 +75,14 @@ def _triple_sum(t: int, m: int, window: int, pad: int = 0) -> QSeries:
                 raise ArithmeticError(
                     f"non-integral exponent {e8}/8 at (r,s,u)=({r},{s},{u})"
                 )
-            sign = -1 if ((r - s - 1) // 2) % 2 else 1
-            acc.setdefault(e8 // 8, {}).setdefault(u, 0)
-            acc[e8 // 8][u] += sign
-
-    return QSeries(
-        {e: XLaurent(xs) for e, xs in acc.items()},
-        1,
-        window,
-    )
+            col = cols.setdefault(u, {})
+            col[e8 // 8] = col.get(e8 // 8, 0) + (-1 if ((r - s - 1) // 2) % 2 else 1)
+    for u, col in list(cols.items()):
+        for e in [e for e, c in col.items() if not c]:
+            del col[e]
+        if not col:
+            del cols[u]
+    return cols
 
 
 def _reciprocal(f: dict[int, int], window: int) -> list[int]:
@@ -131,19 +131,15 @@ def _hecke_rows(t: int, m: int, trunc: int, pad: int, flip: bool) -> QSeries:
         raise ValueError("need 1 <= m <= t")
     if trunc < 1:
         raise ValueError("need a positive window")
-    core = _triple_sum(t, m, trunc, pad)  # never empty: it has a term at q^(1-m)
-    lift = -min(0, core.min_exp())
+    cols = _triple_sum(t, m, trunc, pad)  # never empty: it has a term at q^(1-m)
+    lift = -min(0, *map(min, cols.values()))
     top = trunc + lift  # W': the slots below the window
-    cols: dict[int, dict[int, int]] = {}
-    for e, c in core.terms.items():
-        for u, v in c.coeffs.items():
-            cols.setdefault(u, {})[e + lift] = v
     ns = _triangular(top)
     inverse = _reciprocal(_jacobi_cube(top), top)
     bound = sum(abs(v) for col in cols.values() for v in col.values()) * 2 * len(ns) * max(inverse)
     w = _width(bound)
     mask = (1 << w * top) - 1
-    images = {u: _pack(col, 0, w) for u, col in cols.items()}
+    images = {u: _pack(col, -lift, w) for u, col in cols.items()}
     # shift-added, so exact at any width: a narrow slot raises in the read-back
     theta = sum(a << e * w for e, a in enumerate(inverse))
     shifts = [(n, n * (n + 1) // 2 * w) for n in ns]

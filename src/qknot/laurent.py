@@ -122,12 +122,6 @@ class XLaurent:
         """Coefficients as (exponent, value) pairs, ascending."""
         return sorted(self.coeffs.items())
 
-    def has_integer_coeffs(self) -> bool:
-        return all(
-            isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.coeffs.values()
-        )
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

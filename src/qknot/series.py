@@ -10,6 +10,12 @@ tightest window it can justify, so identity checks can never silently
 compare coefficients that were lost to truncation.  trunc=None marks an
 exact object (a polynomial known in full).  Products run on the one product
 kernel, ``laurent._product``.
+
+Pochhammer products are not multiplied out: ``_by_binomials`` applies each
+factor (1 - f) in one stride pass, and every Pochhammer-weighted sum (the U
+series, the Bailey sums) runs on one engine, ``_nested``, in Horner form, one
+such pass per level.  One rule, ``_val``, bounds the valuation of a head mono
+prod(1 - f) for every window these cut.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .laurent import ExactnessError, Scalar, XLaurent, _norm, _product
@@ -159,11 +166,10 @@ class QSeries:
         return min(self.terms)
 
     def with_trunc(self, trunc: int | None) -> "QSeries":
-        """Tighten the window (never widens an existing one)."""
-        if trunc is None:
+        """Tighten the window (never widens an existing one); the series
+        itself when the window does not move."""
+        if trunc is None or (self.trunc is not None and self.trunc <= trunc):
             return self
-        if self.trunc is not None and self.trunc < trunc:
-            trunc = self.trunc
         return QSeries._of({e: c for e, c in self.terms.items() if e < trunc}, self.scale, trunc)
 
     def coefficient(self, q_exp: int) -> XLaurent:
@@ -387,7 +393,7 @@ def _by_binomials(
     if _UNIT in times:
         return QSeries.zero(s.scale)
     if trunc is not None:
-        s = s.with_trunc(trunc - sum(min(0, f.q_exp) for f in times) - head.q_exp)
+        s = s.with_trunc(trunc - _val(head, times))
     if divs and s.is_exact() and s.terms:
         raise WindowError("dividing an exact series needs an explicit window")
     if head != _UNIT:
@@ -412,6 +418,30 @@ def _by_binomials(
                 if src:
                     _axpy(rows.setdefault(e, {}), src, f.coeff, f.x_exp)
     return _wrap_rows(rows, s.scale, None if w == _INF else w)
+
+
+def _val(mono: Mono, factors: Iterable[Mono]) -> int:
+    """A lower bound on the valuation of mono prod(1 - f, factors): a factor
+    (1 - f) starts at q^min(0, k), k the q-exponent of f."""
+    return mono.q_exp + sum(min(0, f.q_exp) for f in factors)
+
+
+def _nested(term: Callable[[int], "QSeries | None"], top: int, rise: Callable, trunc: int) -> QSeries:
+    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
+    n as S <- term(n) + rise(n-1) S with one ``_by_binomials`` pass per level,
+    where rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over)
+    and a term of None is zero.  Each term is asked once, when its level comes.
+    Level n is held below trunc - v_n, v_n the ``_val`` of its head's monos and times."""
+    vals = [0, *accumulate(_val(*rise(i)[:2]) for i in range(top))]
+    out = QSeries.zero(1, trunc - vals[top])
+    for n in range(top, -1, -1):
+        s = term(n)
+        if s is not None:
+            out = out + s
+        if n:
+            mono, times, over = rise(n - 1)
+            out = _by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
+    return out
 
 
 def _wrap_rows(rows: Mapping[int, dict[int, Scalar]], scale: int, trunc: int | None) -> QSeries:

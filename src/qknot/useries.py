@@ -20,7 +20,7 @@ from __future__ import annotations
 from .cyclo import CycloNum, _root_sum, cyclo_eval
 from .cyclotomic_coeffs import _c_levels, _keyed_close, _validate, c_series
 from .laurent import XLaurent
-from .series import Mono, QSeries, _by_binomials
+from .series import _UNIT, Mono, QSeries, _nested
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
 
@@ -81,17 +81,18 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
     """U_t^{(m)}(x;q) as a truncated series valid strictly below q^trunc.
 
     The slice at k_t = n+1 is C_n (valuation n+1-m) times (-xq)_n (-x^{-1}q)_n,
-    so n < trunc+m-1.  It is summed in nested (Horner) form from the top,
-    T <- C_n + (1 + xq^{n+1})(1 + x^{-1}q^{n+1}) T: both factors have positive
-    q-exponents, so they keep T's window, and every C_n comes cut at it from
-    one windowed chain (``cyclotomic_coeffs.c_series``).
+    so n < trunc+m-1.  It is summed in nested (Horner) form from the top on
+    ``series._nested``, T <- C_n + (1 + xq^{n+1})(1 + x^{-1}q^{n+1}) T: both
+    factors have positive q-exponents, so they keep T's window, and every C_n
+    comes cut at it from one windowed chain (``cyclotomic_coeffs.c_series``).
     """
     _validate(t, m)
     if trunc <= 1 - m:
         raise ValueError("window too small to contain any terms")
-    total = QSeries.zero(1, trunc)
     coeffs = c_series(t, m, trunc + m - 2, trunc)
-    for n in range(trunc + m - 2, -1, -1):
-        total = _by_binomials(total, [Mono(-1, 1, n + 1), Mono(-1, -1, n + 1)])
-        total = total + QSeries.from_q_laurent(coeffs[n], trunc)
-    return total
+    return _nested(
+        lambda n: QSeries.from_q_laurent(coeffs[n], trunc),
+        trunc + m - 2,
+        lambda i: (_UNIT, [Mono(-1, 1, i + 1), Mono(-1, -1, i + 1)], ()),
+        trunc,
+    )

@@ -1,23 +1,59 @@
 """The Bailey sums that multiplied whole series, kept as reference oracles.
 
 ``_first_failure``, ``_lemma``, ``bailey_step``, ``_limit_sides`` and
-``_conjugate_sides`` are the former ``qknot.bailey`` functions, verbatim.
-They build each Pochhammer head as a polynomial or series and multiply a
-pair's term by it (a ``QSeries`` product per term); the library now runs
-every one of these sums as a chain of ``series._by_binomials`` passes in
-nested (Horner) form and must reproduce them exactly, windows included.
+``_conjugate_sides`` are the former ``qknot.bailey`` functions, verbatim,
+with ``_neg_val_bound``, the closed-form valuation bound that ``_limit_sides``
+took for its lattice walk.  They build each Pochhammer head as a polynomial
+or series and multiply a pair's term by it (a ``QSeries`` product per term);
+the library now runs every one of these sums as a chain of
+``series._by_binomials`` passes in nested (Horner) form, on ``series._nested``,
+and must reproduce them exactly, windows included.
+
+``beta_chain_closed`` is the former ``qknot.bailey`` function, verbatim, and
+``lovejoy_s`` the former ``bailey._lovejoy_s``, verbatim but for its name and
+the dropped cache: its ``centre`` parameter, -1 for the closed chain, was the
+only one the library did not use.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from qknot.bailey import (
-    BaileyPair, FloorFn, TermFn, _exact, _neg_val_bound, _q, _req,
-)
-from qknot.laurent import poch_q
+from qknot.bailey import BaileyPair, FloorFn, TermFn, _exact, _q, _req
+from qknot.cyclotomic_coeffs import _staircase
+from qknot.laurent import XLaurent, _kronecker, poch_q
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _lattice, _poch
+
+
+def _neg_val_bound(mono: Mono) -> int:
+    """Lower bound for the valuation of the family (mono)_n, any n."""
+    e = min(0, mono.q_exp)
+    return e * (1 - e) // 2
+
+
+def lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
+    """(q)_n times the (2t-1)-fold staircase chain sum: q^{-v} on the first
+    ell positions, q^{v(v + centre)/2} at position t and q^{v^2} beyond."""
+
+    def node(pos: int, v: int) -> int:
+        e = 0
+        if pos <= ell:
+            e -= v
+        if pos == t:
+            e += v * (v + centre) // 2
+        if pos > t:
+            e += v * v
+        return e
+
+    return _kronecker(partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
+
+
+def beta_chain_closed(t: int, tail_len: int, n: int, window: int) -> QSeries:
+    """Closed chain form of the t-fold-stepped seed beta: center carries
+    binom(v_t, 2) and the linear tail has tail_len terms."""
+    s = lovejoy_s(t, tail_len, n, -1)
+    return _by_binomials(_exact(s), over=_q(1, n), trunc=window)
 
 
 def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:

@@ -3,8 +3,11 @@
 ``invert`` (with ``is_monomial``) is the recurrence inversion of a series
 that ``series._by_binomials`` replaced for every Pochhammer quotient, and
 ``divexact`` the long division of Laurent polynomials that
-``laurent._over_binomials`` replaced; ``swap_x`` substitutes x -> 1/x, and
-``cyclo_mul`` multiplies two elements of a cyclotomic field.  They are the
+``laurent._over_binomials`` replaced; ``swap_x`` substitutes x -> 1/x,
+``has_integer_coeffs`` tests a polynomial for integer coefficients, and
+``cyclo_mul``, ``cyclo_add``, ``cyclo_neg`` and ``cyclo_sub`` (with
+``same_field``) are the products, sums and differences in a cyclotomic field,
+a rational allowed as the second operand of a sum or difference.  They are the
 former ``QSeries``, ``XLaurent`` and ``CycloNum`` methods, verbatim but for
 taking the series, polynomial or field element as their first argument.
 
@@ -40,11 +43,12 @@ the library now runs as one route, ``cyclotomic_coeffs._staircase``.
 
 ``pass_hecke_u_series`` and ``pass_hecke_u1_double`` are the former
 ``hecke.hecke_u_series`` and ``hecke.hecke_u1_double``, verbatim but for their
-names: the lattice core times the Pochhammer factors in one
-``series._by_binomials`` pass per factor, and the double sum's core times
-1/(q)_inf from trunc such passes in one multi-row series product.  The
-library now takes both from the Jacobi triple product and Euler's
-pentagonal theorem.
+names and for taking the core as a series, ``triple_sum_series``, which wraps
+the x-power columns of ``hecke._triple_sum``: the lattice core times the
+Pochhammer factors in one ``series._by_binomials`` pass per factor, and the
+double sum's core times 1/(q)_inf from trunc such passes in one multi-row
+series product.  The library now takes both from the Jacobi triple product and
+Euler's pentagonal theorem.
 """
 
 import math
@@ -153,9 +157,38 @@ def invert(self: QSeries, trunc: int | None = None) -> QSeries:
     return QSeries(inverse, self.scale, w_core).mul_mono(inv0)
 
 
+def has_integer_coeffs(self: XLaurent) -> bool:
+    return all(
+        isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
+        for c in self.coeffs.values()
+    )
+
+
+def same_field(self: CycloNum, other: CycloNum) -> None:
+    if self.order != other.order:
+        raise ValueError(f"mixed field orders {self.order} and {other.order}")
+
+
+def cyclo_add(self: CycloNum, other: "CycloNum | Scalar") -> CycloNum:
+    if isinstance(other, (int, Fraction)):
+        other = CycloNum.from_rational(self.order, other)
+    same_field(self, other)
+    return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+
+def cyclo_neg(self: CycloNum) -> CycloNum:
+    return CycloNum(self.order, [-a for a in self.coeffs])
+
+
+def cyclo_sub(self: CycloNum, other: "CycloNum | Scalar") -> CycloNum:
+    if isinstance(other, (int, Fraction)):
+        other = CycloNum.from_rational(self.order, other)
+    return cyclo_add(self, cyclo_neg(other))
+
+
 def cyclo_mul(self: CycloNum, other: CycloNum) -> CycloNum:
     """The product of two elements of one cyclotomic field."""
-    self._same_field(other)
+    same_field(self, other)
     raw = [0] * (2 * len(self.coeffs) - 1)
     terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
     for i, a in enumerate(self.coeffs):
@@ -459,6 +492,15 @@ def chain_poly(
     return _kronecker(route)[0][0]
 
 
+def triple_sum_series(t: int, m: int, window: int, pad: int = 0) -> QSeries:
+    """The signed triple sum as a scale-1 series valid strictly below window."""
+    rows: dict[int, dict[int, int]] = {}
+    for u, col in _triple_sum(t, m, window, pad).items():
+        for e, c in col.items():
+            rows.setdefault(e, {})[u] = c
+    return QSeries({e: XLaurent(row) for e, row in rows.items()}, 1, window)
+
+
 def pass_hecke_u_series(t: int, m: int, trunc: int, pad: int = 0) -> QSeries:
     """U_t^{(m)}(-x; q) from the indefinite-theta expansion, window trunc.
 
@@ -469,7 +511,7 @@ def pass_hecke_u_series(t: int, m: int, trunc: int, pad: int = 0) -> QSeries:
         raise ValueError("need 1 <= m <= t")
     if trunc < 1:
         raise ValueError("need a positive window")
-    core = _triple_sum(t, m, trunc, pad)
+    core = triple_sum_series(t, m, trunc, pad)
     ks = range(1, trunc - int(min(0, core._valuation())))  # the factors reaching the window
     times = [Mono(1, 1, k) for k in ks] + [Mono(1, -1, k) for k in ks]
     return -_by_binomials(core, times, [Mono(1, 0, k) for k in ks] * 2)

@@ -6,25 +6,27 @@ import weakref
 
 import pytest
 
+from qknot import bailey
 from qknot.bailey import (
     BaileyPair,
     andrews_pair,
     bailey_limit_identity,
     bailey_step,
     bailey_verify,
-    beta_chain_closed,
     conjugate_identity_check,
     lovejoy_alpha_parts,
     make_named_pair,
     perturbed_pair,
+    unit_pair,
     _conjugate_sides,
     _exact,
     _limit_sides,
 )
 from qknot.cyclotomic_coeffs import c_multisum
 from qknot.laurent import ExactnessError, XLaurent, poch_q
-from qknot.series import Mono, QSeries, first_difference, qpochhammer
+from qknot.series import Mono, QSeries, WindowError, first_difference, qpochhammer
 
+from bailey_oracles import beta_chain_closed
 from kernel_oracles import invert
 
 
@@ -214,9 +216,69 @@ def test_limit_identity_rejects_degenerate_quotient():
         bailey_limit_identity(make_named_pair("unit"), Mono(1, 0, 1), None, 20)
 
 
+def test_limit_identity_checks_its_parameters_before_any_term():
+    def never(n, window):
+        raise AssertionError("a term was asked before the parameter checks")
+
+    pair = BaileyPair("never", 0, never, never, lambda n: 0, lambda n: 0)
+    cases = [
+        (Mono(1, 0, 1), None, "the quotient of a mixed limit"),
+        (Mono(1, 0, 1), Mono(1, 0, 1), r"aq/\(bc\) must carry"),
+        (Mono(1, 0, 3), Mono(1, 0, -5), "aq/b needs"),
+        (Mono(1, 0, -5), Mono(1, 0, 3), "aq/c needs"),
+    ]
+    for b, c, message in cases:
+        with pytest.raises(ValueError, match=message):
+            bailey_limit_identity(pair, b, c, 12)
+
+
 def test_conjugate_identity():
     assert conjugate_identity_check(make_named_pair("unit", a_exp=1), 20).passed
     assert conjugate_identity_check(make_named_pair("andrews"), 20).passed
+
+
+# Each identity compares its sides through its own window: a side that came
+# back short of it raises, where a comparison over the common window would pass.
+
+
+def _short(sides, top):
+    """The sides function with its right side cut below q^top."""
+
+    def cut(*args):
+        lhs, rhs = sides(*args)
+        return lhs, rhs.with_trunc(top)
+
+    return cut
+
+
+def test_limit_identity_compares_through_its_window(monkeypatch):
+    assert bailey_limit_identity(unit_pair(), None, None, 25).passed
+    monkeypatch.setattr(bailey, "_limit_sides", _short(bailey._limit_sides, 20))
+    with pytest.raises(WindowError):
+        bailey_limit_identity(unit_pair(), None, None, 25)
+
+
+def test_conjugate_identity_compares_through_its_window(monkeypatch):
+    assert conjugate_identity_check(unit_pair(), 25).passed
+    monkeypatch.setattr(bailey, "_conjugate_sides", _short(bailey._conjugate_sides, 20))
+    with pytest.raises(WindowError):
+        conjugate_identity_check(unit_pair(), 25)
+
+
+@pytest.mark.parametrize("windowed", [True, False])
+def test_pair_relations_compare_through_their_window(monkeypatch, windowed):
+    # the beta relation's right side is the one windowed pass that closes it,
+    # the alpha relation's the one pass without a window
+    assert bailey_verify(make_named_pair("jones", t=1), 3, 25).passed
+    real = bailey._by_binomials
+
+    def short(s, times=(), over=(), trunc=None):
+        out = real(s, times, over, trunc)
+        return out.with_trunc(20) if (trunc is not None) == windowed else out
+
+    monkeypatch.setattr(bailey, "_by_binomials", short)
+    with pytest.raises(WindowError):
+        bailey_verify(make_named_pair("jones", t=1), 3, 25)
 
 
 # andrews_pair(x) at windows where a term below the window sits past the first
@@ -273,15 +335,16 @@ def test_conjugate_identity_rejects_a_squared():
 
 def test_two_variable_identity_bruteforce():
     # the identity produced by the conjugate transform of the two-term pair,
-    # both sides built from scratch
+    # both sides built from scratch; term n is q^n times its Pochhammer
+    # factors, each built below q^(window - n), so every term is exact below q^window
     window = 21
     lhs = QSeries.zero(1, window)
     for n in range(window + 1):
         lhs = lhs + (
-            qpochhammer(Mono(1, 1, 0), n + 1)
-            * qpochhammer(Mono(1, -1, 1), n)
+            qpochhammer(Mono(1, 1, 0), n + 1, trunc=window - n)
+            * qpochhammer(Mono(1, -1, 1), n, trunc=window - n)
         ).mul_mono(Mono(1, 0, n))
-    lhs = lhs.with_trunc(window)
+    assert lhs.trunc == window
     acc: dict[int, dict[int, int]] = {}
     for n in range(0, 10):
         for r in range(0, window + 2):

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 import bailey_oracles as oracle
-from qknot import bailey
+from qknot import bailey, series
 from qknot.bailey import (
     andrews_pair, bailey_limit_identity, bailey_verify, conjugate_identity_check,
     make_named_pair, perturbed_pair, unit_pair,
@@ -102,9 +102,10 @@ def test_relations_build_each_beta_once_at_its_widest_window():
 def _nested_sums(monkeypatch, run) -> list:
     """(top, events) for every ``bailey._nested`` sum that ``run()`` makes, the
     events in order: n for each term asked, "pass" for each ``_by_binomials``
-    pass the sum makes outside its terms."""
+    pass the sum makes outside its terms (the engine, ``series._nested``,
+    makes its passes through ``series._by_binomials``)."""
     sums, running, inside = [], [], []
-    real_nested, real_pass = bailey._nested, bailey._by_binomials
+    real_nested, real_pass = bailey._nested, series._by_binomials
 
     def nested(term, top, rise, trunc):
         events = []
@@ -130,7 +131,7 @@ def _nested_sums(monkeypatch, run) -> list:
         return real_pass(*args, **kwargs)
 
     monkeypatch.setattr(bailey, "_nested", nested)
-    monkeypatch.setattr(bailey, "_by_binomials", level_pass)
+    monkeypatch.setattr(series, "_by_binomials", level_pass)
     run()
     monkeypatch.undo()
     return sums

@@ -5,10 +5,12 @@ the library's nested chains k_1 <= ... <= k_t on its own (four exponential
 recursions and two hand-rolled dynamic programs).  They serve as reference
 oracles: the library's one chain step, ``laurent._kron_step``, must reproduce
 them exactly.  The one change is that the oracle ``c_multisum`` is not cached.
-The root-of-unity oracles multiply ``CycloNum``s (by ``kernel_oracles.cyclo_mul``,
-since the library's ``*`` is the scalar product only) and read their Gaussian
-binomials from the full q-Pascal table at zeta^(+-1) (``_field_poch``,
-``_field_qbinomials`` and ``_binom_at``, also verbatim); the library now sums
+The root-of-unity oracles multiply and add ``CycloNum``s (by
+``kernel_oracles.cyclo_mul``, ``cyclo_add`` and ``cyclo_sub``, since the
+library's ``*`` is the scalar product only and a field element has no sum)
+and read their Gaussian binomials from the full q-Pascal table at zeta^(+-1)
+(``_field_poch``, ``_field_qbinomials`` and ``_binom_at``, also verbatim but
+for those sums); the library now sums
 those chains on plain ints in Z / Phi_N(2^w) (``cyclo._root_sum``), at zeta
 only, conjugates for zeta^-1, and must reproduce them exactly.
 
@@ -48,7 +50,7 @@ import pytest
 
 from qknot import bailey, cyclo, cyclotomic_coeffs, jones, laurent, modular, useries, verify
 from qknot.bailey import (
-    BaileyPair, FloorFn, TermFn, _exact, _neg_val_bound, _q, _req, make_named_pair,
+    BaileyPair, FloorFn, TermFn, _exact, _q, _req, make_named_pair,
 )
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate
@@ -59,10 +61,12 @@ from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _poch
 
-from bailey_oracles import _lemma
+import bailey_oracles
+from bailey_oracles import _lemma, _neg_val_bound
 import kernel_oracles
 from kernel_oracles import (
-    c_series, chain_poly, cyclo_mul, divexact, habiro_reconstruct, keyed_c_sum, multisum, per_edge_jones_chain,
+    c_series, chain_poly, cyclo_add, cyclo_mul, cyclo_sub, divexact, habiro_reconstruct, has_integer_coeffs,
+    keyed_c_sum, multisum, per_edge_jones_chain, same_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
 
     quot = divexact(total, poch_q(1, bound))
     out = (-quot).shift(bound - t)
-    if not out.has_integer_coeffs():
+    if not has_integer_coeffs(out):
         raise ExactnessError(
             f"multisum C_{n} for (t={t}, m={m}) is not an integer Laurent polynomial"
         )
@@ -213,7 +217,7 @@ def _field_poch(order: int, eps: int, count: int) -> list[CycloNum]:
     """(q)_k at q = zeta^eps for k = 0..count."""
     out = [CycloNum.one(order)]
     for k in range(1, count + 1):
-        factor = CycloNum.one(order) - CycloNum.zeta(order, eps * k)
+        factor = cyclo_sub(CycloNum.one(order), CycloNum.zeta(order, eps * k))
         out.append(cyclo_mul(out[-1], factor))
     return out
 
@@ -226,7 +230,7 @@ def _field_qbinomials(order: int, eps: int, max_n: int) -> list[list[CycloNum]]:
         row = [one]
         prev = table[n - 1]
         for k in range(1, n):
-            row.append(prev[k - 1] + cyclo_mul(CycloNum.zeta(order, eps * k), prev[k]))
+            row.append(cyclo_add(prev[k - 1], cyclo_mul(CycloNum.zeta(order, eps * k), prev[k])))
         row.append(one)
         table.append(row)
     return table
@@ -257,7 +261,7 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
         # i runs t-1 .. 1, choosing k_i <= k_{i+1} + [i == m-1]
         nonlocal total
         if i == 0:
-            total = total + cyclo_mul(acc, CycloNum.zeta(order, eps * exponent))
+            total = cyclo_add(total, cyclo_mul(acc, CycloNum.zeta(order, eps * exponent)))
             return
         hi = k_next + (1 if i == m - 1 else 0)
         for k in range(0, hi + 1):
@@ -287,9 +291,9 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     def close(k_t: int, sqsum: int, acc: CycloNum) -> None:
         nonlocal total
         head = poch[k_t - 1]
-        total = total + cyclo_mul(
+        total = cyclo_add(total, cyclo_mul(
             cyclo_mul(cyclo_mul(acc, head), head), CycloNum.zeta(order, sqsum + k_t)
-        )
+        ))
 
     def rec(i: int, k_i: int, prefix: int, sqsum: int, acc: CycloNum) -> None:
         # k_i chosen for i <= t-1; prefix/sqsum aggregate indices j < i
@@ -475,7 +479,7 @@ def c_multisum_chain(t: int, m: int, n: int) -> XLaurent:
 
     quot = divexact(total, poch_q(1, bound))
     out = (-quot).shift(bound - t)
-    if not out.has_integer_coeffs():
+    if not has_integer_coeffs(out):
         raise ExactnessError(
             f"multisum C_{n} for (t={t}, m={m}) is not an integer Laurent polynomial"
         )
@@ -681,7 +685,7 @@ def bernoulli_rhs(t: int, m: int, n_root: int) -> CycloNum:
                 f"character support broke the k^2 congruence at k={k} (t={t}, m={m})"
             )
         weight = bernoulli_b2(Fraction(k, top)) * ch
-        total = total + CycloNum.zeta(order, e) * weight
+        total = cyclo_add(total, CycloNum.zeta(order, e) * weight)
     return total * ((2 * t + 1) * n_root)
 
 
@@ -733,7 +737,7 @@ def cyclo_eval(p: XLaurent | QSeries, order: int, k: int = 1) -> CycloNum:
 def cyclo_mul_by_table(self: CycloNum, other: CycloNum | int | Fraction) -> CycloNum:
     if isinstance(other, (int, Fraction)):
         return CycloNum(self.order, [a * other for a in self.coeffs])
-    self._same_field(other)
+    same_field(self, other)
     deg, _, pows = _context(self.order)
     raw = [0] * (2 * deg - 1 if deg > 1 else 1)
     for i, a in enumerate(self.coeffs):
@@ -973,7 +977,6 @@ def test_a_narrow_root_slot_is_rejected_not_wrapped(monkeypatch):
 
 
 def _bailey_chains():
-    bailey._lovejoy_s.cache_clear()  # the closed betas read it, so that each run computes them
     lovejoy = {
         (t, ell, n): bailey._lovejoy_s.__wrapped__(t, ell, n)
         for t in range(1, 5) for ell in range(t) for n in range(7)
@@ -983,7 +986,7 @@ def _bailey_chains():
         for k in range(1, 5) for ell in range(k) for n in range(7)
     }
     closed = {
-        (t, tail, n): bailey.beta_chain_closed(t, tail, n, 25)
+        (t, tail, n): bailey_oracles.beta_chain_closed(t, tail, n, 25)
         for t in range(1, 4) for tail in range(t) for n in range(7)
     }
     return lovejoy, star, closed
@@ -1049,21 +1052,24 @@ def test_bailey_chain_betas_match_their_chain_oracle():
     _assert_same_chains(_bailey_chains(), _oracle_bailey_chains(_chain_poly_chain))
 
 
-def _kronecker_runs(monkeypatch, module) -> list:
-    """Every (result, bound) that ``module``'s ``_kronecker`` returns from now on."""
-    runs, real = [], module._kronecker
+def _kronecker_runs(monkeypatch, *modules) -> list:
+    """Every (result, bound) that the modules' ``_kronecker`` returns from now on."""
+    runs, real = [], laurent._kronecker
 
     def recording(*args):
         out = real(*args)
         runs.extend(out)
         return out
 
-    monkeypatch.setattr(module, "_kronecker", recording)
+    for module in modules:
+        monkeypatch.setattr(module, "_kronecker", recording)
     return runs
 
 
 def test_bailey_chains_match_the_kronecker_oracle_and_its_bounds(monkeypatch):
-    new_runs, old_runs = _kronecker_runs(monkeypatch, bailey), _kronecker_runs(monkeypatch, kernel_oracles)
+    # the closed chain's beta now lives with the oracles, on the library's chain
+    new_runs = _kronecker_runs(monkeypatch, bailey, bailey_oracles)
+    old_runs = _kronecker_runs(monkeypatch, kernel_oracles)
     new, old = _bailey_chains(), _oracle_bailey_chains(chain_poly)
     _assert_same_chains(new, old)
     # same chains, same l1 bounds, so the same slot widths; star(k=1)'s beta ran

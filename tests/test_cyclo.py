@@ -13,7 +13,7 @@ from qknot.laurent import XLaurent, _norm, cyclotomic_polynomial
 from qknot.serialize import cyclo_to_json_dict
 from qknot.series import QSeries
 
-from kernel_oracles import cyclo_mul
+from kernel_oracles import cyclo_add, cyclo_mul, cyclo_neg, cyclo_sub
 
 
 def test_eval_hand_values():
@@ -36,7 +36,7 @@ def test_eval_rejects_truncated_series():
 
 def test_eval_accepts_exact_integral_series():
     s = QSeries({0: 1, 2: 3}, scale=2)
-    assert cyclo_eval(s, 5, 1) == CycloNum.from_rational(5, 1) + CycloNum.zeta(5, 1) * 3
+    assert cyclo_eval(s, 5, 1) == cyclo_add(CycloNum.from_rational(5, 1), CycloNum.zeta(5, 1) * 3)
 
 
 def test_order_one_and_two_fields():
@@ -67,7 +67,7 @@ polys = st.dictionaries(st.integers(-8, 8), st.integers(-4, 4), max_size=5).map(
 def test_eval_is_ring_homomorphism(p, r, order, k):
     ep, er = cyclo_eval(p, order, k), cyclo_eval(r, order, k)
     assert cyclo_eval(p * r, order, k) == cyclo_mul(ep, er)
-    assert cyclo_eval(p + r, order, k) == ep + er
+    assert cyclo_eval(p + r, order, k) == cyclo_add(ep, er)
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,8 +79,8 @@ def test_zeta_power_arithmetic(order, i, j):
 
 def test_rational_scalar_mixing():
     z = CycloNum.zeta(8, 1)
-    assert (z * Fraction(1, 2)) + (z * Fraction(1, 2)) == z
-    assert z - z == 0
+    assert cyclo_add(z * Fraction(1, 2), z * Fraction(1, 2)) == z
+    assert cyclo_sub(z, z) == 0
     assert (z * 0).is_zero()
     with pytest.raises(TypeError):  # the library scales by rationals only
         z * z
@@ -101,11 +101,11 @@ def test_norm_keeps_ints_and_lowers_integral_fractions():
     assert cyclo_to_json_dict(from_fractions) == cyclo_to_json_dict(from_ints)
     # field operations normalize their results the same way
     z = CycloNum.zeta(12, 5)
-    for value in (z + z, -z, cyclo_mul(z, z), z * 3, z - 2, CycloNum.zeta(12, 7)):
+    for value in (cyclo_add(z, z), cyclo_neg(z), cyclo_mul(z, z), z * 3, cyclo_sub(z, 2), CycloNum.zeta(12, 7)):
         assert all(type(c) is int for c in value.coeffs)
     half = z * Fraction(1, 2)
     assert Fraction(1, 2) in half.coeffs
-    for value in (half + half, half * 2, cyclo_mul(z * Fraction(2, 3), z * Fraction(3, 2))):
+    for value in (cyclo_add(half, half), half * 2, cyclo_mul(z * Fraction(2, 3), z * Fraction(3, 2))):
         assert all(type(c) is int for c in value.coeffs), value
 
 

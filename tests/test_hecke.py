@@ -9,7 +9,7 @@ from qknot.laurent import ExactnessError, XLaurent, _width
 from qknot.series import Mono, QSeries, first_difference, qpochhammer
 from qknot.useries import u_series
 
-from kernel_oracles import invert, pass_hecke_u1_double, pass_hecke_u_series
+from kernel_oracles import invert, pass_hecke_u1_double, pass_hecke_u_series, triple_sum_series
 
 
 def test_lowest_coefficients_t1():
@@ -70,7 +70,7 @@ def test_enumeration_is_stable_under_padding():
 
 def test_triple_sum_against_rectangle_bruteforce():
     t, m, window = 2, 1, 12
-    smart = _triple_sum(t, m, window)
+    smart = triple_sum_series(t, m, window)
     acc: dict[int, dict[int, int]] = {}
 
     def exp8(r, s, u):
@@ -99,9 +99,11 @@ def test_triple_sum_against_rectangle_bruteforce():
 def test_all_exponents_integral_by_construction():
     # _triple_sum asserts residue-8 integrality for every term it keeps;
     # reaching here with a populated series is the point
-    s = _triple_sum(3, 2, 10)
-    assert s.terms
-    assert all(isinstance(e, int) for e in s.terms)
+    cols = _triple_sum(3, 2, 10)
+    assert cols
+    # columns {u: {e: c}} with no cancelled entry and no empty column
+    assert all(col and all(col.values()) for col in cols.values())
+    assert all(isinstance(e, int) for col in cols.values() for e in col)
 
 
 def test_prefactor_normalization():
@@ -114,7 +116,7 @@ def test_prefactor_normalization():
         * qpochhammer(Mono(1, -1, 1), None, trunc=w)
         * invert(qpochhammer(Mono(1, 0, 1), None, trunc=w)) ** 2
     )
-    core = _triple_sum(t, m, w)
+    core = triple_sum_series(t, m, w)
     assert first_difference(-(pref * core), full, through=w) is None
 
 

@@ -18,6 +18,8 @@ from qknot.serialize import (
 from qknot.series import QSeries
 from qknot.useries import u_series
 
+from kernel_oracles import cyclo_add
+
 
 def test_qseries_json_roundtrip():
     s = QSeries(
@@ -43,7 +45,7 @@ def test_json_bytes_deterministic():
 
 
 def test_cyclo_json_roundtrip():
-    z = CycloNum.zeta(12, 5) * Fraction(3, 7) + CycloNum.from_rational(12, 2)
+    z = cyclo_add(CycloNum.zeta(12, 5) * Fraction(3, 7), CycloNum.from_rational(12, 2))
     assert cyclo_from_json_dict(cyclo_to_json_dict(z)) == z
 
 

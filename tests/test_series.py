@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknot.laurent import ExactnessError, XLaurent
+from qknot.laurent import ExactnessError, XLaurent, _packed_product
 from qknot.series import (
     Mono,
     QSeries,
@@ -197,8 +197,8 @@ def test_invert_roundtrip(s):
 
 @st.composite
 def kernel_operand(draw, scale):
-    """A series whose shape varies across the packed kernel's crossovers:
-    term count, slot density, stride, coefficient width and window."""
+    """A series whose shape varies in term count, slot density, stride,
+    coefficient width and window."""
     stride = draw(st.sampled_from([1, scale]))
     start = draw(st.integers(-4, 4))
     rows = draw(st.sampled_from([20, 12, 6, 3, 1]))
@@ -226,12 +226,64 @@ kernel_pairs = st.sampled_from([1, 2, 3]).flatmap(
 )
 
 
+@st.composite
+def packed_operand(draw, scale):
+    """(kind, series) across the packed kernel's crossovers.  A one-row series
+    (one q-exponent) of kind "dense" packs against another: 16 to 40 nonzero
+    int coefficients on consecutive x-powers.  Each other one-row kind is
+    refused by one decline rule: "few" has 4 terms, so fewer than 256 term
+    pairs against any row here; "sparse" spreads its terms 30 x-powers apart,
+    more than four product slots per term pair; "rational" holds a Fraction.
+    A "rows" series has two or three q-rows, small, since both sides of the
+    comparison run the same term loop for it."""
+    kind = draw(st.sampled_from(["dense", "dense", "dense", "few", "sparse", "rational", "rows"]))
+    stride = draw(st.sampled_from([1, scale]))
+    start = draw(st.integers(-4, 4))
+    x_lo = draw(st.integers(-3, 1))
+    bits = draw(st.sampled_from([3, 95, 130]))
+    rows, size, spread = {
+        "few": (1, 4, 1),
+        "sparse": (1, draw(st.sampled_from([16, 24])), 30),
+        "rows": (draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 4])), 1),
+    }.get(kind, (1, draw(st.sampled_from([16, 24, 40])), 1))
+    cells = [(start + stride * r, x_lo + spread * d) for r in range(rows) for d in range(size)]
+    rnd = draw(st.randoms(use_true_random=False))  # one draw for every coefficient
+    terms: dict[int, dict[int, object]] = {}
+    for e, d in cells:  # c = +-(hi * 2^bits + lo), never 0
+        terms.setdefault(e, {})[d] = rnd.choice((1, -1)) * ((rnd.randint(0, 3) << bits) + rnd.randint(1, 7))
+    if kind == "rational":
+        terms[start][x_lo] = Fraction(1, 3)
+    if rows == 1:  # a window above the row never cuts the product's row
+        trunc = draw(st.one_of(st.none(), st.integers(start + 1, start + 9)))
+    else:
+        cut = draw(st.one_of(st.none(), st.integers(0, rows)))  # rows dropped by the window
+        trunc = None if cut is None else start + stride * (rows - cut)
+    return kind, QSeries({e: XLaurent(xs) for e, xs in terms.items()}, scale, trunc)
+
+
+packed_pairs = st.sampled_from([1, 2, 3]).flatmap(
+    lambda scale: st.tuples(packed_operand(scale), packed_operand(scale))
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(kernel_pairs)
+@given(packed_pairs)
 def test_packed_product_matches_schoolbook(pair):
-    a, b = pair
-    for x, y in ((a, b), (a, a), (b, b)):
-        packed = x * y
+    a, b = pair  # (kind, series) each
+    for (kx, x), (ky, y) in ((a, b), (a, a), (b, b)):
+        packs = []  # per call of the packed kernel: did it take the operands?
+
+        def spy(ra, rb):
+            out = _packed_product(ra, rb)
+            packs.append(out is not None)
+            return out
+
+        with mock.patch("qknot.laurent._packed_product", spy):
+            packed = x * y
+        if "rows" in (kx, ky):  # a window may cut it to one row, still far too few terms
+            assert not any(packs), (kx, ky)
+        else:
+            assert packs == [kx == ky == "dense"], (kx, ky)
         with mock.patch("qknot.laurent._packed_product", return_value=None):
             school = x * y
         assert (packed.scale, packed.trunc) == (school.scale, school.trunc)
