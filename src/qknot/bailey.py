@@ -197,7 +197,7 @@ def lovejoy_alpha_parts(t: int, ell: int, n: int) -> tuple[XLaurent, XLaurent]:
     return prime, second
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
     """(q)_n times the (2t-1)-fold staircase chain sum: q^{-v} on the first
     ell positions, q^{v(v + 1)/2} at position t and q^{v^2} beyond."""

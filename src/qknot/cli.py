@@ -3,10 +3,9 @@
 ``qknot series <object>`` emits a series, polynomial or field value.
 ``qknot check <family>`` runs one check of every family in
 ``verify.CHECK_FAMILIES`` whose required parameters all map onto the
-``--t --m --N --n --trunc`` flags (``hecke --double`` is an alias for
-``hecke-double``); ``check bailey`` verifies the five named Bailey pairs and
-``check suite`` runs a whole profile; ``--profile`` and ``--parallelism``
-belong to ``check suite`` alone.
+``--t --m --N --n --trunc`` flags; ``check bailey`` verifies the five named
+Bailey pairs and ``check suite`` runs a whole profile; ``--profile`` and
+``--parallelism`` belong to ``check suite`` alone.
 
 Exit codes: 0 all requested checks pass (or series emitted), 1 a check
 failed, 2 usage or validation error.  Data goes to stdout, logs to stderr.
@@ -22,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import verify
-from .cyclotomic_coeffs import c_product, c_products
+from .cyclotomic_coeffs import _validate, c_product, c_products
 from .hecke import hecke_u1_double, hecke_u_series_x
 from .jones import habiro_reconstruct, jones_hyper, jones_left, jones_morton
 from .modular import theta_phi
@@ -51,25 +50,24 @@ def _need(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
-# Flags that some commands do not read; --format and --output apply to all.
-_SELECTIVE = ("t", "m", "N", "n", "trunc", "x", "hand", "inverse", "product_side", "double",
-              "profile", "parallelism")
+# Parsed names every command reads; each other flag is read only where named.
+_UNIVERSAL = ("command", "object", "what", "handler", "format", "output")
 
 
 def _reads(args, *names: str) -> None:
     """Refuse a flag the chosen command would not read, rather than ignore it."""
-    for name in _SELECTIVE:
-        value = getattr(args, name, None)
-        if name not in names and value is not None and value is not False:
+    for name, value in vars(args).items():
+        if name not in _UNIVERSAL + names and value is not None and value is not False:
             command = f"{args.command} {getattr(args, 'object', None) or args.what}"
             raise UsageError(f"{command} does not read --{name.replace('_', '-')}")
 
 
 def _validate_tm(args) -> None:
+    """--t >= 1 for every object (the library takes the unknot T(2, 1)); --m by the library's rule."""
     if args.t is None or args.t < 1:
         raise UsageError("--t must be a positive integer")
-    if args.m is not None and not 1 <= args.m <= args.t:
-        raise UsageError("need 1 <= m <= t")
+    if args.m is not None:
+        _validate(args.t, args.m)
 
 
 def _emit_series(series: QSeries, args) -> None:
@@ -191,7 +189,7 @@ _CHECKS = [family.id for family in verify.CHECK_FAMILIES.values() if family.cli_
 def _run_family(family_id: str, args) -> list:
     family = verify.CHECK_FAMILIES[family_id]
     flagged = [p for p in family.params if p.flag]
-    _reads(args, *(p.flag for p in flagged), *(["double"] if args.what == "hecke" else []))
+    _reads(args, *(p.flag for p in flagged))
     _need(args, *(p.flag for p in flagged))
     check = getattr(verify, family.build.__name__)
     return [check(**{p.arg: getattr(args, p.flag) for p in flagged})]
@@ -245,8 +243,7 @@ def _cmd_check(args) -> int:
     elif args.what == "bailey":
         reports = _run_bailey_pairs(args)
     else:
-        double = args.what == "hecke" and args.double
-        reports = _run_family("hecke-double" if double else args.what, args)
+        reports = _run_family(args.what, args)
     _write("".join(report.to_json_line() + "\n" for report in reports), args.output)
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - failed}/{len(reports)} checks passed", file=sys.stderr)
@@ -288,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("what", choices=[*_CHECKS, "bailey", "suite"],
                     help="a check family, the named Bailey pairs, or a suite profile")
     common(cp)
-    cp.add_argument("--double", action="store_true",
-                    help="hecke: check the two-index expansion instead")
     cp.add_argument("--profile",
                     help="suite profile (desk or quick); default from QKNOT_PROFILE, else desk")
     cp.add_argument("--parallelism", type=int,

@@ -45,7 +45,7 @@ from .series import QSeries
 __all__ = ["CycloNum", "cyclo_eval"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _context(order: int):
     """(degree, modulus coeffs, top) of Phi_M, the modulus of the order-M
     field, where top lists (i - deg, -mod[i]) over the nonzero mod[i], i < deg,

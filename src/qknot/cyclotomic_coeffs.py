@@ -128,7 +128,7 @@ def _nested_close(t: int, ns: range, states: dict, step) -> list:
     return [finals[n] for n in ns]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def c_product(t: int, m: int, n: int) -> XLaurent:
     """C_n as the nested product/binomial form: exact Laurent polynomial."""
     _validate(t, m)

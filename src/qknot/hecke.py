@@ -4,8 +4,8 @@ The triple sum runs over two lattice regions (all indices >= 0, all < 0)
 restricted to r != s mod 2.  Its exponents live on one fixed residue class
 mod 8, so after folding in the q^{-t/2-m/2+3/8} prefactor every term has an
 integer exponent; this is asserted per term.  ``series._lattice`` walks every
-region, here and in the double sum: each exponent strictly increases in each
-index, which keeps its contract (tested on a rectangle and under padding).
+region, here, in the double sum and in both theta series: every exponent
+rises in each index away from its origin, which keeps its contract.
 
 The double-sum variant with 1/(1 - x q^{(r+s+1)/2}) denominators is not
 implemented separately: expanding each denominator as a geometric series in
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from .cyclotomic_coeffs import _validate
 from .laurent import _pack, _product, _read_back, _width
 from .series import QSeries, _lattice, _wrap_rows
 
@@ -100,52 +101,38 @@ def _reciprocal(f: dict[int, int], window: int) -> list[int]:
     return a
 
 
-def _triangular(window: int) -> range:
-    """The n >= 0 with n(n+1)/2 below the window."""
-    n = 0
-    while n * (n + 1) // 2 < window:
-        n += 1
-    return range(n)
-
-
 def _jacobi_cube(window: int) -> dict[int, int]:
-    """(q)_inf^3 below q^window: sum_n (-1)^n (2n+1) q^(n(n+1)/2) (Jacobi)."""
-    return {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in _triangular(window)}
+    """(q)_inf^3 below q^window, keyed in ascending n: sum_n (-1)^n (2n+1) q^(n(n+1)/2)."""
+    return {e: (-1) ** n * (2 * n + 1) for (n,), e in _lattice(lambda n: n * (n + 1) // 2, window)}
 
 
 def _euler(window: int) -> dict[int, int]:
     """(q)_inf below q^window: sum_{k in Z} (-1)^k q^(k(3k-1)/2) (Euler)."""
-    out, k = {}, 0
-    while k * (3 * k - 1) // 2 < window:
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e < window:
-                out[e] = (-1) ** k
-        k += 1
-    return out
+    pentagonal = lambda k: k * (3 * k - 1) // 2
+    return {e: (-1) ** k for origin in (0, -1) for (k,), e in _lattice(pentagonal, window, 1, origin)}
 
 
 def _hecke_rows(t: int, m: int, trunc: int, pad: int, flip: bool) -> QSeries:
     """U_t^{(m)}(-x; q) below trunc, or U_t^{(m)}(x; q) when flip: x-row d of
     -core R / ((1 - x) (q)_inf^3), times (-1)^d when flip (module docstring)."""
-    if t < 1 or not 1 <= m <= t:
-        raise ValueError("need 1 <= m <= t")
+    _validate(t, m)
     if trunc < 1:
         raise ValueError("need a positive window")
     cols = _triple_sum(t, m, trunc, pad)  # never empty: it has a term at q^(1-m)
     lift = -min(0, *map(min, cols.values()))
     top = trunc + lift  # W': the slots below the window
-    ns = _triangular(top)
-    inverse = _reciprocal(_jacobi_cube(top), top)
-    bound = sum(abs(v) for col in cols.values() for v in col.values()) * 2 * len(ns) * max(inverse)
+    cube = _jacobi_cube(top)
+    inverse = _reciprocal(cube, top)
+    bound = sum(abs(v) for col in cols.values() for v in col.values()) * 2 * len(cube) * max(inverse)
     w = _width(bound)
     mask = (1 << w * top) - 1
     images = {u: _pack(col, -lift, w) for u, col in cols.items()}
     # shift-added, so exact at any width: a narrow slot raises in the read-back
     theta = sum(a << e * w for e, a in enumerate(inverse))
-    shifts = [(n, n * (n + 1) // 2 * w) for n in ns]
+    shifts = [(n, e * w) for n, e in enumerate(cube)]
     rows: dict[int, dict[int, int]] = {}
     acc = 0  # the running sum over x-rows: core R / (1 - x) at row d
-    for d in range(min(cols) - len(ns) + 1, max(cols) + len(ns)):
+    for d in range(min(cols) - len(cube) + 1, max(cols) + len(cube)):
         for n, s in shifts:
             diff = images.get(d + n, 0) - images.get(d - n - 1, 0)
             if diff:

@@ -21,6 +21,7 @@ import math
 from functools import partial
 from typing import Callable, Sequence
 
+from .cyclotomic_coeffs import _validate
 from .laurent import XLaurent, _kronecker, _over_binomials, qbinomial
 
 __all__ = [
@@ -108,8 +109,7 @@ def jones_left(t: int, m: int, n_color: int) -> XLaurent:
     For m=1 this is the colored Jones polynomial of the mirror of T(2,2t+1).
     Assembled in half-exponent arithmetic, then divided exactly by 1 - q^N.
     """
-    if t < 1 or not 1 <= m <= t:
-        raise ValueError("need 1 <= m <= t")
+    _validate(t, m)
     if n_color < 1:
         raise ValueError("color must be a positive integer")
     n = n_color

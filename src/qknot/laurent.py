@@ -328,7 +328,7 @@ def poch_q(first: int, count: int) -> XLaurent:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def qbinomial(n: int, k: int) -> XLaurent:
     """Gaussian binomial coefficient; zero outside 0 <= k <= n.
 

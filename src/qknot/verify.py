@@ -428,11 +428,9 @@ class Profile:
     name: str
     t_max: int = 3
     t_max_coeffs: int = 4
-    n_duality: int = 10
-    n_agreement: int = 10
-    n_jones: int = 8
+    n_root: int = 10  # the largest root order
+    n_color: int = 8  # the largest colour
     n_coeffs: int = 10
-    habiro_max: int = 8
     hecke_order: int = 20
     double_order: int = 25
     bernoulli_t: int = 2
@@ -448,10 +446,10 @@ class Profile:
 PROFILES: dict[str, Profile] = {
     "desk": Profile("desk"),
     "quick": Profile(
-        "quick", t_max=2, t_max_coeffs=2, n_duality=5, n_agreement=5, n_jones=4,
-        n_coeffs=4, habiro_max=4, hecke_order=10, double_order=12, bernoulli_t=1,
-        bernoulli_n=2, bailey_n=4, bailey_window=25, pipeline_n=4,
-        conjugate_order=12, theta_scaled=240, time_budget_s=120.0,
+        "quick", t_max=2, t_max_coeffs=2, n_root=5, n_color=4, n_coeffs=4,
+        hecke_order=10, double_order=12, bernoulli_t=1, bernoulli_n=2, bailey_n=4,
+        bailey_window=25, pipeline_n=4, conjugate_order=12, theta_scaled=240,
+        time_budget_s=120.0,
     ),
 }
 
@@ -470,19 +468,19 @@ def suite_tasks(profile: Profile) -> list[tuple[str, dict]]:
         if t <= profile.t_max:
             tasks.append(("golden", {"t": t, "m": m}))
     for t, m in tm:
-        for n in range(1, profile.n_duality + 1):
+        for n in range(1, profile.n_root + 1):
             tasks.append(("duality", {"t": t, "m": m, "n_root": n}))
-        for n in range(1, profile.n_agreement + 1):
+        for n in range(1, profile.n_root + 1):
             tasks.append(("jones-agreement", {"t": t, "m": m, "n_root": n}))
         tasks.append(("hecke", {"t": t, "m": m, "order": profile.hecke_order}))
-        tasks.append(("habiro", {"t": t, "m": m, "order": profile.habiro_max}))
+        tasks.append(("habiro", {"t": t, "m": m, "order": profile.n_color}))
         tasks.append(("theta", {"t": t, "m": m, "trunc_scaled": profile.theta_scaled}))
     tasks.append(("hecke-double", {"order": profile.double_order}))
     tasks.append(("hecke-stability", {"t": 2, "m": 2, "order": min(profile.hecke_order, 15)}))
     for t in range(1, profile.t_max_coeffs + 1):
         for m in range(1, t + 1):
             tasks.append(("cyclotomic", {"t": t, "m": m, "n_max": profile.n_coeffs}))
-        for n in range(1, profile.n_jones + 1):
+        for n in range(1, profile.n_color + 1):
             tasks.append(("jones-consistency", {"t": t, "n_color": n}))
     for t in range(1, profile.bernoulli_t + 1):
         for m in range(1, t + 1):

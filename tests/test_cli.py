@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qknot import verify
-from qknot.cli import main
+from qknot.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -197,12 +197,6 @@ def test_cli_check_prints_the_python_report(capsys, family_id):
     assert _without_timing(out) == _without_timing(expected.to_json_line())
 
 
-def test_check_hecke_double_flag_is_the_hecke_double_family(capsys):
-    _, alias, _ = run(capsys, "check", "hecke", "--double", "--trunc", "6")
-    _, direct, _ = run(capsys, "check", "hecke-double", "--trunc", "6")
-    assert _without_timing(alias) == _without_timing(direct)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -287,7 +281,6 @@ def test_x_division_by_zero_is_an_unreadable_specialization(capsys):
         ("series U --t 1 --m 1 --trunc 4 --hand left", "--hand"),
         ("check duality --t 1 --m 1 --N 2 --trunc 9", "--trunc"),
         ("check duality --t 1 --m 1 --N 2 --n 4", "--n"),
-        ("check duality --t 1 --m 1 --N 2 --double", "--double"),
         ("check bailey --t 1 --n 2 --trunc 9 --m 1", "--m"),
         ("check suite --profile quick --t 2", "--t"),
         ("check duality --t 1 --m 1 --N 2 --profile desk", "--profile"),
@@ -299,6 +292,47 @@ def test_x_division_by_zero_is_an_unreadable_specialization(capsys):
 def test_a_flag_the_command_does_not_read_is_refused(capsys, argv, flag):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "" and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", ["check duality --t 1 --m 1 --N 2 --double",
+                                  "check hecke --double --trunc 6"])
+def test_check_has_no_double_flag(capsys, argv):
+    # hecke-double is its own family; `series hecke --double` keeps the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2 and "--double" in capsys.readouterr().err
+
+
+# A small invocation of each series object (and of each hecke expansion), with
+# the flags it reads; every other flag of the series parser must be refused.
+_SERIES_READS = {
+    "U --t 1 --m 1 --trunc 4": {"--t", "--m", "--trunc", "--x"},
+    "F-root --t 1 --m 1 --N 3": {"--t", "--m", "--N", "--inverse"},
+    "C --t 1 --m 1 --n 2": {"--t", "--m", "--n"},
+    "jones --t 1 --N 2": {"--t", "--N", "--hand"},
+    "theta --t 1 --m 1 --trunc 50": {"--t", "--m", "--trunc", "--product-side"},
+    "hecke --t 1 --m 1 --trunc 6": {"--t", "--m", "--trunc", "--x", "--double"},
+    "hecke --double --trunc 6": {"--double", "--trunc", "--x"},
+}
+
+
+def _series_flags():
+    parser = build_parser()
+    series = parser._subparsers._group_actions[0].choices["series"]
+    for action in series._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag not in (None, "--help", "--format", "--output"):
+            yield flag, [] if action.nargs == 0 else [(action.choices or ["1"])[0]]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [pytest.param(argv, flag, value, id=f"{argv} {flag}") for argv, reads in _SERIES_READS.items()
+     for flag, value in _series_flags() if flag not in reads],
+)
+def test_every_series_flag_an_object_does_not_read_is_refused(capsys, argv, flag, value):
+    code, out, err = run(capsys, "series", *argv.split(), flag, *value)
+    assert code == 2 and out == "" and f"does not read {flag}" in err
 
 
 def test_read_flags_of_zero_value_are_kept(capsys):

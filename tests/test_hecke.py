@@ -5,6 +5,7 @@ import pytest
 
 import qknot.hecke as hecke
 from qknot.hecke import _triple_sum, hecke_u1_double, hecke_u_series, hecke_u_series_x
+from qknot.jones import jones_left
 from qknot.laurent import ExactnessError, XLaurent, _width
 from qknot.series import Mono, QSeries, first_difference, qpochhammer
 from qknot.useries import u_series
@@ -200,14 +201,30 @@ def test_jacobi_triple_product():
 
 
 def test_jacobi_cube_and_euler_pentagonal():
-    w = 200
-    poch = qpochhammer(Mono(1, 0, 1), None, trunc=w)
+    poch = qpochhammer(Mono(1, 0, 1), None, trunc=200)
     jacobi = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(20)}
     euler = {k * (3 * k - 1) // 2: (-1) ** k for k in range(-12, 13)}
-    assert poch**3 == _sparse(jacobi, w)
-    assert poch == _sparse(euler, w)
-    assert hecke._jacobi_cube(w) == {e: c for e, c in jacobi.items() if e < w}
-    assert hecke._euler(w) == {e: c for e, c in euler.items() if e < w}
+    assert poch**3 == _sparse(jacobi, 200)
+    assert poch == _sparse(euler, 200)
+    # every window up to 200: each triangular and pentagonal number is a stop
+    # of the lattice walk, and the x-row sweep counts the keys of the cube
+    for w in range(1, 201):
+        cube = hecke._jacobi_cube(w)
+        assert cube == {e: c for e, c in jacobi.items() if e < w}, w
+        assert hecke._euler(w) == {e: c for e, c in euler.items() if e < w}, w
+        assert len(cube) == sum(n * (n + 1) // 2 < w for n in range(20)), w
+        assert list(cube) == sorted(cube), w
+
+
+@pytest.mark.parametrize("route", [hecke_u_series, hecke_u_series_x, jones_left])
+def test_the_tm_rule_is_the_shared_one(route):
+    for t in range(-1, 4):
+        for m in range(-1, 5):
+            if t >= 1 and 1 <= m <= t:
+                route(t, m, 2)
+            else:
+                with pytest.raises(ValueError, match=f"got m={m}, t={t}|t must be"):
+                    route(t, m, 2)
 
 
 @pytest.mark.parametrize("series", [hecke._jacobi_cube, hecke._euler])

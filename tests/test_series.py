@@ -32,6 +32,20 @@ def test_infinite_pochhammer_pentagonal_pattern():
     assert coeffs_of(s) == {0: {0: 1}, 1: {0: -1}, 2: {0: -1}, 5: {0: 1}, 7: {0: 1}}
 
 
+def test_coefficient_reads_inside_the_window_only():
+    s = qpochhammer(Mono(1, 0, 1), None, trunc=11)
+    assert s.coefficient(5) == XLaurent({0: 1})
+    assert s.coefficient(3) == XLaurent()  # a zero inside the window
+    assert s.coefficient(-4) == XLaurent()
+    for e in (11, 12, 100):
+        with pytest.raises(WindowError, match="window ends at 11"):
+            s.coefficient(e)
+    exact = QSeries({-3: XLaurent({1: 2}), 40: XLaurent({0: -1})})
+    assert exact.coefficient(-3) == XLaurent({1: 2})
+    assert exact.coefficient(40) == XLaurent({0: -1})
+    assert exact.coefficient(10**6) == XLaurent() == exact.coefficient(-(10**6))
+
+
 def test_infinite_pochhammer_requires_window_and_positive_exponent():
     with pytest.raises(WindowError):
         qpochhammer(Mono(1, 0, 1), None)

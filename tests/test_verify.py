@@ -1,5 +1,6 @@
 """Verifier: report structure, determinism, suite plumbing, negative controls."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -73,6 +74,30 @@ def test_suite_tasks_cover_families():
         "bailey-conjugate", "hecke-stability",
     ):
         assert family in names, family
+
+
+class _ReadRecorder:
+    """A profile that records the names of the fields read from it."""
+
+    def __init__(self, profile, read):
+        self._profile, self._read = profile, read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._profile, name)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_every_profile_field_is_read(name, monkeypatch, capsys):
+    from qknot.cli import main
+
+    read = set()
+    assert suite_tasks(_ReadRecorder(PROFILES[name], read)) == suite_tasks(PROFILES[name])
+    monkeypatch.setitem(PROFILES, name, _ReadRecorder(PROFILES[name], read))
+    monkeypatch.setattr(verify, "run_suite", lambda profile, workers: [])
+    assert main(["check", "suite", "--profile", name]) == 0
+    fields = {f.name for f in dataclasses.fields(verify.Profile)}
+    assert fields - read == set(), "a profile field no suite task or CLI run reads"
 
 
 def test_quick_suite_all_green():
