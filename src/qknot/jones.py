@@ -12,7 +12,8 @@ each head factor 1 - q^e has norm 2), then on exact ints at q = 2^w, which
 map Z[q] into Z as a ring homomorphism, with the negative exponents kept in an
 offset.  Its levels are q-binomial transforms, shift-adds that read no
 Gaussian binomial.  The result is read back once as balanced base-2^w
-digits, exact because w leaves a sign bit above the bound.
+digits, exact because w leaves a sign bit above the bound.  Both directions
+of the Habiro expansion are such routes over given polynomials.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .cyclotomic_coeffs import _validate
-from .laurent import XLaurent, _kronecker, _over_binomials, qbinomial
+from .laurent import XLaurent, _kronecker, _over_binomials
 
 __all__ = [
     "habiro_inverse",
+    "habiro_inverses",
     "habiro_reconstruct",
     "jones_hyper",
     "jones_left",
@@ -127,19 +129,44 @@ def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]",
     """Rebuild J_N from cyclotomic coefficients: sum of C_n (q^{1+N})_n (q^{1-N})_n.
 
     Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.  The
-    sum is taken in nested (Horner) form from the top,
-    T <- C_i + (1 - q^{i+1+N})(1 - q^{i+1-N}) T for i = N-1 down to 0: two
-    shift-subtracts per i.
+    sum is a ``laurent._kronecker`` route in nested (Horner) form from the
+    top, T <- C_i + (1 - q^a)(1 - q^{-e}) T, a = i+1+N, e = N-1-i: C_i enters
+    as state 1 and T, state 0, is shift-added by q^{-e}, 1, q^{a-e} and q^a.
     """
     if n_color < 1:
         raise ValueError("color must be a positive integer")
     get = coeffs.__getitem__ if not callable(coeffs) else coeffs
-    n = n_color
-    total = XLaurent()
-    for i in range(n - 1, -1, -1):
-        total = total - total.shift(i + 1 + n)
-        total = total - total.shift(i + 1 - n) + get(i)
-    return total
+    n, cs = n_color, [get(i) for i in range(n_color)]
+
+    def route(binom, one_minus, step, image):
+        total: dict = {}
+        for i in range(n - 1, -1, -1):
+            a, e = i + 1 + n, n - 1 - i
+            terms = ((0, 1, -e, True), (0, 1, 0, False), (0, 1, a - e, False), (0, 1, a, True))
+            total = step({**total, 1: image(cs[i])}, lambda s, low: ((0, 1, 0, False),) if s else terms)
+        return [total.get(0, (0, 0))]
+
+    return _kronecker(route, image=True)[0][0]
+
+
+def _inverses(jones: Callable[[int], XLaurent], ns: Sequence[int]) -> list[XLaurent]:
+    """C_n for every n in ``ns`` from the colours J_1, J_2, ... by one
+    ``laurent._kronecker`` route (Habiro, Invent. Math. 171 (2008)): each
+    colour's image is taken once, times (1 - q^l)(1 - q^{2l}), and one step
+    carries colour l to each n by (-1)^l q^{l(l-3)/2} [2n+2, n+1-l], so that
+    the l1 bound for n is sum_l 4 C(2n+2, n+1-l) ||J_l||_1.  Each final is
+    read back once and divided once by (q)_{2n+2}; the division must be exact.
+    """
+    colours = [jones(ell) for ell in range(1, max(ns, default=-1) + 2)]
+
+    def route(binom, one_minus, step, image):
+        scale = lambda ell, low: ((ell, one_minus(ell) * one_minus(2 * ell), 0, False),)
+        carry = lambda ell, low: ((n, binom(2 * n + 2, n + 1 - ell), ell * (ell - 3) // 2, ell % 2 == 1) for n in ns)
+        finals = step(step({ell: image(colour) for ell, colour in enumerate(colours, 1)}, scale), carry)
+        return [finals.get(n, (0, 0)) for n in ns]
+
+    finals = _kronecker(route, image=True)
+    return [(-_over_binomials(total, range(1, 2 * n + 3))).shift(n + 1) for n, (total, _) in zip(ns, finals)]
 
 
 def habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLaurent:
@@ -150,17 +177,9 @@ def habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLaurent:
     """
     if n < 0:
         raise ValueError("coefficient index must be nonnegative")
-    total = XLaurent()
-    for ell in range(1, n + 2):
-        e = ell * (ell - 3)
-        assert e % 2 == 0
-        piece = (XLaurent.const(1) - XLaurent.term(ell)) * (
-            XLaurent.const(1) - XLaurent.term(2 * ell)
-        )
-        piece = piece * qbinomial(2 * n + 2, n + 1 - ell) * jones(ell)
-        piece = piece.shift(e // 2)
-        if ell % 2:
-            piece = -piece
-        total = total + piece
-    quotient = _over_binomials(total, range(1, 2 * n + 3))
-    return (-quotient).shift(n + 1)
+    return _inverses(jones, (n,))[0]
+
+
+def habiro_inverses(jones: Callable[[int], XLaurent], order: int) -> list[XLaurent]:
+    """[habiro_inverse(jones, n) for n in 0..order], from one chain."""
+    return _inverses(jones, range(order + 1))

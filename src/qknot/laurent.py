@@ -470,16 +470,18 @@ def _l1_binom(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _kronecker(route, limits: list[int] | None = None) -> list[tuple[XLaurent, int]]:
+def _kronecker(route, limits: list[int] | None = None, image: bool = False) -> list[tuple[XLaurent, int]]:
     """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
 
     ``route(binom, one_minus, step)`` builds its chain from what it is
     handed and returns the list of its finals (V, o), most routes just one:
     ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
     (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  Routes may run
-    generating-function passes on ``step``: weight-1 shift-adds.  The route
-    runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b) and
-    ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
+    generating-function passes on ``step``: weight-1 shift-adds.  With
+    ``image=True`` a fourth, ``image(p)``, stands for a given integer p =
+    q^o P(q), o = p.min_exp(): (P(2^w), o), and (||p||_1, 0) on norms.  The
+    route runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b)
+    and ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
     sum of the products of the norms, so each of its finals bounds every
     coefficient of the matching final of the second pass.  The second pass
     runs in the image at the width ``_width`` takes from the largest bound,
@@ -496,14 +498,9 @@ def _kronecker(route, limits: list[int] | None = None) -> list[tuple[XLaurent, i
     finals' limits, each read back below its own; the l1 pass is the
     untruncated chain's, whose bounds cover every coefficient read.
     """
-    bounds = [
-        bound
-        for bound, _ in route(
-            _l1_binom,
-            lambda d: 2 if d else 0,
-            lambda states, edges, limit=None: _kron_step(states, edges, 0),
-        )
-    ]
+    norm = lambda p: (sum(map(abs, p.coeffs.values())), 0)
+    l1_step = lambda states, edges, limit=None: _kron_step(states, edges, 0)
+    bounds = [bound for bound, _ in route(_l1_binom, lambda d: 2 if d else 0, l1_step, *([norm] if image else []))]
     w = _width(max(bounds, default=0))
     windowed = False
 
@@ -519,7 +516,8 @@ def _kronecker(route, limits: list[int] | None = None) -> list[tuple[XLaurent, i
                 out[state] = (v & ((1 << (top - o) * w) - 1), o)
         return out
 
-    finals = route(lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step)
+    at_w = lambda p: (_pack(p.coeffs, p.min_exp(), w), p.min_exp()) if p else (0, 0)
+    finals = route(lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step, *([at_w] if image else []))
     if windowed and limits is None:
         raise ValueError("a windowed route is read back only below its limits")
     reads = [None] * len(bounds) if limits is None else limits

@@ -83,6 +83,8 @@ def _witness(label: str, **fields: Any) -> dict[str, Any]:
 
 def diff_xlaurent(lhs: XLaurent, rhs: XLaurent, label: str = "") -> dict | None:
     """First differing exponent between two Laurent polynomials, or None."""
+    if lhs.coeffs == rhs.coeffs:
+        return None
     for e in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
         a, b = lhs.coeff(e), rhs.coeff(e)
         if a != b:

@@ -34,7 +34,7 @@ __all__ = [
 
 
 def _frac_pair(c: Scalar) -> dict[str, str]:
-    f = Fraction(c)
+    f = c if type(c) is int else Fraction(c)  # an int has a numerator and a denominator
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
@@ -93,7 +93,7 @@ def qseries_to_csv(s: QSeries) -> str:
     trunc = "" if s.trunc is None else s.trunc
     for e, coeff in s.items_sorted():
         for d, c in coeff.items():
-            f = Fraction(c)
+            f = c if type(c) is int else Fraction(c)
             writer.writerow([s.scale, trunc, e, d, f.numerator, f.denominator])
     return out.getvalue()
 

@@ -489,6 +489,8 @@ def first_difference(
                 f"comparison through {through} needs window {want/s}, have {Fraction(int(w), s) if w != _INF else 'exact'}"
             )
         w = math.ceil(want)
+    if a.terms == b.terms:
+        return None
     exps = sorted(set(a.terms) | set(b.terms))
     for e in exps:
         if e >= w:

@@ -25,7 +25,7 @@ from . import bailey
 from .cyclo import CycloNum, cyclo_eval
 from .cyclotomic_coeffs import c_multisums, c_products
 from .hecke import hecke_u1_double, hecke_u_series_x
-from .jones import habiro_inverse, habiro_reconstruct, jones_hyper, jones_left, jones_morton, mirror
+from .jones import habiro_inverses, habiro_reconstruct, jones_hyper, jones_left, jones_morton, mirror
 from .laurent import XLaurent
 from .modular import bernoulli_lhs, bernoulli_rhs, theta_phi
 from .report import CheckReport, _timed_report, diff_cyclo, diff_qseries, diff_xlaurent
@@ -237,8 +237,8 @@ def check_habiro_roundtrip(t: int, m: int, order: int) -> list[Evidence]:
     items: list[Evidence] = []
     colour = {ell: jones_left(t, m, ell) for ell in range(1, order + 2)}.__getitem__
     coeffs = c_products(t, m, order)
-    for n in range(order + 1):
-        items.append((f"inverse transform at n={n}", habiro_inverse(colour, n), coeffs[n]))
+    for n, (inverse, coeff) in enumerate(zip(habiro_inverses(colour, order), coeffs, strict=True)):
+        items.append((f"inverse transform at n={n}", inverse, coeff))
     for n_color in range(1, order + 1):
         items.append((f"reconstruction at N={n_color}", habiro_reconstruct(coeffs, n_color), colour(n_color)))
     return items

@@ -23,8 +23,13 @@ window cut and own decoder, that the one-row packing read back by
 ``laurent._read_back`` replaced.
 
 ``habiro_reconstruct`` is the former ``jones.habiro_reconstruct``, verbatim,
-which multiplied each C_n by its two Pochhammer products; the library now
-sums in nested (Horner) form.
+which multiplied each C_n by its two Pochhammer products.
+``nested_habiro_reconstruct`` and ``per_term_habiro_inverse`` are its
+successor, which summed in nested (Horner) form by ``XLaurent``
+shift-subtracts, and the former ``jones.habiro_inverse``, which made one
+``XLaurent`` product per factor of each term, verbatim but for their names;
+the library now runs both as ``laurent._kronecker`` routes that read each
+result back once.
 
 ``keyed_c_sum`` (one closing binomial per state and n) and
 ``per_edge_jones_chain`` (one binomial per level edge) are the former
@@ -59,7 +64,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
 from qknot.cyclotomic_coeffs import _validate
-from qknot.laurent import _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, poch_q
+from qknot.laurent import (
+    _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, _over_binomials, poch_q, qbinomial,
+)
 from qknot.hecke import _double_exp, _triple_sum
 from qknot.series import Mono, QSeries, WindowError, _by_binomials, _lattice
 
@@ -340,6 +347,49 @@ def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]",
     for i in range(n):
         total = total + get(i) * poch_q(1 + n, i) * poch_q(1 - n, i)
     return total
+
+
+def nested_habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]", n_color: int) -> XLaurent:
+    """Rebuild J_N from cyclotomic coefficients: sum of C_n (q^{1+N})_n (q^{1-N})_n.
+
+    Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.  The
+    sum is taken in nested (Horner) form from the top,
+    T <- C_i + (1 - q^{i+1+N})(1 - q^{i+1-N}) T for i = N-1 down to 0: two
+    shift-subtracts per i.
+    """
+    if n_color < 1:
+        raise ValueError("color must be a positive integer")
+    get = coeffs.__getitem__ if not callable(coeffs) else coeffs
+    n = n_color
+    total = XLaurent()
+    for i in range(n - 1, -1, -1):
+        total = total - total.shift(i + 1 + n)
+        total = total - total.shift(i + 1 - n) + get(i)
+    return total
+
+
+def per_term_habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLaurent:
+    """Invert the cyclotomic expansion: C_n from the colors 1..n+1.
+
+    All Pochhammer denominators are combined over the single denominator
+    (q)_{2n+2} using Gaussian binomials; the final division must be exact.
+    """
+    if n < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    total = XLaurent()
+    for ell in range(1, n + 2):
+        e = ell * (ell - 3)
+        assert e % 2 == 0
+        piece = (XLaurent.const(1) - XLaurent.term(ell)) * (
+            XLaurent.const(1) - XLaurent.term(2 * ell)
+        )
+        piece = piece * qbinomial(2 * n + 2, n + 1 - ell) * jones(ell)
+        piece = piece.shift(e // 2)
+        if ell % 2:
+            piece = -piece
+        total = total + piece
+    quotient = _over_binomials(total, range(1, 2 * n + 3))
+    return (-quotient).shift(n + 1)
 
 
 def keyed_c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus, step):

@@ -66,7 +66,7 @@ from bailey_oracles import _lemma, _neg_val_bound
 import kernel_oracles
 from kernel_oracles import (
     c_series, chain_poly, cyclo_add, cyclo_mul, cyclo_sub, divexact, habiro_reconstruct, has_integer_coeffs,
-    keyed_c_sum, multisum, per_edge_jones_chain, same_field,
+    keyed_c_sum, multisum, nested_habiro_reconstruct, per_edge_jones_chain, per_term_habiro_inverse, same_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -1149,6 +1149,18 @@ def test_nested_habiro_reconstruction_matches_its_oracle(t, m):
         old = habiro_reconstruct(coeffs, n_color)
         assert jones.habiro_reconstruct(coeffs, n_color) == old, n_color
         assert jones.habiro_reconstruct(get, n_color) == old, n_color
+
+
+@pytest.mark.parametrize("t, m", [(t, m) for t, m in _TM if t <= 3])
+def test_habiro_routes_match_their_per_term_oracles(t, m):
+    colour = {ell: jones.jones_left(t, m, ell) for ell in range(1, 14)}.__getitem__
+    old = [per_term_habiro_inverse(colour, n) for n in range(13)]
+    for order in range(-1, 13):
+        assert jones.habiro_inverses(colour, order) == old[: order + 1], order
+    assert [jones.habiro_inverse(colour, n) for n in range(13)] == old
+    coeffs = cyclotomic_coeffs.c_products(t, m, 12)
+    for n_color in range(1, 14):
+        assert jones.habiro_reconstruct(coeffs, n_color) == nested_habiro_reconstruct(coeffs, n_color), n_color
 
 
 @pytest.mark.parametrize("t", range(1, 5))

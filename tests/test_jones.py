@@ -2,9 +2,11 @@
 
 import pytest
 
-from qknot.cyclotomic_coeffs import c_product
+from qknot import laurent
+from qknot.cyclotomic_coeffs import c_product, c_products
 from qknot.jones import (
     habiro_inverse,
+    habiro_inverses,
     habiro_reconstruct,
     jones_hyper,
     jones_left,
@@ -106,3 +108,32 @@ def test_inexact_division_raises():
     broken = lambda l: XLaurent({0: 1, 1: 1}) if l == 1 else jones_left(1, 1, l)
     with pytest.raises(ExactnessError):
         habiro_inverse(broken, 2)
+
+
+def _habiro_inputs(t: int, m: int, order: int):
+    colour = {ell: jones_left(t, m, ell) for ell in range(1, order + 2)}.__getitem__
+    return colour, c_products(t, m, order)
+
+
+def test_habiro_routes_read_back_each_result_once(monkeypatch):
+    colour, coeffs = _habiro_inputs(2, 1, 8)
+    reads, read_back = [], laurent._read_back
+    monkeypatch.setattr(laurent, "_read_back", lambda *args: reads.append(args) or read_back(*args))
+    monkeypatch.setattr(laurent, "_product", lambda *args: pytest.fail("an XLaurent product"))
+    assert habiro_inverses(colour, 8) == coeffs
+    assert len(reads) == 9
+    assert habiro_reconstruct(coeffs, 9) == colour(9)
+    assert len(reads) == 10
+
+
+def test_a_habiro_slot_one_width_below_the_bound_raises(monkeypatch):
+    colour, coeffs = _habiro_inputs(2, 1, 14)
+    assert habiro_inverses(colour, 14) == coeffs
+    assert habiro_reconstruct(coeffs, 15) == colour(15)
+    width, widths = laurent._width, []
+    monkeypatch.setattr(laurent, "_width", lambda bound: widths.append(width(bound)) or width(bound) - 32)
+    with pytest.raises(ExactnessError):
+        habiro_inverses(colour, 14)
+    with pytest.raises(ExactnessError):
+        habiro_reconstruct(coeffs, 15)
+    assert len(widths) == 2 and min(widths) > 32  # each narrowed slot still has room

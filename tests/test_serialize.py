@@ -84,3 +84,12 @@ def test_xlaurent_roundtrip_through_series():
     p = XLaurent({-2: 3, 5: Fraction(1, 4)})
     s = xlaurent_to_qseries(p)
     assert qseries_from_json_dict(qseries_to_json_dict(s)).to_q_laurent() == p
+
+
+def test_int_coefficients_serialize_as_their_fractions():
+    # ints skip Fraction; a Fraction with denominator 1 must give the same bytes
+    ints = QSeries({2: XLaurent({0: 5, 1: -12})}, scale=2, trunc=10)
+    fracs = QSeries({2: XLaurent({0: Fraction(5), 1: Fraction(-12)})}, scale=2, trunc=10)
+    assert to_json_text(qseries_to_json_dict(ints)) == to_json_text(qseries_to_json_dict(fracs))
+    assert qseries_to_csv(ints) == qseries_to_csv(fracs) == "scale,trunc,q_exp,x_exp,num,den\n2,10,2,0,5,1\n2,10,2,1,-12,1\n"
+    assert cyclo_to_json_dict(CycloNum(3, [4, -1]))["coeffs"] == [{"num": "4", "den": "1"}, {"num": "-1", "den": "1"}]
