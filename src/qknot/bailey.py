@@ -269,7 +269,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         def node(pos: int, v: int) -> int:
             return -v if pos <= ell else 0
 
-        s = _kronecker(partial(_staircase, k - 1, [n], node, k - 1, None, fold=lambda v, b: -v * b))[0][0]
+        s = _kronecker(partial(_staircase, k - 1, [n], node, k, None))[0][0]
         return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=window)
 
     return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta)

@@ -22,7 +22,10 @@ node is carried modulo q^L, L the exponent below which some n still needs
 it, so its image stays a few slots wide, and each final is read back below
 the window only.  U(-1; zeta_N) (``useries.u_eval_at_root``, closed at
 q = zeta_N with (zeta)_n^2) keeps the keyed close.  The multisum runs on
-``_staircase``, the one route that the Bailey chain betas run too.  The two
+``_staircase``, the one route that the Bailey chain betas run too; its steps
+with work to share, two states that keep one stored v_s or a close into two
+bounds, are ``_nested_close`` passes as well, and its other steps read binomial
+images, which the image cache shares (passes there were slower).  The two
 routes keep their own states and summands, so their agreement remains a main
 verification target.
 """
@@ -46,13 +49,19 @@ def _validate(t: int, m: int) -> None:
 
 def _c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step):
     """The product form's inner sums (no q^{n+1-t}) for every n in ``ns``, as a
-    ``laurent._kronecker`` route closed by ``_nested_close``.  With a window
+    ``laurent._kronecker`` route closed by ``_nested_close``, state (k, p)
+    injected at node (p-t+1, k), the final for n read at (0, n+1).  With a window
     it is windowed: node (c, j) of the close, like state (j, p) of the levels,
     is needed below window - j + t, so the final for n below window - (n+1-t)."""
-    states = _c_levels(t, m, max(ns, default=-1) + 1, window, binom, step)
+    top = max(ns, default=-1) + 1
+    states = _c_levels(t, m, top, window, binom, step)
     if window is not None:
         step = partial(step, limit=lambda node: window - node[1] + t)
-    return _nested_close(t, ns, states, step)
+    injected: dict = {}
+    for (k, pref), value in states.items():
+        injected.setdefault(k - pref + t - 1, {})[pref - t + 1, k] = value
+    finals = _nested_close(injected, top, step)
+    return [finals.get(n + 1, (0, 0)) for n in ns]
 
 
 def _c_levels(t: int, m: int, top: int, window: int | None, binom, step) -> dict:
@@ -101,31 +110,30 @@ def _keyed_close(t: int, ns: range, states: dict, binom, step) -> list:
     return [finals.get(n, (0, 0)) for n in ns]
 
 
-def _nested_close(t: int, ns: range, states: dict, step) -> list:
-    """The keyed close's finals by shift-adds alone: [j + c, j] is the z^j
+def _nested_close(injected: dict, top: int, step, sign: int = 1) -> dict:
+    """Sums of [j + c, j] A by shift-adds alone: [j + c, j] is the z^j
     coefficient of 1/(z; q)_{c+1} (Gasper-Rahman, Basic Hypergeometric Series,
     1.3), so the nodes B(c, j) = A(c, j) + B(c+1, j) + q^c B(c, j-1), c from
-    the top down, give B(0, n+1) for n, A(c, k) the value of state (k, c+t-1).
+    the top down, j <= top, give B(0, j) = sum [j - k + c, j - k] A(c, k).
     One step per anti-diagonal j - c runs them: edges (c, j) -> (c-1, j),
-    (c, j+1) of shifts 0, c, each A(c, k) injected at its node.  On l1 norms
-    B(0, n+1) sums C(j + c, j) A(c, k), the keyed close's bound exactly.
+    (c, j+1) of shifts 0, c, each A(c, k) injected at its node (c, k), under
+    its anti-diagonal in ``injected``.  With sign -1 the shifts are -c: the
+    same sums at 1/q.  On l1 norms B(0, j) sums C(j - k + c, j - k) ||A(c, k)||_1,
+    the keyed bound exactly.  Returns B(0, j) for every j reached.
     """
-    top = max(ns, default=-1) + 1
-    injected: dict = {}
-    for (k, pref), value in states.items():
-        injected.setdefault(k - pref + t - 1, {})[pref - t + 1, k] = value
 
     def edges(node: tuple[int, int], low: int):
         c, j = node
         if j - c == d:
             return ((node, 1, 0, False),)
-        return ((c - 1, j), 1 if c else 0, 0, False), ((c, j + 1), 1 if j < top else 0, c, False)
+        return ((c - 1, j), 1 if c else 0, 0, False), ((c, j + 1), 1 if j < top else 0, sign * c, False)
 
-    nodes, finals = {}, {}
+    nodes, reads = {}, {}
     for d in range(min([0, *injected]), top + 1):
         nodes = step({**nodes, **injected.get(d, {})}, edges)
-        finals[d - 1] = nodes.get((0, d), (0, 0))
-    return [finals[n] for n in ns]
+        if (0, d) in nodes:
+            reads[d] = nodes[0, d]
+    return reads
 
 
 @lru_cache(maxsize=1024)
@@ -159,37 +167,58 @@ def c_series(t: int, m: int, n_max: int, window: int) -> list[XLaurent]:
 
 def _staircase(
     length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
-    binom, one_minus, step, centre: tuple[int, int] | None = None, fold: Callable[[int, int], int] | None = None,
+    binom, one_minus, step, centre: tuple[int, int] | None = None,
 ) -> list:
     """Staircase chain sums, one per b in ``bounds``, as a ``laurent._kronecker``
     route: one chain 0 = v_0 <= ... <= v_length <= max(bounds), closed for each
-    b by [b choose v_length] q^{fold(v_length, b)}, zero for v_length > b, so
-    a state holds the same value for every b >= v.  The edge u -> v at
-    position pos carries [v choose u], q^{node(pos, v)}, q^{-uv} at positions
-    up to ``coupled`` and (-1)^v at ``sign``; with ``centre`` = (c, s) the
-    edge at c also carries 1 - q^{v_c - v_s}, and the state keeps v_s from
-    position s to c-1.
+    b by [b choose v_length], zero for v_length > b, so a state holds the same
+    value for every b >= v.  The edge u -> v at position pos carries
+    [v choose u], q^{node(pos, v)}, q^{-uv} at positions up to ``coupled``, the
+    close being position length + 1, and (-1)^v at ``sign``; with ``centre`` =
+    (c, s) the edge at c also carries 1 - q^{v_c - v_s}, and the state keeps
+    v_s from position s to c-1.
+
+    A step sums T(v, w) = sum_{u <= v} [v, u] (q^{-uv}) S(u, w) over each group
+    of states (u, w) that keep one v_s = w, then applies the node factor, the
+    sign and the centre factor as weight-1 output edges, the centre's two
+    (1 and -q^{v-w}) made only for v > w.  A step with work to share, a group
+    of two or more states or a close into two or more bounds, sums each group
+    by one ``_nested_close`` pass, S(u, w) injected at node (u, u) and T(v, w)
+    read at (0, v), after [v, u] q^{-uv} = q^{-u^2} [v, u] at 1/q; the rest
+    read binomial images, which the image cache shares.  Either way T's l1
+    bound sums C(v, u) ||S(u, w)||_1 and the centre's two edges sum to 2.
     """
     top = max(bounds)
     c, s = centre or (0, -1)  # positions run from 1, so no edge reads v_s
 
-    def edges(state: tuple[int, int | None], low: int):
-        u, w = state
-        for v in range(u, top + 1):
-            nxt = (v, v if pos == s else w if pos < c else None)
-            weight = binom(v, u) * one_minus(v - w) if pos == c else binom(v, u)
-            shift = node(pos, v) - (u * v if pos <= coupled else 0)
-            yield nxt, weight, shift, pos == sign and v % 2 == 1
+    def transform(states: dict, targets, shared: bool) -> dict:
+        couple = pos <= coupled
+        if shared:
+            groups: dict = {}
+            for (u, w), (v, o) in states.items():
+                groups.setdefault(w, {})[u, u] = (v, o - u * u if couple else o)
+            passes = ((w, _nested_close({0: group}, top, step, -1 if couple else 1)) for w, group in groups.items())
+            return {(v, w): value for w, reads in passes for v, value in reads.items()}
+        edges = lambda state, low: (
+            ((v, state[1]), binom(v, state[0]), -state[0] * v if couple else 0, False) for v in targets(state[0])
+        )
+        return step(states, edges)
+
+    def out(read: tuple[int, int | None], low: int):
+        v, w = read
+        nxt = (v, v if pos == s else w if pos < c else None)
+        shift, negate = node(pos, v), pos == sign and v % 2 == 1
+        if pos != c:
+            return ((nxt, 1, shift, negate),)
+        return ((nxt, 1, shift, negate), (nxt, 1, shift + v - w, not negate)) if v > w else ()
 
     states: dict = {(0, 0 if s == 0 else None): (1, 0)}
     for pos in range(1, length + 1):
-        states = step(states, edges)
-
-    fold = fold or (lambda v, b: 0)
-    close = lambda state, low: (
-        (i, binom(b, state[0]), fold(state[0], b), False) for i, b in enumerate(bounds) if b >= state[0]
-    )
-    finals = step(states, close)
+        shared = len({w for _, w in states}) < len(states)
+        states = step(transform(states, lambda u: range(u, top + 1), shared), out)
+    pos = length + 1
+    reads = transform(states, lambda u: (b for b in {*bounds} if b >= u), len(bounds) > 1)
+    finals = step(reads, lambda read, low: ((i, 1, 0, False) for i, b in enumerate(bounds) if b == read[0]))
     return [finals.get(i, (0, 0)) for i in range(len(bounds))]
 
 

@@ -350,6 +350,11 @@ def _width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 32) * 32
 
 
+# The memoryview codes whose items are 32- and 64-bit slots, on a host that
+# stores them little-endian, as the slots are packed; empty elsewhere.
+_SLOT_CODES = {w: c for w, c in ((32, "I"), (64, "Q")) if memoryview((1).to_bytes(w // 8, "little")).cast(c)[0] == 1}
+
+
 def _read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> XLaurent:
     """The Laurent polynomial q^o P(q) with P(2^w) = v, P an integer polynomial
     whose coefficients have absolute value at most bound; with a limit, only
@@ -361,6 +366,9 @@ def _read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> 
     exact once bound < 2^(w-1); a narrower slot raises rather than wraps.
     Carries only run upward, so the digits below the limit are those of
     v + 2^(w-1) (1 + 2^w + ... ) mod 2^(w (limit - o)).  w is a multiple of 8.
+    32- and 64-bit slots are decoded in one pass, by one ``memoryview`` cast
+    of the bytes to native unsigned ints, where ``_SLOT_CODES`` finds the host
+    little-endian; other widths and hosts slice the bytes slot by slot.
     """
     if bound >= 1 << (w - 1):
         raise ExactnessError(f"{w}-bit slots cannot hold coefficients up to {bound}")
@@ -374,6 +382,9 @@ def _read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> 
     slots = abs(v).bit_length() // w + 2 if limit is None else max(limit - o, 0)
     v = (v + int.from_bytes(zero * slots, "little")) & ((1 << slots * w) - 1)
     buf = v.to_bytes(slots * wb, "little")
+    if w in _SLOT_CODES:
+        res.coeffs = {e: d - half for e, d in enumerate(memoryview(buf).cast(_SLOT_CODES[w]), o) if d != half}
+        return res
     for i in range(slots):
         chunk = buf[i * wb : (i + 1) * wb]
         if chunk != zero:

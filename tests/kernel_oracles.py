@@ -46,6 +46,17 @@ and ``bailey._chain_poly``, verbatim but for their names: two routes, each
 with its own edge generator, for the one family of staircase chain sums that
 the library now runs as one route, ``cyclotomic_coeffs._staircase``.
 
+``keyed_staircase``, ``product_nested_close`` and ``product_close_c_sum``
+are the former ``cyclotomic_coeffs._staircase``, ``_nested_close`` and
+``_c_sum``, verbatim but for their names: a staircase that reads a binomial
+image on every edge, and the product form's close as the one generating-function
+pass.  The library now runs the staircase's steps with work to share as that
+pass too, generalised to groups of states and to 1/q.  ``keyed_staircase_at``
+calls the oracle as the library calls ``_staircase``, where a ``coupled``
+past the chain's length couples the close (the oracle's ``fold``).
+``sliced_read_back`` is the former ``laurent._read_back``, verbatim but for its
+name, which decodes every slot by slicing its bytes.
+
 ``pass_hecke_u_series`` and ``pass_hecke_u1_double`` are the former
 ``hecke.hecke_u_series`` and ``hecke.hecke_u1_double``, verbatim but for their
 names and for taking the core as a series, ``triple_sum_series``, which wraps
@@ -63,7 +74,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
-from qknot.cyclotomic_coeffs import _validate
+from qknot.cyclotomic_coeffs import _c_levels, _validate
 from qknot.laurent import (
     _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, _over_binomials, poch_q, qbinomial,
 )
@@ -587,3 +598,118 @@ def pass_hecke_u1_double(trunc: int, pad: int = 0) -> QSeries:
     # pass per factor over it, 7 against 22 ms at trunc 120, 20 against 85 at 200
     inverse = _by_binomials(QSeries.one(1, trunc), over=[Mono(1, 0, k) for k in range(1, trunc)])
     return inverse * core
+
+
+def product_close_c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step):
+    """The product form's inner sums (no q^{n+1-t}) for every n in ``ns``, as a
+    ``laurent._kronecker`` route closed by ``_nested_close``.  With a window
+    it is windowed: node (c, j) of the close, like state (j, p) of the levels,
+    is needed below window - j + t, so the final for n below window - (n+1-t)."""
+    states = _c_levels(t, m, max(ns, default=-1) + 1, window, binom, step)
+    if window is not None:
+        step = partial(step, limit=lambda node: window - node[1] + t)
+    return product_nested_close(t, ns, states, step)
+
+
+def product_nested_close(t: int, ns: range, states: dict, step) -> list:
+    """The keyed close's finals by shift-adds alone: [j + c, j] is the z^j
+    coefficient of 1/(z; q)_{c+1} (Gasper-Rahman, Basic Hypergeometric Series,
+    1.3), so the nodes B(c, j) = A(c, j) + B(c+1, j) + q^c B(c, j-1), c from
+    the top down, give B(0, n+1) for n, A(c, k) the value of state (k, c+t-1).
+    One step per anti-diagonal j - c runs them: edges (c, j) -> (c-1, j),
+    (c, j+1) of shifts 0, c, each A(c, k) injected at its node.  On l1 norms
+    B(0, n+1) sums C(j + c, j) A(c, k), the keyed close's bound exactly.
+    """
+    top = max(ns, default=-1) + 1
+    injected: dict = {}
+    for (k, pref), value in states.items():
+        injected.setdefault(k - pref + t - 1, {})[pref - t + 1, k] = value
+
+    def edges(node: tuple[int, int], low: int):
+        c, j = node
+        if j - c == d:
+            return ((node, 1, 0, False),)
+        return ((c - 1, j), 1 if c else 0, 0, False), ((c, j + 1), 1 if j < top else 0, c, False)
+
+    nodes, finals = {}, {}
+    for d in range(min([0, *injected]), top + 1):
+        nodes = step({**nodes, **injected.get(d, {})}, edges)
+        finals[d - 1] = nodes.get((0, d), (0, 0))
+    return [finals[n] for n in ns]
+
+
+def keyed_staircase(
+    length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
+    binom, one_minus, step, centre: tuple[int, int] | None = None, fold: Callable[[int, int], int] | None = None,
+) -> list:
+    """Staircase chain sums, one per b in ``bounds``, as a ``laurent._kronecker``
+    route: one chain 0 = v_0 <= ... <= v_length <= max(bounds), closed for each
+    b by [b choose v_length] q^{fold(v_length, b)}, zero for v_length > b, so
+    a state holds the same value for every b >= v.  The edge u -> v at
+    position pos carries [v choose u], q^{node(pos, v)}, q^{-uv} at positions
+    up to ``coupled`` and (-1)^v at ``sign``; with ``centre`` = (c, s) the
+    edge at c also carries 1 - q^{v_c - v_s}, and the state keeps v_s from
+    position s to c-1.
+    """
+    top = max(bounds)
+    c, s = centre or (0, -1)  # positions run from 1, so no edge reads v_s
+
+    def edges(state: tuple[int, int | None], low: int):
+        u, w = state
+        for v in range(u, top + 1):
+            nxt = (v, v if pos == s else w if pos < c else None)
+            weight = binom(v, u) * one_minus(v - w) if pos == c else binom(v, u)
+            shift = node(pos, v) - (u * v if pos <= coupled else 0)
+            yield nxt, weight, shift, pos == sign and v % 2 == 1
+
+    states: dict = {(0, 0 if s == 0 else None): (1, 0)}
+    for pos in range(1, length + 1):
+        states = step(states, edges)
+
+    fold = fold or (lambda v, b: 0)
+    close = lambda state, low: (
+        (i, binom(b, state[0]), fold(state[0], b), False) for i, b in enumerate(bounds) if b >= state[0]
+    )
+    finals = step(states, close)
+    return [finals.get(i, (0, 0)) for i in range(len(bounds))]
+
+
+def keyed_staircase_at(
+    length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
+    binom, one_minus, step, centre: tuple[int, int] | None = None,
+) -> list:
+    """``keyed_staircase`` under the library's ``_staircase`` arguments: a
+    ``coupled`` past ``length`` couples the close, the oracle's fold q^{-vb}."""
+    fold = (lambda v, b: -v * b) if coupled > length else None
+    return keyed_staircase(length, bounds, node, min(coupled, length), sign, binom, one_minus, step, centre, fold)
+
+
+def sliced_read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> XLaurent:
+    """The Laurent polynomial q^o P(q) with P(2^w) = v, P an integer polynomial
+    whose coefficients have absolute value at most bound; with a limit, only
+    its terms below q^limit, from any v congruent to P(2^w) mod 2^(w (limit - o)).
+
+    The coefficients are the balanced base-2^w digits of v, each in
+    [-2^(w-1), 2^(w-1)): adding 2^(w-1) to every slot makes them the plain
+    digits of a nonnegative int.  Such digits are unique, so the read-back is
+    exact once bound < 2^(w-1); a narrower slot raises rather than wraps.
+    Carries only run upward, so the digits below the limit are those of
+    v + 2^(w-1) (1 + 2^w + ... ) mod 2^(w (limit - o)).  w is a multiple of 8.
+    """
+    if bound >= 1 << (w - 1):
+        raise ExactnessError(f"{w}-bit slots cannot hold coefficients up to {bound}")
+    res = XLaurent.__new__(XLaurent)
+    res.coeffs = {}
+    if not v:
+        return res
+    wb = w // 8
+    half = 1 << (w - 1)
+    zero = half.to_bytes(wb, "little")
+    slots = abs(v).bit_length() // w + 2 if limit is None else max(limit - o, 0)
+    v = (v + int.from_bytes(zero * slots, "little")) & ((1 << slots * w) - 1)
+    buf = v.to_bytes(slots * wb, "little")
+    for i in range(slots):
+        chunk = buf[i * wb : (i + 1) * wb]
+        if chunk != zero:
+            res.coeffs[o + i] = int.from_bytes(chunk, "little") - half
+    return res

@@ -66,7 +66,8 @@ from bailey_oracles import _lemma, _neg_val_bound
 import kernel_oracles
 from kernel_oracles import (
     c_series, chain_poly, cyclo_add, cyclo_mul, cyclo_sub, divexact, habiro_reconstruct, has_integer_coeffs,
-    keyed_c_sum, multisum, nested_habiro_reconstruct, per_edge_jones_chain, per_term_habiro_inverse, same_field,
+    keyed_c_sum, keyed_staircase_at, multisum, nested_habiro_reconstruct, per_edge_jones_chain,
+    per_term_habiro_inverse, product_close_c_sum, same_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -1084,6 +1085,96 @@ def test_multisum_staircase_matches_its_oracle_route(t, m):
     for ns in [(n,) for n in range(15)] + [range(15), range(6, 15)]:
         new = laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, ns))
         assert new == laurent._kronecker(partial(multisum, t, m, ns)), ns
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_multisum_passes_match_the_keyed_staircase(t, m, monkeypatch):
+    # the same polynomials and the same l1 bounds, so the same slot widths
+    grid = [(n,) for n in range(15)] + [range(15), range(6, 15)]
+    multisums = lambda: [laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, ns)) for ns in grid]
+    new = multisums()
+    monkeypatch.setattr(cyclotomic_coeffs, "_staircase", keyed_staircase_at)
+    assert multisums() == new
+
+
+def test_bailey_betas_on_passes_match_the_keyed_staircase(monkeypatch):
+    def betas() -> list:
+        runs = _kronecker_runs(monkeypatch, bailey)
+        for t, n in itertools.product(range(1, 4), range(9)):
+            for ell in range(t):
+                bailey._lovejoy_s.__wrapped__(t, ell, n)
+        for k, n in itertools.product(range(1, 5), range(9)):
+            for ell in range(k):
+                bailey.star_pair(k, ell).beta(n, 20)
+        return runs
+
+    new = betas()
+    monkeypatch.setattr(bailey, "_staircase", keyed_staircase_at)
+    assert betas() == new
+
+
+@pytest.mark.parametrize("t, m", _TM)
+def test_product_close_on_the_general_pass_matches_its_oracle(t, m):
+    # c_products' chain, and c_series' windowed chain at every window
+    ns = range(15)
+    for window in (None, *range(-2, 61)):
+        limits = None if window is None else [window - (n + 1 - t) for n in ns]
+        new, old = (partial(route, t, m, ns, window) for route in (cyclotomic_coeffs._c_sum, product_close_c_sum))
+        assert laurent._kronecker(new, limits) == laurent._kronecker(old, limits), window
+
+
+def _image_reads(route) -> list:
+    """(the states' keys, the (a, b) asked) for every step of ``route`` that asks
+    ``binom`` for an image, over both passes of ``laurent._kronecker``."""
+    reads: list = []
+
+    def spied(binom, one_minus, step):
+        asked: list = []
+
+        def spied_step(states, edges, *limit):
+            asked.clear()
+            out = step(states, edges, *limit)
+            if asked:
+                reads.append((set(states), sorted(asked)))
+            return out
+
+        return route(lambda a, b: asked.append((a, b)) or binom(a, b), one_minus, spied_step)
+
+    laurent._kronecker(spied)
+    return reads
+
+
+def test_only_steps_with_no_work_to_share_read_images(monkeypatch):
+    for (t, m), top in (((3, 2), 17), ((2, 1), 25)):
+        # position 1 steps one state; position 2 steps the singletons (u, u):
+        # the centre at (2, 1), and at (3, 2) the last step to read an image
+        first = ({(0, None)}, [(v, 0) for v in range(top + 1)])
+        ladder = ({(u, u) for u in range(top + 1)}, sorted((v, u) for u in range(top + 1) for v in range(u, top + 1)))
+        reads = _image_reads(partial(cyclotomic_coeffs._multisum, t, m, range(top)))
+        assert reads == [first, ladder] * 2, (t, m)
+    # the betas close into one bound by one image per state
+    routes: list = []
+    monkeypatch.setattr(bailey, "_kronecker", lambda route: routes.append(_image_reads(route)) or laurent._kronecker(route))
+    for t, ell in ((1, 0), (2, 1), (3, 0), (3, 2)):
+        bailey._lovejoy_s.__wrapped__(t, ell, 8)
+    for k, ell in ((1, 0), (2, 1), (3, 2)):
+        bailey.star_pair(k, ell).beta(8, 20)
+    for reads in routes:
+        *steps, (keys, asked) = reads[: len(reads) // 2]
+        assert reads[len(reads) // 2 :] == reads[: len(reads) // 2]
+        assert [keys for keys, _ in steps] in ([], [{(0, None)}])
+        assert asked == sorted((8, u) for u, _ in keys)
+
+
+def test_a_staircase_pass_one_slot_width_below_the_bound_raises(monkeypatch):
+    width = laurent._width
+    for t, m, top in ((3, 2, 16), (2, 1, 24)):
+        bounds = [bound for _, bound in laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, range(top + 1)))]
+        assert width(max(bounds)) >= 64
+    monkeypatch.setattr(laurent, "_width", lambda bound: width(bound) - 32)
+    for t, m, top in ((3, 2, 16), (2, 1, 24)):
+        with pytest.raises(ExactnessError, match="bit slots"):
+            cyclotomic_coeffs.c_multisums(t, m, top)
 
 
 @pytest.mark.parametrize("t, m", _TM)

@@ -31,7 +31,7 @@ from qknot.laurent import (
     qbinomial,
 )
 
-from kernel_oracles import binom_image, divexact, over_binomials, packed_rows_product
+from kernel_oracles import binom_image, divexact, over_binomials, packed_rows_product, sliced_read_back
 
 
 def lp(d):
@@ -184,6 +184,34 @@ def test_windowed_read_back_is_the_full_read_back_cut_at_the_limit(coeffs, w, li
     else:
         with pytest.raises(ExactnessError):
             _read_back(masked, o, w, bound, limit)
+
+
+def test_slot_codes_are_those_of_the_host():
+    assert laurent._SLOT_CODES == ({32: "I", 64: "Q"} if sys.byteorder == "little" else {})
+
+
+@pytest.mark.parametrize("codes", [laurent._SLOT_CODES, {}], ids=["host", "no-cast"])
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([32, 64, 96, 128]), st.integers(-60, 60), st.data())
+def test_read_back_matches_the_sliced_oracle(codes, w, o, data):
+    # with no slot codes every width slices its bytes, as a big-endian host does
+    bound = data.draw(st.integers(0, (1 << (w - 1)) - 1))
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), max_size=24))
+    v = sum(c << i * w for i, c in enumerate(coeffs))
+    # no limit, or one below, inside or past the top, with any digits above it
+    limit = data.draw(st.one_of(st.none(), st.integers(o - 2, o + len(coeffs) + 3)))
+    if limit is not None:
+        v += data.draw(st.integers(-(1 << 80), 1 << 80)) << max(limit - o, 0) * w
+    want = {o + i: c for i, c in enumerate(coeffs) if c and (limit is None or o + i < limit)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_SLOT_CODES", codes)
+        got = _read_back(v, o, w, bound, limit).coeffs
+        # the same map in the same key order, which the serializers walk
+        assert list(got.items()) == list(sliced_read_back(v, o, w, bound, limit).coeffs.items())
+        assert got == want
+        for read_back in (_read_back, sliced_read_back):
+            with pytest.raises(ExactnessError, match=f"{w}-bit slots"):
+                read_back(v, o, w, 1 << (w - 1), limit)
 
 
 def test_read_back_at_the_edge_of_the_slot():
