@@ -352,8 +352,8 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
     for n in range(n_max + 1):
         # sum_j alpha_j / ((q)_{n-j} (aq)_{n+j}) = S_0 / ((q)_n (aq)_n), where term
         # j + 1 of S has the extra factor (1 - q^{n-j}) / (1 - aq^{n+j+1}) over term j
-        rhs = _nested(alpha, n, lambda j: (_UNIT, _q(n - j, 1), _q(a_exp + n + j + 1, 1)), trunc)
-        rhs = _by_binomials(rhs, over=_q(1, n) + _q(a_exp + 1, n), trunc=trunc)
+        close = (_UNIT, (), _q(1, n) + _q(a_exp + 1, n), trunc)
+        rhs = _nested(alpha, n, lambda j: (_UNIT, _q(n - j, 1), _q(a_exp + n + j + 1, 1)), trunc, close)
         lhs = beta(n)  # cut to trunc, where an exact beta stays exact
         lhs = lhs if lhs.is_exact() else lhs.with_trunc(trunc)
         witness = diff_qseries(lhs, rhs, trunc, f"beta relation at n={n}")
@@ -361,10 +361,9 @@ def _first_failure(pair: BaileyPair, n_max: int, trunc: int) -> dict | None:
             # sum_j (q^{-n})_j (aq^n)_j q^j beta_j: term j + 1 has the extra factor
             # q (1 - q^{j-n}) (1 - aq^{n+j}) over term j
             rise = lambda j: (Mono(1, 0, 1), [Mono(1, 0, j - n), Mono(1, 0, a_exp + n + j)], ())
-            inner = _nested(beta, n, rise, trunc)
             sign = Mono(-1 if n % 2 else 1, 0, n * (n - 1) // 2)
             pref = [Mono(1, 0, a_exp + 2 * n)] + _q(a_exp + 1, n - 1)
-            rhs2 = _by_binomials(inner.mul_mono(sign), pref, _q(1, n))
+            rhs2 = _nested(beta, n, rise, trunc, (sign, pref, _q(1, n), None))
             witness = diff_qseries(pair.alpha(n, trunc), rhs2, trunc, f"alpha relation at n={n}")
         if witness is not None:
             witness["n"] = n
@@ -434,8 +433,8 @@ def bailey_step(pair: BaileyPair, b: Mono | None, c: Mono | None) -> BaileyPair:
 
     def beta(n: int, window: int) -> QSeries:
         term = lambda j: headed(pair.beta, n - j, n, window)  # term_k at level j = n - k
-        out = _nested(term, n, lambda j: (_UNIT, (), _q(j + 1, 1)), window)  # sum_k term_k/(q)_{n-k}
-        return _by_binomials(out, over=den(n), trunc=window)
+        # sum_k term_k / (q)_{n-k}, closed by the division by den(n)
+        return _nested(term, n, lambda j: (_UNIT, (), _q(j + 1, 1)), window, (_UNIT, (), den(n), window))
 
     floor_a = floor_b = None  # floors are carried through the (inf, inf) step only
     if b is None and c is None and pair.alpha_floor is not None:

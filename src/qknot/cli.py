@@ -30,7 +30,7 @@ from .serialize import (
     pretty,
     pretty_cyclo,
     qseries_to_csv,
-    qseries_to_json_dict,
+    qseries_to_json_text,
     to_json_text,
     xlaurent_to_qseries,
 )
@@ -76,7 +76,7 @@ def _emit_series(series: QSeries, args) -> None:
     elif args.format == "csv":
         text = qseries_to_csv(series)
     else:
-        text = to_json_text(qseries_to_json_dict(series))
+        text = qseries_to_json_text(series)
     _write(text, args.output)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "qseries_from_json_dict",
     "qseries_to_csv",
     "qseries_to_json_dict",
+    "qseries_to_json_text",
     "to_json_text",
     "xlaurent_to_qseries",
 ]
@@ -54,6 +55,22 @@ def qseries_to_json_dict(s: QSeries) -> dict[str, Any]:
         xs = [{"x_exp": d, **_frac_pair(c)} for d, c in coeff.items()]
         terms.append({"q_exp": e, "x": xs})
     return {"kind": "qseries", "scale": s.scale, "trunc": s.trunc, "terms": terms}
+
+
+def qseries_to_json_text(s: QSeries) -> str:
+    """``to_json_text(qseries_to_json_dict(s))``, written without building the dicts."""
+    terms = []
+    for e, coeff in s.items_sorted():
+        xs = []
+        for d, c in coeff.items():
+            if type(c) is int:
+                xs.append(f'{{"x_exp":{d},"num":"{c}","den":"1"}}')
+            else:
+                f = Fraction(c)
+                xs.append(f'{{"x_exp":{d},"num":"{f.numerator}","den":"{f.denominator}"}}')
+        terms.append(f'{{"q_exp":{e},"x":[{",".join(xs)}]}}')
+    trunc = "null" if s.trunc is None else s.trunc
+    return f'{{"kind":"qseries","scale":{s.scale},"trunc":{trunc},"terms":[{",".join(terms)}]}}\n'
 
 
 def qseries_from_json_dict(d: dict[str, Any]) -> QSeries:

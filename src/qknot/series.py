@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .laurent import ExactnessError, Scalar, XLaurent, _norm, _product
+from .laurent import ExactnessError, Scalar, XLaurent, _norm, _pack, _product, _read_back, _width
 
 __all__ = [
     "Mono",
@@ -364,18 +364,56 @@ _UNIT = Mono(1, 0, 0)
 def _by_binomials(
     s: QSeries, times: Iterable[Mono] = (), over: Iterable[Mono] = (), trunc: int | None = None
 ) -> QSeries:
-    """s * prod(1 - f for f in times) / prod(1 - f for f in over), one stride
-    pass per factor.
+    """s * prod(1 - f for f in times) / prod(1 - f for f in over), one ``_step``.
 
     Window rule, with k the q-exponent of f: multiplying by (1 - f) lowers the
     window by -min(0, k).  Dividing by (1 - f) with k > 0 is
     r_e = s_e + f r_{e-k} in ascending e and keeps the window exactly, since
     every r_e below it reads only s below it; k < 0 goes through
-    1/(1 - f) = -f^{-1}/(1 - f^{-1}) and so raises the window by -k.  A
-    factor with k > 0 that cannot reach the window is skipped.  trunc, when
-    given, is the result's window: the input is cut (never widened) where it
-    yields that.  Dividing an exact nonzero series needs a window.
+    1/(1 - f) = -f^{-1}/(1 - f^{-1}) and so raises the window by -k.  trunc,
+    when given, is the result's window: the input is cut (never widened) where
+    it yields that.  Dividing an exact nonzero series needs a window.
     """
+    return _series(_step(s, _UNIT, times, over, trunc))
+
+
+def _val(mono: Mono, factors: Iterable[Mono]) -> int:
+    """A lower bound on the valuation of mono prod(1 - f, factors): a factor
+    (1 - f) starts at q^min(0, k), k the q-exponent of f."""
+    return mono.q_exp + sum(min(0, f.q_exp) for f in factors)
+
+
+def _nested(
+    term: Callable[[int], "QSeries | XLaurent | None"], top: int, rise: Callable, trunc: int, close: tuple = ()
+) -> QSeries:
+    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
+    n as S <- term(n) + rise(n-1) S with one ``_step`` per level, where
+    rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over),
+    a term of None is zero and an ``XLaurent`` term an exact x-free polynomial
+    in q.  Each term is asked once, when its level comes.  Level n is held
+    below trunc - v_n, v_n the ``_val`` of its head's monos and times.  A close
+    (mono, times, over, window) is one more ``_step`` on the sum.  The sum runs
+    on one ``_Rows`` until a term or a step is not integral, then on dicts."""
+    vals = [0, *accumulate(_val(*rise(i)[:2]) for i in range(top))]
+    acc: "_Rows | QSeries" = _Rows(trunc - vals[top])
+    for n in range(top, -1, -1):
+        s = term(n)
+        if s is not None and not (type(acc) is _Rows and acc.add(s)):
+            acc = _series(acc) + (QSeries.from_q_laurent(s) if isinstance(s, XLaurent) else s)
+        if n:
+            acc = _step(acc, *rise(n - 1), trunc - vals[n - 1])
+    if close:
+        acc = _step(acc, *close)
+    return _series(acc)
+
+
+def _step(
+    s: "QSeries | _Rows", mono: Mono, times: Iterable[Mono], over: Iterable[Mono], trunc: int | None
+) -> "QSeries | _Rows":
+    """s mono prod(1 - f, times) / prod(1 - f, over) under ``_by_binomials``'
+    window rule, cut first to yield trunc when given.  It runs on packed rows
+    when s and every coefficient are integers at scale 1 (a series is packed
+    here), else as one dict pass per factor on a series."""
     head, divs = _UNIT, []
     for f in over:
         if f.q_exp > 0:
@@ -392,10 +430,25 @@ def _by_binomials(
     times = list(times)
     if _UNIT in times:
         return QSeries.zero(s.scale)
+    head = mono.times(head)
     if trunc is not None:
-        s = s.with_trunc(trunc - _val(head, times))
-    if divs and s.is_exact() and s.terms:
+        s = s.cut(trunc - _val(head, times)) if type(s) is _Rows else s.with_trunc(trunc - _val(head, times))
+    exact = type(s) is QSeries and s.trunc is None
+    if divs and exact and s.terms:
         raise WindowError("dividing an exact series needs an explicit window")
+    integral = type(head.coeff) is int and all(type(f.coeff) is int for f in (*times, *divs))
+    if integral and type(s) is QSeries:
+        # an exact s is held below one past its product's top degree, and read back exact
+        top = max(s.terms, default=0) + 1 + sum(abs(f.q_exp) for f in times)
+        s = _Rows.of(s, top if exact else s.trunc, exact) or s
+    if integral and type(s) is _Rows:
+        s.mono(head)
+        for f in times:
+            s.times(f)
+        for f in divs:
+            s.over(f)
+        return s
+    s = _series(s)
     if head != _UNIT:
         s = s.mul_mono(head)
     rows = {e: dict(c.coeffs) for e, c in s.terms.items()}
@@ -420,28 +473,188 @@ def _by_binomials(
     return _wrap_rows(rows, s.scale, None if w == _INF else w)
 
 
-def _val(mono: Mono, factors: Iterable[Mono]) -> int:
-    """A lower bound on the valuation of mono prod(1 - f, factors): a factor
-    (1 - f) starts at q^min(0, k), k the q-exponent of f."""
-    return mono.q_exp + sum(min(0, f.q_exp) for f in factors)
+def _series(s: "QSeries | _Rows") -> QSeries:
+    return s.series() if type(s) is _Rows else s
 
 
-def _nested(term: Callable[[int], "QSeries | None"], top: int, rise: Callable, trunc: int) -> QSeries:
-    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
-    n as S <- term(n) + rise(n-1) S with one ``_by_binomials`` pass per level,
-    where rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over)
-    and a term of None is zero.  Each term is asked once, when its level comes.
-    Level n is held below trunc - v_n, v_n the ``_val`` of its head's monos and times."""
-    vals = [0, *accumulate(_val(*rise(i)[:2]) for i in range(top))]
-    out = QSeries.zero(1, trunc - vals[top])
-    for n in range(top, -1, -1):
-        s = term(n)
-        if s is not None:
-            out = out + s
-        if n:
-            mono, times, over = rise(n - 1)
-            out = _by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
-    return out
+class _Rows:
+    """A scale-1 series with integer coefficients below its window hi, as one
+    packed int per x-exponent d: the row's image at q = 2^w, taken from q^lo,
+    mod 2^(w (hi - lo)), no term lying below q^lo.  bound is at least every
+    |coefficient|, and every op first makes room for its own bound
+    (``_room``).  ``exact`` marks a polynomial held below one past its top
+    degree, read back as an exact series."""
+
+    __slots__ = ("rows", "lo", "hi", "w", "bound", "exact")
+    scale = 1
+
+    def __init__(self, hi: int, exact: bool = False):
+        self.rows: dict[int, int] = {}
+        self.lo = self.hi = hi
+        self.w, self.bound, self.exact = _width(0), 0, exact
+
+    @classmethod
+    def of(cls, s: QSeries, hi: int, exact: bool = False) -> "_Rows | None":
+        """s below hi, or None when s is not integral at scale 1."""
+        out = cls(hi, exact)
+        return out if out.add(s) else None
+
+    def _mask(self) -> int:
+        return (1 << self.w * (self.hi - self.lo)) - 1
+
+    def _read(self) -> dict[int, XLaurent]:
+        lo, hi, w, bound = self.lo, self.hi, self.w, self.bound
+        return {d: _read_back(v, lo, w, bound, hi) for d, v in self.rows.items()}
+
+    def _room(self, grow: Callable[[int], int]) -> None:
+        """Take the bound to grow(bound) for an op about to run.  Where that
+        passes the slots, the rows are read back exactly at the present bound
+        (still below 2^(w-1)) and the bound is set to their true maximum; only
+        if the op still does not fit are they repacked at ``_width``."""
+        bound = grow(self.bound)
+        if bound >> (self.w - 1):
+            rows = self._read()
+            bound = grow(max((abs(c) for p in rows.values() for c in p.coeffs.values()), default=0))
+            if bound >> (self.w - 1):
+                self.w = _width(bound)
+                mask = self._mask()
+                self.rows = {d: _pack(p.coeffs, self.lo, self.w) & mask for d, p in rows.items()}
+        self.bound = bound
+
+    def cut(self, hi: int) -> "_Rows":
+        if hi < self.hi:
+            self.hi = hi
+            if hi <= self.lo:
+                self.lo, self.rows = hi, {}
+            else:
+                mask = self._mask()
+                self.rows = {d: r for d, v in self.rows.items() if (r := v & mask)}
+        return self
+
+    def add(self, s: "QSeries | XLaurent") -> bool:
+        """self + s, the window the lesser of the two; False, self untouched,
+        when s is not integral at scale 1."""
+        hi = self.hi
+        if type(s) is XLaurent:
+            cols = {0: {e: c for e, c in s.coeffs.items() if e < hi} if s.coeffs and max(s.coeffs) >= hi else s.coeffs}
+        elif s.scale != 1:
+            return False
+        else:
+            if s.trunc is not None and s.trunc < hi:
+                hi = s.trunc
+            cols = {}
+            for e, c in s.terms.items():
+                if e < hi:
+                    for d, v in c.coeffs.items():
+                        col = cols.get(d)
+                        if col is None:
+                            col = cols[d] = {}
+                        col[e] = v
+        cols = {d: col for d, col in cols.items() if col}
+        if any({*map(type, col.values())} != {int} for col in cols.values()):
+            return False
+        self.cut(hi)
+        if not cols:
+            return True
+        low = min(map(min, cols.values()))
+        if not self.rows:
+            self.lo, self.bound = low, 0
+        elif low < self.lo:
+            shift = self.w * (self.lo - low)
+            self.rows = {d: v << shift for d, v in self.rows.items()}
+            self.lo = low
+        top = max(max(map(abs, col.values())) for col in cols.values())
+        self._room(lambda bound: bound + top)
+        rows, lo, w, mask = self.rows, self.lo, self.w, self._mask()
+        for d, col in cols.items():
+            if len(col) == 1:
+                ((e, c),) = col.items()
+                v = (rows.get(d, 0) + (c << w * (e - lo))) & mask
+            else:
+                v = (rows.get(d, 0) + _pack(col, lo, w)) & mask
+            if v:
+                rows[d] = v
+            else:
+                rows.pop(d, None)
+        return True
+
+    def mono(self, m: Mono) -> None:
+        c, a = m.coeff, m.x_exp
+        self.lo += m.q_exp
+        self.hi += m.q_exp
+        if not c:
+            self.rows, self.bound = {}, 0
+        elif c != 1 or a:
+            if abs(c) != 1:
+                self._room(lambda bound: bound * abs(c))
+            mask = self._mask()
+            self.rows = {d + a: (v * c) & mask for d, v in self.rows.items()}
+
+    def times(self, f: Mono) -> None:
+        """self (1 - c x^a q^k): P_d - c (P_{d-a} << wk), k < 0 lowering lo and hi."""
+        c, a, k = f.coeff, f.x_exp, f.q_exp
+        if k < 0:
+            self.lo += k
+            self.hi += k
+        if not self.rows or k >= self.hi - self.lo:
+            return
+        self._room(lambda bound: bound * (1 + abs(c)))
+        w, mask, old = self.w, self._mask(), self.rows
+        if k < 0:
+            new = {d: (v << w * -k) & mask for d, v in old.items()}
+            k = 0
+        else:
+            new = dict(old)
+        for d, v in old.items():
+            v = (new.get(d + a, 0) - (c * v << w * k)) & mask
+            if v:
+                new[d + a] = v
+            else:
+                new.pop(d + a, None)
+        self.rows = {d: v for d, v in new.items() if v} if f.q_exp < 0 else new
+
+    def over(self, f: Mono) -> None:
+        """self / (1 - c x^a q^k), k > 0: doubling steps r += c^s (r << wks) when
+        a = 0, else r_d = s_d + c (r_{d-a} << wk) in the order of d."""
+        c, a, k = f.coeff, f.x_exp, f.q_exp
+        span = self.hi - self.lo
+        if not self.rows or k >= span:
+            return
+        n, m = -(-span // k), abs(c)
+        self._room(lambda bound: bound * (n if m == 1 else (m**n - 1) // (m - 1)))
+        w, mask, rows = self.w, self._mask(), self.rows
+        if not a:
+            for d, v in rows.items():
+                cs, s = c, k
+                while s < span:
+                    v = (v + (cs * v << w * s)) & mask
+                    cs, s = cs * cs, 2 * s
+                rows[d] = v
+            return
+        step = 1 if a > 0 else -1
+        d, end = (min(rows), max(rows))[:: step]
+        while (end - d) * step >= 0:
+            v = rows.get(d)
+            if v:
+                v = (rows.get(d + a, 0) + (c * v << w * k)) & mask
+                if v:
+                    rows[d + a] = v
+                    if (d + a - end) * step > 0:
+                        end = d + a
+                else:
+                    rows.pop(d + a, None)
+            d += step
+
+    def series(self) -> QSeries:
+        """The series, every row read back once."""
+        terms: dict[int, dict[int, int]] = {}
+        for d, p in self._read().items():
+            for e, c in p.coeffs.items():
+                row = terms.get(e)
+                if row is None:
+                    row = terms[e] = {}
+                row[d] = c
+        return _wrap_rows(terms, 1, None if self.exact else self.hi)
 
 
 def _wrap_rows(rows: Mapping[int, dict[int, Scalar]], scale: int, trunc: int | None) -> QSeries:

@@ -91,7 +91,7 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
         raise ValueError("window too small to contain any terms")
     coeffs = c_series(t, m, trunc + m - 2, trunc)
     return _nested(
-        lambda n: QSeries.from_q_laurent(coeffs[n], trunc),
+        coeffs.__getitem__,
         trunc + m - 2,
         lambda i: (_UNIT, [Mono(-1, 1, i + 1), Mono(-1, -1, i + 1)], ()),
         trunc,

@@ -65,12 +65,19 @@ Pochhammer factors in one ``series._by_binomials`` pass per factor, and the
 double sum's core times 1/(q)_inf from trunc such passes in one multi-row
 series product.  The library now takes both from the Jacobi triple product and
 Euler's pentagonal theorem.
+
+``by_binomials`` and ``nested`` are the former ``series._by_binomials`` and
+``series._nested``, verbatim but for their names: one dict pass per factor on
+rows ``{e: {d: c}}``, and the Horner engine with one such pass per level, a
+``QSeries`` sum per term.  The library now runs both on packed x-rows
+(``series._Rows``) wherever the series and factors are integral at scale 1.
 """
 
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from qknot.cyclo import CycloNum, _reduce
@@ -79,7 +86,7 @@ from qknot.laurent import (
     _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, _over_binomials, poch_q, qbinomial,
 )
 from qknot.hecke import _double_exp, _triple_sum
-from qknot.series import Mono, QSeries, WindowError, _by_binomials, _lattice
+from qknot.series import _INF, _UNIT, Mono, QSeries, WindowError, _axpy, _by_binomials, _lattice, _val, _wrap_rows
 
 
 def is_monomial(p: XLaurent) -> bool:
@@ -713,3 +720,80 @@ def sliced_read_back(v: int, o: int, w: int, bound: int, limit: int | None = Non
         if chunk != zero:
             res.coeffs[o + i] = int.from_bytes(chunk, "little") - half
     return res
+
+
+def by_binomials(
+    s: QSeries, times: Iterable[Mono] = (), over: Iterable[Mono] = (), trunc: int | None = None
+) -> QSeries:
+    """s * prod(1 - f for f in times) / prod(1 - f for f in over), one stride
+    pass per factor.
+
+    Window rule, with k the q-exponent of f: multiplying by (1 - f) lowers the
+    window by -min(0, k).  Dividing by (1 - f) with k > 0 is
+    r_e = s_e + f r_{e-k} in ascending e and keeps the window exactly, since
+    every r_e below it reads only s below it; k < 0 goes through
+    1/(1 - f) = -f^{-1}/(1 - f^{-1}) and so raises the window by -k.  A
+    factor with k > 0 that cannot reach the window is skipped.  trunc, when
+    given, is the result's window: the input is cut (never widened) where it
+    yields that.  Dividing an exact nonzero series needs a window.
+    """
+    head, divs = _UNIT, []
+    for f in over:
+        if f.q_exp > 0:
+            divs.append(f)
+        elif f.q_exp < 0:
+            head = head.times(f.inverse()).times(Mono(-1))
+            divs.append(f.inverse())
+        elif f.x_exp:
+            raise ExactnessError(f"(1 - {f}): lowest coefficient is not a single monomial in x")
+        elif f == _UNIT:
+            raise ZeroDivisionError(f"division by the zero factor (1 - {f})")
+        else:
+            head = head.divide(Mono(1 - f.coeff))
+    times = list(times)
+    if _UNIT in times:
+        return QSeries.zero(s.scale)
+    if trunc is not None:
+        s = s.with_trunc(trunc - _val(head, times))
+    if divs and s.is_exact() and s.terms:
+        raise WindowError("dividing an exact series needs an explicit window")
+    if head != _UNIT:
+        s = s.mul_mono(head)
+    rows = {e: dict(c.coeffs) for e, c in s.terms.items()}
+    w = s._window()
+    for f in times:
+        k = f.q_exp
+        if k > 0 and (not rows or min(rows) + k >= w):
+            continue
+        w += min(0, k)
+        for e in sorted(rows, reverse=k > 0):  # every source row is read before it is written
+            if e + k < w:
+                _axpy(rows.setdefault(e + k, {}), rows[e], -f.coeff, f.x_exp)
+        if k < 0:
+            rows = {e: row for e, row in rows.items() if e < w}
+    for f in divs:
+        k = f.q_exp
+        if rows and min(rows) + k < w:
+            for e in range(min(rows) + k, w):
+                src = rows.get(e - k)
+                if src:
+                    _axpy(rows.setdefault(e, {}), src, f.coeff, f.x_exp)
+    return _wrap_rows(rows, s.scale, None if w == _INF else w)
+
+
+def nested(term: Callable[[int], "QSeries | None"], top: int, rise: Callable, trunc: int) -> QSeries:
+    """sum_{n <= top} rise(0) ... rise(n-1) term(n) below trunc, run from the top
+    n as S <- term(n) + rise(n-1) S with one ``_by_binomials`` pass per level,
+    where rise(i) = (mono, times, over) is mono prod(1 - f, times) / prod(1 - f, over)
+    and a term of None is zero.  Each term is asked once, when its level comes.
+    Level n is held below trunc - v_n, v_n the ``_val`` of its head's monos and times."""
+    vals = [0, *accumulate(_val(*rise(i)[:2]) for i in range(top))]
+    out = QSeries.zero(1, trunc - vals[top])
+    for n in range(top, -1, -1):
+        s = term(n)
+        if s is not None:
+            out = out + s
+        if n:
+            mono, times, over = rise(n - 1)
+            out = by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
+    return out

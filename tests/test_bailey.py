@@ -267,16 +267,17 @@ def test_conjugate_identity_compares_through_its_window(monkeypatch):
 
 @pytest.mark.parametrize("windowed", [True, False])
 def test_pair_relations_compare_through_their_window(monkeypatch, windowed):
-    # the beta relation's right side is the one windowed pass that closes it,
-    # the alpha relation's the one pass without a window
+    # each relation's right side is one nested sum closed in its chain: the
+    # beta relation's by a windowed close, the alpha relation's by one without
+    # a window; the sum that the chosen close ends comes back cut short
     assert bailey_verify(make_named_pair("jones", t=1), 3, 25).passed
-    real = bailey._by_binomials
+    real = bailey._nested
 
-    def short(s, times=(), over=(), trunc=None):
-        out = real(s, times, over, trunc)
-        return out.with_trunc(20) if (trunc is not None) == windowed else out
+    def short(term, top, rise, trunc, close=()):
+        out = real(term, top, rise, trunc, close)
+        return out.with_trunc(20) if close and (close[3] is not None) == windowed else out
 
-    monkeypatch.setattr(bailey, "_by_binomials", short)
+    monkeypatch.setattr(bailey, "_nested", short)
     with pytest.raises(WindowError):
         bailey_verify(make_named_pair("jones", t=1), 3, 25)
 

@@ -100,16 +100,16 @@ def test_relations_build_each_beta_once_at_its_widest_window():
 
 
 def _nested_sums(monkeypatch, run) -> list:
-    """(top, events) for every ``bailey._nested`` sum that ``run()`` makes, the
-    events in order: n for each term asked, "pass" for each ``_by_binomials``
-    pass the sum makes outside its terms (the engine, ``series._nested``,
-    makes its passes through ``series._by_binomials``)."""
+    """(top, closed, events) for every ``bailey._nested`` sum that ``run()``
+    makes, closed whether it was given a close, the events in order: n for each
+    term asked, "pass" for each ``series._step`` the sum makes outside its terms
+    (the engine, ``series._nested``, runs every level and its close as one)."""
     sums, running, inside = [], [], []
-    real_nested, real_pass = bailey._nested, series._by_binomials
+    real_nested, real_pass = bailey._nested, series._step
 
-    def nested(term, top, rise, trunc):
+    def nested(term, top, rise, trunc, close=()):
         events = []
-        sums.append((top, events))
+        sums.append((top, bool(close), events))
 
         def asked(n):
             events.append(n)
@@ -121,7 +121,7 @@ def _nested_sums(monkeypatch, run) -> list:
 
         running.append(events)
         try:
-            return real_nested(asked, top, rise, trunc)
+            return real_nested(asked, top, rise, trunc, close)
         finally:
             running.pop()
 
@@ -131,20 +131,25 @@ def _nested_sums(monkeypatch, run) -> list:
         return real_pass(*args, **kwargs)
 
     monkeypatch.setattr(bailey, "_nested", nested)
-    monkeypatch.setattr(series, "_by_binomials", level_pass)
+    monkeypatch.setattr(series, "_step", level_pass)
     run()
     monkeypatch.undo()
     return sums
 
 
 def test_nested_sums_ask_each_term_once_when_its_level_comes(monkeypatch):
-    # from the top down, one pass between two levels; a term may be None (zero)
+    # from the top down, one pass between two levels and one after the last
+    # level when a close is given; a term may be None (zero)
     terms = lambda n: QSeries.one().mul_mono(Mono(1, 0, n)) if n != 2 else None
     rise = lambda i: (Mono(1, 0, 1), [Mono(1, 0, i + 1)], [Mono(1, 0, i + 2)])
-    [(top, events)] = _nested_sums(monkeypatch, lambda: bailey._nested(terms, 4, rise, 9))
+    [(top, _, events)] = _nested_sums(monkeypatch, lambda: bailey._nested(terms, 4, rise, 9))
     assert events == [4, "pass", 3, "pass", 2, "pass", 1, "pass", 0]
-    # every caller: the relations' alpha and beta sums, a lemma step's beta,
-    # both sides of the limiting identity and the conjugate identity's beta side
+    close = (Mono(-1, 0, 2), [Mono(1, 0, 3)], [Mono(1, 0, 1)], None)
+    [(top, _, events)] = _nested_sums(monkeypatch, lambda: bailey._nested(terms, 4, rise, 9, close))
+    assert events == [4, "pass", 3, "pass", 2, "pass", 1, "pass", 0, "pass"]
+    # every caller: the relations' alpha and beta sums, both closed in their
+    # chains, a lemma step's beta, also closed, both sides of the limiting
+    # identity and the conjugate identity's beta side
     pair = andrews_pair()
     runs = [
         lambda: bailey._first_failure(pair, 4, 10),
@@ -152,9 +157,11 @@ def test_nested_sums_ask_each_term_once_when_its_level_comes(monkeypatch):
         lambda: bailey._limit_sides(pair, None, None, 12),
         lambda: bailey._conjugate_sides(pair, 12),
     ]
-    for run in runs:
+    for run, closed in zip(runs, [True, True, False, False]):
         sums = _nested_sums(monkeypatch, run)
-        assert sums and max(top for top, _ in sums) >= 2
-        for top, events in sums:
+        assert sums and max(top for top, _, _ in sums) >= 2
+        assert all(c == closed for _, c, _ in sums)
+        for top, c, events in sums:
             levels = [[n, "pass"] for n in range(top, 0, -1)]
-            assert events == [e for level in levels for e in level] + [0], (top, events)
+            want = [e for level in levels for e in level] + [0] + ["pass"] * c
+            assert events == want, (top, events)

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qknot.cyclo import CycloNum
 from qknot.laurent import XLaurent
 from qknot.serialize import (
@@ -12,6 +15,7 @@ from qknot.serialize import (
     qseries_from_json_dict,
     qseries_to_csv,
     qseries_to_json_dict,
+    qseries_to_json_text,
     to_json_text,
     xlaurent_to_qseries,
 )
@@ -93,3 +97,27 @@ def test_int_coefficients_serialize_as_their_fractions():
     assert to_json_text(qseries_to_json_dict(ints)) == to_json_text(qseries_to_json_dict(fracs))
     assert qseries_to_csv(ints) == qseries_to_csv(fracs) == "scale,trunc,q_exp,x_exp,num,den\n2,10,2,0,5,1\n2,10,2,1,-12,1\n"
     assert cyclo_to_json_dict(CycloNum(3, [4, -1]))["coeffs"] == [{"num": "4", "den": "1"}, {"num": "-1", "den": "1"}]
+
+
+coefficients = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-50, 50)),  # denominator 1
+)
+series_for_json = st.builds(
+    QSeries,
+    st.dictionaries(st.integers(-60, 60), st.builds(XLaurent, st.dictionaries(st.integers(-5, 5), coefficients)), max_size=8),
+    st.sampled_from([1, 2, 8 * 3, 8 * 7]),
+    st.one_of(st.none(), st.integers(-60, 80)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_for_json)
+def test_json_text_writer_matches_the_dict_route(s):
+    assert qseries_to_json_text(s) == to_json_text(qseries_to_json_dict(s))
+
+
+def test_json_text_writer_on_edge_series():
+    for s in (QSeries.zero(), QSeries.zero(8 * 5, 3), u_series(2, 1, 9), QSeries({-3: XLaurent({-2: Fraction(-7, 3)})}, 4)):
+        assert qseries_to_json_text(s) == to_json_text(qseries_to_json_dict(s))
