@@ -17,10 +17,12 @@ Every sum here whose terms share Pochhammer factors runs on the engine
 monomial times binomials (1 - f) over binomials, one pass per level: both pair
 relations, a lemma step's beta, both sides of the limiting identity and the
 conjugate identity's beta side.  No sum multiplies two series, and each term
-is asked only when its level comes.  A lemma step multiplies each term by its
-head's factors inside that term's pass.  A sum over a lattice takes each
-term's bound from the rises it is summed with (``_lattice_terms``).  The
-relations ask each beta_j once, at the widest window a level needs,
+is asked only when its level comes.  The closing prefactor of both relations
+and the division by den(n) of a lemma step's beta run in the chain, as the
+sum's close: one more pass on the same packed rows.  A lemma step multiplies
+each term by its head's factors inside that term's pass.  A sum over a lattice
+takes each term's bound from the rises it is summed with (``_lattice_terms``).
+The relations ask each beta_j once, at the widest window a level needs,
 trunc + n_max j - j(j+1)/2, and compare through trunc.
 """
 

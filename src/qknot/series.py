@@ -11,11 +11,29 @@ compare coefficients that were lost to truncation.  trunc=None marks an
 exact object (a polynomial known in full).  Products run on the one product
 kernel, ``laurent._product``.
 
-Pochhammer products are not multiplied out: ``_by_binomials`` applies each
-factor (1 - f) in one stride pass, and every Pochhammer-weighted sum (the U
+Pochhammer products are not multiplied out: ``_by_binomials`` applies the
+factors (1 - f) in one ``_step``, and every Pochhammer-weighted sum (the U
 series, the Bailey sums) runs on one engine, ``_nested``, in Horner form, one
-such pass per level.  One rule, ``_val``, bounds the valuation of a head mono
-prod(1 - f) for every window these cut.
+step per level and one more where the caller closes the sum.  One rule,
+``_val``, bounds the valuation of a head mono prod(1 - f) for every window
+these cut.
+
+A step on integer coefficients at scale 1, with integer factors, runs on
+packed x-rows (``_Rows``): one int per x-exponent d, the row's image at
+q = 2^w modulo 2^(w L), L the window minus the lowest exponent (Kronecker
+substitution, cf. Harvey, arXiv:0712.4046).  Multiplying by (1 - c x^a q^k)
+is then P_d - c (P_{d-a} << wk), dividing by it is a few doubling steps when
+a = 0, each term is packed once when its level adds it, and each result is
+read back once by ``laurent._read_back``.  A running bound M on every
+|coefficient| grows by each op's rule: M + max|c| for a term, M |c| for a
+mono, M (1 + |c|) for a factor multiplied and M sum_{i<n} |c|^i for one
+divided, n = ceil(L/k).  Before an op would take M to 2^(w-1) the rows are
+read back exactly, M becomes their true maximum, and only if the op still
+does not fit are the slots widened.  An exact series is held below one past
+its product's top degree.  Rational coefficients and other scales (the theta
+product side, sparse at scale 8(2t+1)) keep the dict pass, one stride pass
+per factor on rows {e: {d: c}}; a nested sum moves to it, read back once, at
+its first rational term or step.
 """
 
 from __future__ import annotations
@@ -411,9 +429,9 @@ def _step(
     s: "QSeries | _Rows", mono: Mono, times: Iterable[Mono], over: Iterable[Mono], trunc: int | None
 ) -> "QSeries | _Rows":
     """s mono prod(1 - f, times) / prod(1 - f, over) under ``_by_binomials``'
-    window rule, cut first to yield trunc when given.  It runs on packed rows
-    when s and every coefficient are integers at scale 1 (a series is packed
-    here), else as one dict pass per factor on a series."""
+    window rule, s cut first to yield trunc when given: on packed rows (a
+    series is packed here) when s and every factor are integral at scale 1,
+    else as the dict pass, which returns a series."""
     head, divs = _UNIT, []
     for f in over:
         if f.q_exp > 0:
@@ -439,8 +457,8 @@ def _step(
     integral = type(head.coeff) is int and all(type(f.coeff) is int for f in (*times, *divs))
     if integral and type(s) is QSeries:
         # an exact s is held below one past its product's top degree, and read back exact
-        top = max(s.terms, default=0) + 1 + sum(abs(f.q_exp) for f in times)
-        s = _Rows.of(s, top if exact else s.trunc, exact) or s
+        hi = max(s.terms, default=0) + 1 + sum(abs(f.q_exp) for f in times) if exact else s.trunc
+        s = _Rows.of(s, hi, exact) or s
     if integral and type(s) is _Rows:
         s.mono(head)
         for f in times:
@@ -536,13 +554,13 @@ class _Rows:
         when s is not integral at scale 1."""
         hi = self.hi
         if type(s) is XLaurent:
-            cols = {0: {e: c for e, c in s.coeffs.items() if e < hi} if s.coeffs and max(s.coeffs) >= hi else s.coeffs}
+            cols = {0: {e: c for e, c in s.coeffs.items() if e < hi}}
         elif s.scale != 1:
             return False
         else:
             if s.trunc is not None and s.trunc < hi:
                 hi = s.trunc
-            cols = {}
+            cols: dict[int, dict[int, Scalar]] = {}
             for e, c in s.terms.items():
                 if e < hi:
                     for d, v in c.coeffs.items():
@@ -567,11 +585,7 @@ class _Rows:
         self._room(lambda bound: bound + top)
         rows, lo, w, mask = self.rows, self.lo, self.w, self._mask()
         for d, col in cols.items():
-            if len(col) == 1:
-                ((e, c),) = col.items()
-                v = (rows.get(d, 0) + (c << w * (e - lo))) & mask
-            else:
-                v = (rows.get(d, 0) + _pack(col, lo, w)) & mask
+            v = (rows.get(d, 0) + _pack(col, lo, w)) & mask
             if v:
                 rows[d] = v
             else:

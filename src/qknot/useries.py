@@ -84,7 +84,8 @@ def u_series(t: int, m: int, trunc: int) -> QSeries:
     so n < trunc+m-1.  It is summed in nested (Horner) form from the top on
     ``series._nested``, T <- C_n + (1 + xq^{n+1})(1 + x^{-1}q^{n+1}) T: both
     factors have positive q-exponents, so they keep T's window, and every C_n
-    comes cut at it from one windowed chain (``cyclotomic_coeffs.c_series``).
+    comes cut at it from one windowed chain (``cyclotomic_coeffs.c_series``),
+    handed over as the polynomial in q that the engine packs.
     """
     _validate(t, m)
     if trunc <= 1 - m:

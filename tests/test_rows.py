@@ -67,7 +67,7 @@ monos = st.builds(Mono, st.sampled_from([1, -1, 3]), st.integers(-1, 1), st.inte
 windows = st.one_of(st.none(), st.integers(-3, 16))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(integral, integral, rational), st.lists(factors, max_size=4), st.lists(factors, max_size=4), windows)
 def test_binomial_pass_matches_the_dict_pass(s, times, over, trunc):
     assert _outcome(lambda: _by_binomials(s, times, over, trunc)) == _outcome(
@@ -75,7 +75,7 @@ def test_binomial_pass_matches_the_dict_pass(s, times, over, trunc):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_nested_sum_matches_the_dict_engine(data):
     top = data.draw(st.integers(0, 5))

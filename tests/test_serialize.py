@@ -106,13 +106,13 @@ coefficients = st.one_of(
 )
 series_for_json = st.builds(
     QSeries,
-    st.dictionaries(st.integers(-60, 60), st.builds(XLaurent, st.dictionaries(st.integers(-5, 5), coefficients)), max_size=8),
+    st.dictionaries(st.integers(-60, 60), st.builds(XLaurent, st.dictionaries(st.integers(-5, 5), coefficients, max_size=4)), max_size=5),
     st.sampled_from([1, 2, 8 * 3, 8 * 7]),
     st.one_of(st.none(), st.integers(-60, 80)),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(series_for_json)
 def test_json_text_writer_matches_the_dict_route(s):
     assert qseries_to_json_text(s) == to_json_text(qseries_to_json_dict(s))
