@@ -454,6 +454,8 @@ def _step(
     exact = type(s) is QSeries and s.trunc is None
     if divs and exact and s.terms:
         raise WindowError("dividing an exact series needs an explicit window")
+    if head == _UNIT and not times and not divs:
+        return s
     integral = type(head.coeff) is int and all(type(f.coeff) is int for f in (*times, *divs))
     if integral and type(s) is QSeries:
         # an exact s is held below one past its product's top degree, and read back exact
