@@ -3,7 +3,7 @@
 ``bailey_oracles`` keeps the former ``_first_failure``, ``bailey_step``,
 ``_limit_sides`` and ``_conjugate_sides`` verbatim; each multiplied a pair's
 terms by whole Pochhammer heads.  The library runs the same sums as chains of
-``_by_binomials`` passes and must reproduce them exactly, windows included,
+``series._step`` passes and must reproduce them exactly, windows included,
 on passing pairs and on corrupted ones, where every witness must stay put.
 """
 
