@@ -6,9 +6,11 @@ A pair carries term *generators*, not arrays: alpha(n, window) and
 beta(n, window) produce exact-or-truncated series on demand, so one pair
 serves every truncation level.  Pairs are relative to a = q^a_exp with
 a_exp in {0, 1, 2}.  Chain-sum betas are assembled over the single
-denominator (q)_n via Gaussian multinomials, their chains summed on ints at
-q = 2^w as staircases (``cyclotomic_coeffs._staircase``), the route of the
-C_n multisum.  Every q-Pochhammer denominator, finite or infinite, is divided
+denominator (q)_n via Gaussian multinomials, their chains summed by
+``laurent._chain`` over Z[q] as staircases (``cyclotomic_coeffs._staircase``),
+the route of the C_n multisum.  The Jones pair's alpha divides (1 - q)(1 - q^2)
+out of J_{n+1} (1 - q^{n+1})(1 - q^{2n+2}), so no term multiplies two
+polynomials.  Every q-Pochhammer denominator, finite or infinite, is divided
 out factor by factor (``series._by_binomials``), which keeps the numerator's
 window, so each term is built at exactly the window it is asked for.
 
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 
 from .cyclotomic_coeffs import _staircase, c_product
 from .jones import jones_left
-from .laurent import XLaurent, _kronecker
+from .laurent import XLaurent, _chain, _over_binomials, _zq
 from .report import CheckReport, _timed_report, diff_qseries
 from .series import _UNIT, Mono, QSeries, _by_binomials, _lattice, _nested, _poch, _val
 
@@ -148,10 +150,10 @@ def jones_pair(t: int, m: int = 1) -> BaileyPair:
     the left-handed torus knot T(2,2t+1)* with its cyclotomic coefficients."""
 
     def alpha(n: int, window: int) -> QSeries:
-        g1 = XLaurent({i: 1 for i in range(n + 1)})        # (1-q^{n+1})/(1-q)
-        g2 = XLaurent({2 * i: 1 for i in range(n + 1)})    # (1-q^{2n+2})/(1-q^2)
-        p = g1 * g2 * jones_left(t, m, n + 1)
-        p = p.shift(n * (n - 1) // 2)
+        # J (1-q^{n+1})/(1-q) (1-q^{2n+2})/(1-q^2): two shift-subtracts, one division
+        p = jones_left(t, m, n + 1)
+        p = p - p.shift(n + 1)
+        p = _over_binomials(p - p.shift(2 * n + 2), [1, 2]).shift(n * (n - 1) // 2)
         return _exact(-p if n % 2 else p)
 
     def beta(n: int, window: int) -> QSeries:
@@ -214,7 +216,7 @@ def _lovejoy_s(t: int, ell: int, n: int) -> XLaurent:
             e += v * v
         return e
 
-    return _kronecker(partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
+    return _chain(_zq, partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
 
 
 def lovejoy_pair(t: int, ell: int | None = None) -> BaileyPair:
@@ -271,7 +273,7 @@ def star_pair(k: int, ell: int) -> BaileyPair:
         def node(pos: int, v: int) -> int:
             return -v if pos <= ell else 0
 
-        s = _kronecker(partial(_staircase, k - 1, [n], node, k, None))[0][0]
+        s = _chain(_zq, partial(_staircase, k - 1, [n], node, k, None))[0][0]
         return _by_binomials(_exact(s).mul_mono(head), over=_q(1, n), trunc=window)
 
     return BaileyPair(f"star(k={k},ell={ell})", 0, alpha, beta)

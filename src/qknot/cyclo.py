@@ -11,17 +11,10 @@ top-down pass mod Phi_M (``_reduce``), so a field keeps O(deg) data however
 large M is.
 
 The nested chain sums over Z[zeta_N] (F and U(-1) at roots of unity) skip
-``CycloNum`` altogether and run on the step of the Z[q] chains,
-``laurent._kron_step``.  zeta -> X = 2^w is a ring map Z[zeta_N] ->
-Z / Phi_N(X), so every edge weight and sum is a plain int mod M = Phi_N(X),
-q^e is a shift by w e bits, and each merged state is settled once: times
-X^(o mod N), reduced mod M (``_root_pass``).  Gaussian binomials come from one
-N-row q-Pascal table of int vectors per N, read by q-Lucas.  The chain is
-first summed on l1 norms of the reduced operands in Z[q]/(q^N - 1), which
-bound every power-basis coefficient of the result, and w is taken from that
-bound (``_root_sum``); the result is read back once as balanced base-2^w
-digits of its residue, which is unique under the bound and raises on a slot
-too narrow for it (``_root_read``).
+``CycloNum`` altogether: ``_root`` is their ring for ``laurent._chain``, on
+plain ints in Z / Phi_N(2^w), with Gaussian binomials read by q-Lucas from one
+N-row q-Pascal table of int vectors per N (``_root_tables``), and
+``_root_read`` takes each result back once under a proven bound.
 """
 
 from __future__ import annotations
@@ -30,6 +23,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 from .laurent import (
@@ -136,24 +130,27 @@ def _pack(vec: Sequence[int], w: int) -> int:
     return sum(c << w * j for j, c in enumerate(vec) if c)
 
 
-def _root_pass(order: int, route, w: int) -> int:
-    """One pass of a chain over Z[zeta_order] at q = zeta, on plain ints.
+def _root(order: int, w: int) -> SimpleNamespace:
+    """The pass of a chain over Z[zeta_order] at q = zeta, on plain ints, for
+    ``laurent._chain`` (called as ``partial(_root, order)``).
 
-    ``route(binom, poch, step)`` builds its chain from what it is handed and
-    returns its final (V, o), as each final of a ``laurent._kronecker`` route:
     ``binom(a, b)`` stands for [a choose b] and ``poch(k)`` for (q)_k
-    (k < order), and ``step`` is ``laurent._kron_step`` at the pass's width,
-    followed by one settle per merged state.
-
-    Both passes read [a, b] by q-Lucas, C(a // N, b // N) [a mod N, b mod N],
-    from the zeta tables.  At w = 0 every value is an l1 norm in
+    (k < order), read by q-Lucas, C(a // N, b // N) [a mod N, b mod N], from
+    the zeta tables, and ``step`` is ``laurent._kron_step`` at w, followed by
+    one settle per merged state.  At w = 0 every value is an l1 norm in
     Z[q]/(q^order - 1): a table entry is the norm of its reduced vector,
     which a power of q only rotates, so offsets cost nothing and settle to 0.
+    l1 is submultiplicative there, so the result is the image of a
+    group-ring element of l1 norm at most L, the l1 final; each q^j is a
+    power-basis vector with entries at most c_N, so ``bound`` takes every
+    power-basis coefficient of the result to be at most B = max(L, 1) c_N.
     At w > 0 every value is its image under zeta -> X = 2^w in
     Z / Phi_order(X), where X^order = 1: the settle multiplies V by
-    X^(o mod order) and reduces it mod M once, and o becomes 0.
+    X^(o mod order) and reduces it mod M once, and o becomes 0.  ``width``
+    is bitlength(B) + 2, the least w with B < 2^(w-2), and ``read`` settles
+    the final and reads it back once (``_root_read``).
     """
-    rows, norms, poch_vecs, poch_norms, _ = _root_tables(order)
+    rows, norms, poch_vecs, poch_norms, c_n = _root_tables(order)
     if w:
         m_w = _pack(_context(order)[1], w)
         entry = lru_cache(maxsize=None)(lambda i, j: _pack(rows[i][j], w))  # for this pass only
@@ -172,7 +169,11 @@ def _root_pass(order: int, route, w: int) -> int:
     def step(states, edges):
         return {s: settle(*value) for s, value in _kron_step(states, edges, w).items()}
 
-    return settle(*route(binom, poch, step))[0]
+    return SimpleNamespace(
+        binom=binom, poch=poch, step=step, windowed=False,
+        bound=lambda l1: max(l1, 1) * c_n, width=lambda bound: bound.bit_length() + 2,
+        read=lambda v, o, bound, limit=None: _root_read(settle(v, o)[0], order, w, bound),
+    )
 
 
 def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
@@ -200,23 +201,6 @@ def _root_read(r: int, order: int, w: int, bound: int) -> "CycloNum":
         raise ExactnessError(f"a digit spilled past the {deg} slots of the order-{order} field")
     mask = (1 << w) - 1
     return CycloNum(order, [(u >> w * j & mask) - half for j in range(deg)])
-
-
-def _root_sum(order: int, route) -> tuple["CycloNum", int]:
-    """Sum a chain over Z[zeta_order] at q = zeta and read it back once.
-
-    zeta -> 2^w is a ring map Z[zeta] -> Z / Phi(2^w), so the route runs on
-    plain ints (``_root_pass``).  The first pass sums l1 norms of reduced
-    operands in Z[q]/(q^order - 1), where l1 is submultiplicative, so the
-    result is the image of a group-ring element of l1 norm at most L; each
-    q^j is a power-basis vector with entries at most c_N, so every power-basis
-    coefficient of the result is at most B = max(L, 1) c_N.  The second pass
-    runs at the width w = bitlength(B) + 2, the least with B < 2^(w-2), and
-    ``_root_read`` reads the result back once.  Returns it and B.
-    """
-    bound = max(_root_pass(order, route, 0), 1) * _root_tables(order)[4]
-    w = bound.bit_length() + 2
-    return _root_read(_root_pass(order, route, w), order, w, bound), bound
 
 
 class CycloNum:

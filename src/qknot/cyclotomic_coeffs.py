@@ -7,21 +7,20 @@ Two independent routes to the same Laurent polynomials C_n:
 * c_multisum: the (2t-1)-fold alternating multisum, assembled over a single
   denominator (q)_{n+1} via Gaussian multinomials and divided exactly by it.
 
-Both are ``laurent._kronecker`` routes: each writes its edges once, as an int
-weight (a Gaussian binomial, or a product with 1 - q^d), an exponent shift
-and a sign, and the route runs twice, first on l1 norms (||[a, b]||_1 =
-C(a, b), ||1 - q^d||_1 <= 2, a monomial has norm 1) to bound every
-coefficient of the result, then on exact ints at q = 2^w, whose result is read back once
-as balanced digits.  The read-back is exact because the bound leaves a sign
-bit in every slot.  Both routes run one chain for every n <= n_max
-(``c_products``, ``c_multisums``): only the close into k_t = n+1 depends on
-n.  ``c_product(s)`` close the product form by a generating-function pass
-that reads no binomial (``_nested_close``).  ``c_series``, the C_n of the U
-series cut below one window, runs the same chain windowed: each state and
-node is carried modulo q^L, L the exponent below which some n still needs
-it, so its image stays a few slots wide, and each final is read back below
-the window only.  U(-1; zeta_N) (``useries.u_eval_at_root``, closed at
-q = zeta_N with (zeta)_n^2) keeps the keyed close.  The multisum runs on
+Both are routes of ``laurent._chain`` over Z[q] (``laurent._zq`` explains the
+l1 bound, the image at q = 2^w and the read-back): each takes the pass and
+writes its edges once, as an int weight (a Gaussian binomial, or a product
+with 1 - q^d), an exponent shift and a sign.  Both routes run one chain for
+every n <= n_max (``c_products``, ``c_multisums``): only the close into
+k_t = n+1 depends on n.  ``c_product(s)`` close the product form by a
+generating-function pass that reads no binomial (``_nested_close``).
+``c_series``, the C_n of the U series cut below one window, runs the same
+chain windowed: each state and node is carried modulo q^L, L the exponent
+below which some n still needs it, so its image stays a few slots wide, and
+each final is read back below the window only.  U(-1; zeta_N)
+(``useries.u_eval_at_root``, closed at q = zeta_N with (zeta)_n^2) keeps the
+keyed close; the product form's levels and that close read only ``binom`` and
+``step``, so they take the pass of either ring.  The multisum runs on
 ``_staircase``, the one route that the Bailey chain betas run too; its steps
 with work to share, two states that keep one stored v_s or a close into two
 bounds, are ``_nested_close`` passes as well, and its other steps read binomial
@@ -35,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
-from .laurent import XLaurent, _kronecker, _over_binomials
+from .laurent import XLaurent, _chain, _over_binomials, _zq
 
 __all__ = ["c_multisum", "c_product", "c_series"]
 
@@ -47,16 +46,15 @@ def _validate(t: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= t, got m={m}, t={t}")
 
 
-def _c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step):
+def _c_sum(t: int, m: int, ns: range, window: int | None, r):
     """The product form's inner sums (no q^{n+1-t}) for every n in ``ns``, as a
-    ``laurent._kronecker`` route closed by ``_nested_close``, state (k, p)
+    route on the pass r closed by ``_nested_close``, state (k, p)
     injected at node (p-t+1, k), the final for n read at (0, n+1).  With a window
     it is windowed: node (c, j) of the close, like state (j, p) of the levels,
     is needed below window - j + t, so the final for n below window - (n+1-t)."""
     top = max(ns, default=-1) + 1
-    states = _c_levels(t, m, top, window, binom, step)
-    if window is not None:
-        step = partial(step, limit=lambda node: window - node[1] + t)
+    states = _c_levels(t, m, top, window, r)
+    step = r.step if window is None else partial(r.step, limit=lambda node: window - node[1] + t)
     injected: dict = {}
     for (k, pref), value in states.items():
         injected.setdefault(k - pref + t - 1, {})[pref - t + 1, k] = value
@@ -64,7 +62,7 @@ def _c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step
     return [finals.get(n + 1, (0, 0)) for n in ns]
 
 
-def _c_levels(t: int, m: int, top: int, window: int | None, binom, step) -> dict:
+def _c_levels(t: int, m: int, top: int, window: int | None, r) -> dict:
     """The states (k_{t-1}, p_{t-1}) of the product form's levels, k <= top:
     the product of q^{k_i^2} and [k_{i+1} - k_i - i + p_i, k_{i+1} - k_i] over
     top >= k_{t-1} >= ... >= k_1 >= 0 with k_m >= 1, p_i = sum_{j<=i} (2 k_j +
@@ -77,8 +75,8 @@ def _c_levels(t: int, m: int, top: int, window: int | None, binom, step) -> dict
     o the offset it leaves, the exact least exponent there since nothing
     cancels (nonnegative coefficients, binomials with constant term 1).
     """
-    if window is not None:
-        step = partial(step, limit=lambda state: window - state[0] + t)
+    binom = r.binom
+    step = r.step if window is None else partial(r.step, limit=lambda state: window - state[0] + t)
 
     def edges(state: tuple[int, int], low: int):
         k, pref = state
@@ -94,19 +92,20 @@ def _c_levels(t: int, m: int, top: int, window: int | None, binom, step) -> dict
     return states
 
 
-def _keyed_close(t: int, ns: range, states: dict, binom, step) -> list:
+def _keyed_close(t: int, ns: range, states: dict, r) -> list:
     """One step sending state (k, p) into each n in ns with n+1 >= k by
     [j + c, j], j = n+1-k, c = p-(t-1).  It stays for ``u_eval_at_root``,
     whose l1 pass here keeps the q-Lucas norms (29 bits, 47 nested at
     (t, m, N) = (2, 1, 24); (3, 2, 72): 0.83 s, 2.16 s nested).
     """
+    binom = r.binom
 
     def close(state: tuple[int, int], low: int):
         k, pref = state
         for n in ns[max(k - 1 - ns.start, 0) :]:
             yield n, binom(n + 1 - k - (t - 1) + pref, n + 1 - k), 0, False
 
-    finals = step(states, close)
+    finals = r.step(states, close)
     return [finals.get(n, (0, 0)) for n in ns]
 
 
@@ -142,7 +141,7 @@ def c_product(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(_c_sum, t, m, range(n, n + 1), None))[0][0].shift(n + 1 - t)
+    return _chain(_zq, partial(_c_sum, t, m, range(n, n + 1), None))[0][0].shift(n + 1 - t)
 
 
 def c_products(t: int, m: int, n_max: int) -> list[XLaurent]:
@@ -150,7 +149,7 @@ def c_products(t: int, m: int, n_max: int) -> list[XLaurent]:
     _validate(t, m)
     if n_max < 0:
         return []
-    finals = _kronecker(partial(_c_sum, t, m, range(n_max + 1), None))
+    finals = _chain(_zq, partial(_c_sum, t, m, range(n_max + 1), None))
     return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
@@ -161,22 +160,22 @@ def c_series(t: int, m: int, n_max: int, window: int) -> list[XLaurent]:
         return []
     ns = range(n_max + 1)
     limits = [window - (n + 1 - t) for n in ns]
-    finals = _kronecker(partial(_c_sum, t, m, ns, window), limits)
+    finals = _chain(_zq, partial(_c_sum, t, m, ns, window), limits)
     return [total.shift(n + 1 - t) for n, (total, _) in enumerate(finals)]
 
 
 def _staircase(
     length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
-    binom, one_minus, step, centre: tuple[int, int] | None = None,
+    r, centre: tuple[int, int] | None = None,
 ) -> list:
-    """Staircase chain sums, one per b in ``bounds``, as a ``laurent._kronecker``
-    route: one chain 0 = v_0 <= ... <= v_length <= max(bounds), closed for each
-    b by [b choose v_length], zero for v_length > b, so a state holds the same
-    value for every b >= v.  The edge u -> v at position pos carries
-    [v choose u], q^{node(pos, v)}, q^{-uv} at positions up to ``coupled``, the
-    close being position length + 1, and (-1)^v at ``sign``; with ``centre`` =
-    (c, s) the edge at c also carries 1 - q^{v_c - v_s}, and the state keeps
-    v_s from position s to c-1.
+    """Staircase chain sums, one per b in ``bounds``, as a route on the pass r
+    of ``laurent._zq``: one chain 0 = v_0 <= ... <= v_length <= max(bounds),
+    closed for each b by [b choose v_length], zero for v_length > b, so a state
+    holds the same value for every b >= v.  The edge u -> v at position pos
+    carries [v choose u], q^{node(pos, v)}, q^{-uv} at positions up to
+    ``coupled``, the close being position length + 1, and (-1)^v at ``sign``;
+    with ``centre`` = (c, s) the edge at c also carries 1 - q^{v_c - v_s}, and
+    the state keeps v_s from position s to c-1.
 
     A step sums T(v, w) = sum_{u <= v} [v, u] (q^{-uv}) S(u, w) over each group
     of states (u, w) that keep one v_s = w, then applies the node factor, the
@@ -190,6 +189,7 @@ def _staircase(
     """
     top = max(bounds)
     c, s = centre or (0, -1)  # positions run from 1, so no edge reads v_s
+    binom, step = r.binom, r.step
 
     def transform(states: dict, targets, shared: bool) -> dict:
         couple = pos <= coupled
@@ -222,7 +222,7 @@ def _staircase(
     return [finals.get(i, (0, 0)) for i in range(len(bounds))]
 
 
-def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
+def _multisum(t: int, m: int, ns: Sequence[int], r):
     """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``: the
     staircase of length 2t-1 closed at each bound n+1, with q^{-v} before
     position t-m, q^{v(v-1)/2}, the sign and the centre factor
@@ -235,7 +235,7 @@ def _multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
         return v * (v - 1) // 2 if pos == t else v * v
 
     bounds = [k + 1 for k in ns]
-    return _staircase(2 * t - 1, bounds, node, t, t, binom, one_minus, step, centre=(t, store))
+    return _staircase(2 * t - 1, bounds, node, t, t, r, centre=(t, store))
 
 
 def _over_pochhammer(t: int, n: int, total: XLaurent) -> XLaurent:
@@ -254,7 +254,7 @@ def c_multisum(t: int, m: int, n: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _over_pochhammer(t, n, _kronecker(partial(_multisum, t, m, (n,)))[0][0])
+    return _over_pochhammer(t, n, _chain(_zq, partial(_multisum, t, m, (n,)))[0][0])
 
 
 def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
@@ -262,5 +262,5 @@ def c_multisums(t: int, m: int, n_max: int) -> list[XLaurent]:
     _validate(t, m)
     if n_max < 0:
         return []
-    finals = _kronecker(partial(_multisum, t, m, range(n_max + 1)))
+    finals = _chain(_zq, partial(_multisum, t, m, range(n_max + 1)))
     return [_over_pochhammer(t, n, total) for n, (total, _) in enumerate(finals)]

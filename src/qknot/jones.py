@@ -6,14 +6,12 @@ one running-sum pass per binomial factor) must be exact and must leave
 integer exponents only, otherwise the routines raise instead of returning
 silently wrong values.
 
-The nested sum of jones_hyper is a ``laurent._kronecker`` route: it is summed
-level by level on l1 norms for a coefficient bound (||[a, b]||_1 = C(a, b),
-each head factor 1 - q^e has norm 2), then on exact ints at q = 2^w, which
-map Z[q] into Z as a ring homomorphism, with the negative exponents kept in an
-offset.  Its levels are q-binomial transforms, shift-adds that read no
-Gaussian binomial.  The result is read back once as balanced base-2^w
-digits, exact because w leaves a sign bit above the bound.  Both directions
-of the Habiro expansion are such routes over given polynomials.
+The nested sum of jones_hyper is a route of ``laurent._chain`` over Z[q]
+(``laurent._zq`` explains the l1 bound, the image at q = 2^w and the
+read-back), and each head factor 1 - q^e is the pass's ``one_minus``.  Its
+levels are q-binomial transforms, shift-adds that read no Gaussian binomial.
+Both directions of the Habiro expansion are such routes over given
+polynomials, each taken into the image by the pass's ``image``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .cyclotomic_coeffs import _validate
-from .laurent import XLaurent, _kronecker, _over_binomials
+from .laurent import XLaurent, _chain, _over_binomials, _zq
 
 __all__ = [
     "habiro_inverse",
@@ -64,8 +62,8 @@ def jones_morton(s: int, t2: int, n_color: int) -> XLaurent:
     return (-_over_binomials(XLaurent(terms), [4 * n])).shift(2 * n).descale(4)
 
 
-def _jones_chain(t: int, n: int, binom, one_minus, step):
-    """The nested sum of jones_hyper, as a ``laurent._kronecker`` route.
+def _jones_chain(t: int, n: int, r):
+    """The nested sum of jones_hyper, as a route on the pass r of ``laurent._zq``.
 
     The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
     is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the level into k_i
@@ -75,6 +73,8 @@ def _jones_chain(t: int, n: int, binom, one_minus, step):
     q^{k(k-1)/2} sum_j [j, k] a_j (Andrews, Theory of Partitions, Thm 3.3), and
     S <- a_j + (1 + z q^j) S, j from the top down, is one step per j.
     """
+
+    one_minus, step = r.one_minus, r.step
 
     def heads(_, low: int):
         weight, shift = 1, 0
@@ -102,7 +102,7 @@ def jones_hyper(t: int, n_color: int) -> XLaurent:
     """
     if t < 1 or n_color < 1:
         raise ValueError("need t >= 1 and a positive color")
-    return _kronecker(partial(_jones_chain, t, n_color))[0][0].shift(t * (1 - n_color))
+    return _chain(_zq, partial(_jones_chain, t, n_color))[0][0].shift(t * (1 - n_color))
 
 
 def jones_left(t: int, m: int, n_color: int) -> XLaurent:
@@ -129,7 +129,7 @@ def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]",
     """Rebuild J_N from cyclotomic coefficients: sum of C_n (q^{1+N})_n (q^{1-N})_n.
 
     Exactly N terms contribute since (q^{1-N})_n vanishes for n >= N.  The
-    sum is a ``laurent._kronecker`` route in nested (Horner) form from the
+    sum is a route of ``laurent._chain`` in nested (Horner) form from the
     top, T <- C_i + (1 - q^a)(1 - q^{-e}) T, a = i+1+N, e = N-1-i: C_i enters
     as state 1 and T, state 0, is shift-added by q^{-e}, 1, q^{a-e} and q^a.
     """
@@ -138,20 +138,20 @@ def habiro_reconstruct(coeffs: "Callable[[int], XLaurent] | Sequence[XLaurent]",
     get = coeffs.__getitem__ if not callable(coeffs) else coeffs
     n, cs = n_color, [get(i) for i in range(n_color)]
 
-    def route(binom, one_minus, step, image):
+    def route(r):
         total: dict = {}
         for i in range(n - 1, -1, -1):
             a, e = i + 1 + n, n - 1 - i
             terms = ((0, 1, -e, True), (0, 1, 0, False), (0, 1, a - e, False), (0, 1, a, True))
-            total = step({**total, 1: image(cs[i])}, lambda s, low: ((0, 1, 0, False),) if s else terms)
+            total = r.step({**total, 1: r.image(cs[i])}, lambda s, low: ((0, 1, 0, False),) if s else terms)
         return [total.get(0, (0, 0))]
 
-    return _kronecker(route, image=True)[0][0]
+    return _chain(_zq, route)[0][0]
 
 
 def _inverses(jones: Callable[[int], XLaurent], ns: Sequence[int]) -> list[XLaurent]:
     """C_n for every n in ``ns`` from the colours J_1, J_2, ... by one
-    ``laurent._kronecker`` route (Habiro, Invent. Math. 171 (2008)): each
+    route of ``laurent._chain`` (Habiro, Invent. Math. 171 (2008)): each
     colour's image is taken once, times (1 - q^l)(1 - q^{2l}), and one step
     carries colour l to each n by (-1)^l q^{l(l-3)/2} [2n+2, n+1-l], so that
     the l1 bound for n is sum_l 4 C(2n+2, n+1-l) ||J_l||_1.  Each final is
@@ -159,13 +159,14 @@ def _inverses(jones: Callable[[int], XLaurent], ns: Sequence[int]) -> list[XLaur
     """
     colours = [jones(ell) for ell in range(1, max(ns, default=-1) + 2)]
 
-    def route(binom, one_minus, step, image):
+    def route(r):
+        binom, one_minus, step = r.binom, r.one_minus, r.step
         scale = lambda ell, low: ((ell, one_minus(ell) * one_minus(2 * ell), 0, False),)
         carry = lambda ell, low: ((n, binom(2 * n + 2, n + 1 - ell), ell * (ell - 3) // 2, ell % 2 == 1) for n in ns)
-        finals = step(step({ell: image(colour) for ell, colour in enumerate(colours, 1)}, scale), carry)
+        finals = step(step({ell: r.image(colour) for ell, colour in enumerate(colours, 1)}, scale), carry)
         return [finals.get(n, (0, 0)) for n in ns]
 
-    finals = _kronecker(route, image=True)
+    finals = _chain(_zq, route)
     return [(-_over_binomials(total, range(1, 2 * n + 3))).shift(n + 1) for n, (total, _) in zip(ns, finals)]
 
 

@@ -15,23 +15,15 @@ read back by ``_read_back``, as a chain sum is.  Series products with more
 than one row, and rational, small or sparse operands, run the one
 term-by-term loop; the choice depends only on the operands' shape.
 
-The nested chain sums over Z[q^+-1] (``_kronecker``) skip ``XLaurent``
-altogether.  q -> X = 2^w is a ring homomorphism Z[q] -> Z, so a chain value
-q^o P(q) is carried as the pair (P(X), o), products and sums are plain int
-arithmetic, and the offset o absorbs the negative shifts.  The image is
-exact at any w; only the read-back needs a width.  The chain is first summed
-on l1 norms, which bound every coefficient of its result, and ``_width``
-leaves a sign bit above that bound; the result's coefficients are
-then the unique balanced base-2^w digits of its image (``_read_back``), which
-raises on a slot too narrow for the bound.  A windowed route names, per
-state, the exponent below which its value is needed: q -> 2^w also induces
-a ring map Z[q]/(q^L) -> Z / 2^(wL), so the image pass carries each value mod
-2^(w (L - o)) and reads each final back only below its limit, while the
-l1 pass, on the untruncated chain, still bounds every coefficient read.
-``qbinomial`` is read back the same way under the bound C(n, k).
-``_kron_step`` is the library's only chain step; ``cyclo`` runs the
-root-of-unity chains on it in Z / Phi_N(2^w).  Exact division by binomial
-factors 1 - q^d is one pass per factor (``_over_binomials``).
+The nested chain sums skip ``XLaurent`` altogether.  One function, ``_chain``,
+runs each route twice on ``_kron_step``, the library's only chain step: first
+on l1 norms, which bound every coefficient of its results, then in the image
+of its ring at the width that bound needs, and reads each result back once.
+A ring is a function of the width that returns one pass, and every route takes
+that pass: ``_zq`` runs Z[q^+-1] at q = 2^w, windows included, and
+``cyclo._root`` runs Z[zeta_N] in Z / Phi_N(2^w); each explains its images and
+bounds.  ``qbinomial`` is such a route under the bound C(n, k).  Exact division
+by binomial factors 1 - q^d is one pass per factor (``_over_binomials``).
 """
 
 from __future__ import annotations
@@ -42,6 +34,7 @@ import operator
 from collections import abc
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -337,7 +330,7 @@ def qbinomial(n: int, k: int) -> XLaurent:
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    return _kronecker(lambda binom, one_minus, step: [(binom(n, k), 0)])[0][0]
+    return _chain(_zq, lambda r: [(r.binom(n, k), 0)])[0][0]
 
 
 # -- chain sums at q = 2^w ---------------------------------------------------
@@ -448,8 +441,8 @@ def _binom_image(n: int, k: int, w: int) -> int:
 
 def _kron_step(states: dict, edges, w: int) -> dict:
     """One chain step on values (V, o) that stand for q^o P(q), V the image of
-    P at q -> X = 2^w: in Z for a chain over Z[q^+-1], in Z / Phi_N(X) for one
-    over Z[zeta_N] (``cyclo._root_pass``).
+    P at q -> X = 2^w: in Z for a chain over Z[q^+-1] (``_zq``), in
+    Z / Phi_N(X) for one over Z[zeta_N] (``cyclo._root``).
 
     ``edges(state, o)`` yields ``(next_state, weight, shift, negate)``: the
     value times the int ``weight`` times q^shift, negated when asked, is added
@@ -477,27 +470,22 @@ def _kron_step(states: dict, edges, w: int) -> dict:
     return out
 
 
-def _l1_binom(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
+def _zq(w: int) -> SimpleNamespace:
+    """The pass of a chain over Z[q^+-1] at q = 2^w, or on l1 norms at w = 0.
 
-
-def _kronecker(route, limits: list[int] | None = None, image: bool = False) -> list[tuple[XLaurent, int]]:
-    """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
-
-    ``route(binom, one_minus, step)`` builds its chain from what it is
-    handed and returns the list of its finals (V, o), most routes just one:
-    ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
-    (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  Routes may run
-    generating-function passes on ``step``: weight-1 shift-adds.  With
-    ``image=True`` a fourth, ``image(p)``, stands for a given integer p =
-    q^o P(q), o = p.min_exp(): (P(2^w), o), and (||p||_1, 0) on norms.  The
-    route runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b)
-    and ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
-    sum of the products of the norms, so each of its finals bounds every
-    coefficient of the matching final of the second pass.  The second pass
-    runs in the image at the width ``_width`` takes from the largest bound,
-    and each final is read back once under its own bound; no other value of
-    the chain is ever read.  Returns (result, bound) for every final.
+    q -> X = 2^w is a ring homomorphism Z[q] -> Z, so a chain value q^o P(q)
+    is carried as the pair (P(X), o): products and sums are plain int
+    arithmetic, the offset o absorbs the negative shifts, and the image is
+    exact at any w.  ``binom(a, b)`` stands for [a choose b], ``one_minus(d)``
+    for 1 - q^d (d >= 0), ``image(p)`` for a given integer polynomial
+    p = q^o P(q), o = p.min_exp(), as (P(X), o), and ``step`` is
+    ``_kron_step`` at w, on which routes may run generating-function passes.
+    On norms they are C(a, b), 2 (0 at d = 0) and (||p||_1, 0): the l1 norm of
+    a sum of products is at most the sum of the products of the norms, so each
+    l1 final is the ``bound`` of every coefficient of the matching image final.
+    ``width`` (``_width``) leaves a sign bit above the largest bound, and
+    ``read`` takes a final back as the unique balanced base-2^w digits of its
+    image (``_read_back``), raising on a slot too narrow for its bound.
 
     A windowed route passes ``step`` a third argument, ``limit(state)``: the
     exponent below which that state's value is needed, no lower than the
@@ -505,21 +493,25 @@ def _kronecker(route, limits: list[int] | None = None, image: bool = False) -> l
     2^(w (limit - o)) (``_windowed_edges`` cuts each weight, and a merged
     state is cut, or dropped once o >= limit), exact since q -> 2^w induces a
     ring map Z[q]/(q^L) -> Z/2^(wL) that sums, integer weights and shifts by
-    q^s, s >= 0, respect; a negative shift raises.  ``limits`` holds the
-    finals' limits, each read back below its own; the l1 pass is the
-    untruncated chain's, whose bounds cover every coefficient read.
+    q^s, s >= 0, respect; a negative shift raises.  Such a pass is
+    ``windowed``, and each final is read back below its limit only; the l1
+    pass is the untruncated chain's, whose bounds cover every coefficient read.
     """
-    norm = lambda p: (sum(map(abs, p.coeffs.values())), 0)
-    l1_step = lambda states, edges, limit=None: _kron_step(states, edges, 0)
-    bounds = [bound for bound, _ in route(_l1_binom, lambda d: 2 if d else 0, l1_step, *([norm] if image else []))]
-    w = _width(max(bounds, default=0))
-    windowed = False
+    r = SimpleNamespace(
+        bound=lambda bound: bound, width=_width, windowed=False,
+        read=lambda v, o, bound, limit=None: _read_back(v, o, w, bound, limit),
+    )
+    if not w:
+        r.binom = lambda n, k: math.comb(n, k) if 0 <= k <= n else 0
+        r.one_minus = lambda d: 2 if d else 0
+        r.image = lambda p: (sum(map(abs, p.coeffs.values())), 0)
+        r.step = lambda states, edges, limit=None: _kron_step(states, edges, 0)
+        return r
 
     def step(states: dict, edges, limit=None) -> dict:
-        nonlocal windowed
         if limit is None:
             return _kron_step(states, edges, w)
-        windowed = True
+        r.windowed = True
         out = {}
         for state, (v, o) in _kron_step(states, partial(_windowed_edges, edges, limit, w), w).items():
             top = limit(state)
@@ -527,15 +519,30 @@ def _kronecker(route, limits: list[int] | None = None, image: bool = False) -> l
                 out[state] = (v & ((1 << (top - o) * w) - 1), o)
         return out
 
-    at_w = lambda p: (_pack(p.coeffs, p.min_exp(), w), p.min_exp()) if p else (0, 0)
-    finals = route(lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step, *([at_w] if image else []))
-    if windowed and limits is None:
+    r.binom, r.one_minus, r.step = lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step
+    r.image = lambda p: (_pack(p.coeffs, p.min_exp(), w), p.min_exp()) if p else (0, 0)
+    return r
+
+
+def _chain(ring, route, limits: list[int] | None = None) -> list[tuple]:
+    """Sum a chain in the image of a ring and read each final back once.
+
+    ``ring(w)`` is one pass (``_zq``, or ``cyclo._root`` over Z[zeta_N]): the
+    primitives its routes read and ``bound``, ``width`` and ``read``.
+    ``route(r)`` builds its chain on the pass r and returns its finals (V, o).
+    It runs on l1 norms at w = 0, whose finals ``bound`` takes to bounds on the
+    results, then at the ``width`` of the largest bound, where ``read`` takes
+    each final back once, below its limit if the route is windowed.  Returns
+    (result, bound) for every final.
+    """
+    l1 = ring(0)
+    bounds = [l1.bound(v) for v, _ in route(l1)]
+    r = ring(l1.width(max(bounds, default=0)))
+    finals = route(r)
+    if r.windowed and limits is None:
         raise ValueError("a windowed route is read back only below its limits")
     reads = [None] * len(bounds) if limits is None else limits
-    return [
-        (_read_back(v, o, w, bound, limit), bound)
-        for (v, o), bound, limit in zip(finals, bounds, reads, strict=True)
-    ]
+    return [(r.read(v, o, bound, limit), bound) for (v, o), bound, limit in zip(finals, bounds, reads, strict=True)]
 
 
 def _windowed_edges(edges, limit, w: int, state, o: int):

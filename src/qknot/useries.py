@@ -6,20 +6,19 @@ many terms at a root of unity).  U_t^{(m)}(x;q) converges formally and is
 produced as a truncated two-variable series; at x = -1 and q a root of unity
 it collapses to a finite sum evaluated directly in the field, the product
 form of the C_n (``cyclotomic_coeffs._c_levels``) closed with (q)_n^2.  Both
-field values are routes of ``cyclo._root_sum``: their nested chains run on plain
-ints in the image of Z[zeta_N] at zeta = 2^w (``laurent._kron_step``, each
-merged state reduced mod Phi_N(2^w) once) and are read back once, under a
-proven bound.  Their Gaussian binomials at q = zeta_N come by the q-Lucas
-theorem [a choose b] = C(a // N, b // N) [a mod N choose b mod N] from one
-N-row table per N.  F's finite sum has integer coefficients, so F at
-zeta_N^-1 is the Galois conjugate of F at zeta_N (zeta -> zeta^-1).
+field values are routes of ``laurent._chain`` over Z[zeta_N] (``cyclo._root``
+explains the q-Lucas binomials, the image at zeta = 2^w, the bound and the
+read-back).  F's finite sum has integer coefficients, so F at zeta_N^-1 is
+the Galois conjugate of F at zeta_N (zeta -> zeta^-1).
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloNum, _root_sum, cyclo_eval
+from functools import partial
+
+from .cyclo import CycloNum, _root, cyclo_eval
 from .cyclotomic_coeffs import _c_levels, _keyed_close, _validate, c_series
-from .laurent import XLaurent
+from .laurent import XLaurent, _chain
 from .series import _UNIT, Mono, QSeries, _nested
 
 __all__ = ["eval_f_at_root", "u_eval_at_root", "u_series"]
@@ -32,24 +31,26 @@ def eval_f_at_root(t: int, m: int, n_root: int, inverse: bool = False) -> CycloN
     N-th root of unity from k_t = N onward.  The chain is summed from the
     top: the state is k_i, the head (q)_{k_t}, and the edge into k_i carries
     [k_{i+1} + [i = m-1] choose k_i] and q^{k_i^2 + [i >= m] k_i}, all at
-    q = zeta in ``cyclo._root_sum``.  The value at zeta^-1 is its conjugate.
+    q = zeta on the pass of ``cyclo._root``.  The value at zeta^-1 is its conjugate.
     """
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     order = n_root
 
-    def route(binom, poch, step):
+    def route(r):
+        binom, step = r.binom, r.step
+
         def edges(k_next: int, low: int):
             hi = k_next + (1 if i == m - 1 else 0)
             return ((k, binom(hi, k), k * k + (k if i >= m else 0), False) for k in range(hi + 1))
 
-        states = {k: (poch(k), 0) for k in range(order)}
+        states = {k: (r.poch(k), 0) for k in range(order)}
         for i in range(t - 1, 0, -1):
             states = step(states, edges)
-        return step(states, lambda k, low: ((None, 1, t, False),)).get(None, (0, 0))
+        return [step(states, lambda k, low: ((None, 1, t, False),)).get(None, (0, 0))]
 
-    value = _root_sum(order, route)[0]
+    value = _chain(partial(_root, order), route)[0][0]
     return cyclo_eval(XLaurent(enumerate(value.coeffs)), order, -1) if inverse else value
 
 
@@ -61,20 +62,20 @@ def u_eval_at_root(t: int, m: int, n_root: int) -> CycloNum:
     product form's chain (``cyclotomic_coeffs._c_levels`` and its keyed close)
     for every n < N with binomials read by q-Lucas from the N-row table (tops
     up to about (2t+1)N), then closed by one step with weight (q)_n^2 and
-    shift n+1-t, all at q = zeta in ``cyclo._root_sum``.
+    shift n+1-t, all at q = zeta on the pass of ``cyclo._root``.
     """
     _validate(t, m)
     if n_root < 1:
         raise ValueError("root order must be positive")
     order = n_root
 
-    def route(binom, poch, step):
-        states = _c_levels(t, m, order, None, binom, step)
-        finals = _keyed_close(t, range(order), states, binom, step)
-        closing = lambda n, low: ((None, poch(n) * poch(n), n + 1 - t, False),)
-        return step(dict(enumerate(finals)), closing).get(None, (0, 0))
+    def route(r):
+        states = _c_levels(t, m, order, None, r)
+        finals = _keyed_close(t, range(order), states, r)
+        closing = lambda n, low: ((None, r.poch(n) * r.poch(n), n + 1 - t, False),)
+        return [r.step(dict(enumerate(finals)), closing).get(None, (0, 0))]
 
-    return _root_sum(order, route)[0]
+    return _chain(partial(_root, order), route)[0][0]
 
 
 def u_series(t: int, m: int, trunc: int) -> QSeries:

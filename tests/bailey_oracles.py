@@ -13,6 +13,10 @@ and must reproduce them exactly, windows included.
 ``lovejoy_s`` the former ``bailey._lovejoy_s``, verbatim but for its name and
 the dropped cache: its ``centre`` parameter, -1 for the closed chain, was the
 only one the library did not use.
+
+``jones_alpha`` is the former alpha of ``bailey.jones_pair``, verbatim but for
+taking t and m as arguments: g1 g2 J_{n+1} by two polynomial products, where
+the library now takes two shift-subtracts and one exact division.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from functools import partial
 
 from qknot.bailey import BaileyPair, FloorFn, TermFn, _exact, _q, _req
 from qknot.cyclotomic_coeffs import _staircase
-from qknot.laurent import XLaurent, _kronecker, poch_q
+from qknot.jones import jones_left
+from qknot.laurent import XLaurent, _chain, _zq, poch_q
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _lattice, _poch
 
@@ -46,7 +51,15 @@ def lovejoy_s(t: int, ell: int, n: int, centre: int = 1) -> XLaurent:
             e += v * v
         return e
 
-    return _kronecker(partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
+    return _chain(_zq, partial(_staircase, 2 * t - 1, [n], node, t, t))[0][0]
+
+
+def jones_alpha(t: int, m: int, n: int, window: int) -> QSeries:
+    g1 = XLaurent({i: 1 for i in range(n + 1)})        # (1-q^{n+1})/(1-q)
+    g2 = XLaurent({2 * i: 1 for i in range(n + 1)})    # (1-q^{2n+2})/(1-q^2)
+    p = g1 * g2 * jones_left(t, m, n + 1)
+    p = p.shift(n * (n - 1) // 2)
+    return _exact(-p if n % 2 else p)
 
 
 def beta_chain_closed(t: int, tail_len: int, n: int, window: int) -> QSeries:

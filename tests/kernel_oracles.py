@@ -28,7 +28,7 @@ which multiplied each C_n by its two Pochhammer products.
 successor, which summed in nested (Horner) form by ``XLaurent``
 shift-subtracts, and the former ``jones.habiro_inverse``, which made one
 ``XLaurent`` product per factor of each term, verbatim but for their names;
-the library now runs both as ``laurent._kronecker`` routes that read each
+the library now runs both as ``laurent._chain`` routes that read each
 result back once.
 
 ``keyed_c_sum`` (one closing binomial per state and n) and
@@ -57,6 +57,16 @@ past the chain's length couples the close (the oracle's ``fold``).
 ``sliced_read_back`` is the former ``laurent._read_back``, verbatim but for its
 name, which decodes every slot by slicing its bytes.
 
+``kronecker`` (with ``_l1_binom``), ``root_pass`` and ``root_sum`` are the
+former ``laurent._kronecker`` (with ``laurent._l1_binom``),
+``cyclo._root_pass`` and ``cyclo._root_sum``, verbatim but for their names
+and for ``cyclo._pack``, imported as ``_pack_vec``: the two chain sums,
+one per ring, that ``laurent._chain`` replaced.  Their routes take the
+pass's primitives as arguments, (binom, one_minus, step[, image]) and
+(binom, poch, step), where the library's take the one pass; the oracle
+routes above are routes of ``kronecker``, and ``product_close_c_sum`` hands
+the library's ``_c_levels`` its two primitives as one pass.
+
 ``pass_hecke_u_series`` and ``pass_hecke_u1_double`` are the former
 ``hecke.hecke_u_series`` and ``hecke.hecke_u1_double``, verbatim but for their
 names and for taking the core as a series, ``triple_sum_series``, which wraps
@@ -78,12 +88,14 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from qknot.cyclo import CycloNum, _reduce
+from qknot.cyclo import CycloNum, _context, _pack as _pack_vec, _reduce, _root_read, _root_tables
 from qknot.cyclotomic_coeffs import _c_levels, _validate
 from qknot.laurent import (
-    _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _kronecker, _norm, _over_binomials, poch_q, qbinomial,
+    _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _binom_image, _kron_step, _norm, _over_binomials,
+    _pack, _read_back, _width, _windowed_edges, poch_q, qbinomial,
 )
 from qknot.hecke import _double_exp, _triple_sum
 from qknot.series import _INF, _UNIT, Mono, QSeries, WindowError, _axpy, _by_binomials, _lattice, _val, _wrap_rows
@@ -412,7 +424,7 @@ def per_term_habiro_inverse(jones: Callable[[int], XLaurent], n: int) -> XLauren
 
 def keyed_c_sum(t: int, m: int, ns: range, cutoff: int | None, binom, one_minus, step):
     """The inner sums of the product form (no q^{n+1-t} prefactor applied) for
-    every n in the range ``ns``, as a ``laurent._kronecker`` route that runs
+    every n in the range ``ns``, as a ``kronecker`` route that runs
     one chain for all of them.
 
     Sums over n+1 = k_t >= ... >= k_1 >= 0 with k_m >= 1 the product of
@@ -463,11 +475,11 @@ def c_series(t: int, m: int, n: int, window: int) -> XLaurent:
     _validate(t, m)
     if n < 0:
         return XLaurent()
-    return _kronecker(partial(keyed_c_sum, t, m, range(n, n + 1), window))[0][0].shift(n + 1 - t)
+    return kronecker(partial(keyed_c_sum, t, m, range(n, n + 1), window))[0][0].shift(n + 1 - t)
 
 
 def per_edge_jones_chain(t: int, n: int, binom, one_minus, step):
-    """The nested sum of jones_hyper, as a ``laurent._kronecker`` route.
+    """The nested sum of jones_hyper, as a ``kronecker`` route.
 
     The chain N-1 >= k_t >= ... >= k_1 >= 0 is summed from the top: the state
     is k_i, the head is (q^{1-N})_{k_t} q^{-N k_t}, and the edge into k_i
@@ -493,7 +505,7 @@ def per_edge_jones_chain(t: int, n: int, binom, one_minus, step):
 
 def multisum(t: int, m: int, ns: Sequence[int], binom, one_minus, step):
     """(q)_{n+1} times the multisum of c_multisum for every n in ``ns``, as a
-    ``laurent._kronecker`` route that runs one chain for all of them.
+    ``kronecker`` route that runs one chain for all of them.
 
     With n = max(ns), the chain 0 = v_0 <= ... <= v_{2t-1} <= n+1 is summed
     position by position; the state is v plus, at positions t-m..t-1, the v_{t-m} that
@@ -541,7 +553,7 @@ def chain_poly(
     which is (q)_bound times the corresponding inverse-Pochhammer chain sum.
     The first ``coupled`` edges also carry q^{-v_i v_{i+1}}.  The state is
     v, from v_0 = 0; the edge into v at ``pos`` carries the node shift and
-    the sign.  Summed as a ``laurent._kronecker`` route and read back once.
+    the sign.  Summed as a ``kronecker`` route and read back once.
     """
     fold = fold_shift or (lambda v: 0)
 
@@ -557,7 +569,7 @@ def chain_poly(
         closing = lambda v, low: ((None, binom(bound, v), fold(v), False),)
         return [step(states, closing).get(None, (0, 0))]
 
-    return _kronecker(route)[0][0]
+    return kronecker(route)[0][0]
 
 
 def triple_sum_series(t: int, m: int, window: int, pad: int = 0) -> QSeries:
@@ -609,10 +621,10 @@ def pass_hecke_u1_double(trunc: int, pad: int = 0) -> QSeries:
 
 def product_close_c_sum(t: int, m: int, ns: range, window: int | None, binom, one_minus, step):
     """The product form's inner sums (no q^{n+1-t}) for every n in ``ns``, as a
-    ``laurent._kronecker`` route closed by ``_nested_close``.  With a window
+    ``kronecker`` route closed by ``_nested_close``.  With a window
     it is windowed: node (c, j) of the close, like state (j, p) of the levels,
     is needed below window - j + t, so the final for n below window - (n+1-t)."""
-    states = _c_levels(t, m, max(ns, default=-1) + 1, window, binom, step)
+    states = _c_levels(t, m, max(ns, default=-1) + 1, window, SimpleNamespace(binom=binom, step=step))
     if window is not None:
         step = partial(step, limit=lambda node: window - node[1] + t)
     return product_nested_close(t, ns, states, step)
@@ -649,7 +661,7 @@ def keyed_staircase(
     length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
     binom, one_minus, step, centre: tuple[int, int] | None = None, fold: Callable[[int, int], int] | None = None,
 ) -> list:
-    """Staircase chain sums, one per b in ``bounds``, as a ``laurent._kronecker``
+    """Staircase chain sums, one per b in ``bounds``, as a ``kronecker``
     route: one chain 0 = v_0 <= ... <= v_length <= max(bounds), closed for each
     b by [b choose v_length] q^{fold(v_length, b)}, zero for v_length > b, so
     a state holds the same value for every b >= v.  The edge u -> v at
@@ -683,12 +695,14 @@ def keyed_staircase(
 
 def keyed_staircase_at(
     length: int, bounds: Sequence[int], node: Callable[[int, int], int], coupled: int, sign: int | None,
-    binom, one_minus, step, centre: tuple[int, int] | None = None,
+    r, centre: tuple[int, int] | None = None,
 ) -> list:
     """``keyed_staircase`` under the library's ``_staircase`` arguments: a
     ``coupled`` past ``length`` couples the close, the oracle's fold q^{-vb}."""
     fold = (lambda v, b: -v * b) if coupled > length else None
-    return keyed_staircase(length, bounds, node, min(coupled, length), sign, binom, one_minus, step, centre, fold)
+    return keyed_staircase(
+        length, bounds, node, min(coupled, length), sign, r.binom, r.one_minus, r.step, centre, fold,
+    )
 
 
 def sliced_read_back(v: int, o: int, w: int, bound: int, limit: int | None = None) -> XLaurent:
@@ -797,3 +811,120 @@ def nested(term: Callable[[int], "QSeries | None"], top: int, rise: Callable, tr
             mono, times, over = rise(n - 1)
             out = by_binomials(out.mul_mono(mono), times, over, trunc=trunc - vals[n - 1])
     return out
+
+
+def _l1_binom(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def kronecker(route, limits: list[int] | None = None, image: bool = False) -> list[tuple[XLaurent, int]]:
+    """Sum a chain over Z[q^+-1] at q = 2^w and read each result back once.
+
+    ``route(binom, one_minus, step)`` builds its chain from what it is
+    handed and returns the list of its finals (V, o), most routes just one:
+    ``binom(a, b)`` stands for [a choose b], ``one_minus(d)`` for 1 - q^d
+    (d >= 0), and ``step`` is ``_kron_step`` at the pass's width.  Routes may run
+    generating-function passes on ``step``: weight-1 shift-adds.  With
+    ``image=True`` a fourth, ``image(p)``, stands for a given integer p =
+    q^o P(q), o = p.min_exp(): (P(2^w), o), and (||p||_1, 0) on norms.  The
+    route runs twice.  The first pass sums l1 norms, ||[a, b]||_1 = C(a, b)
+    and ||1 - q^d||_1 <= 2, and the l1 norm of a sum of products is at most the
+    sum of the products of the norms, so each of its finals bounds every
+    coefficient of the matching final of the second pass.  The second pass
+    runs in the image at the width ``_width`` takes from the largest bound,
+    and each final is read back once under its own bound; no other value of
+    the chain is ever read.  Returns (result, bound) for every final.
+
+    A windowed route passes ``step`` a third argument, ``limit(state)``: the
+    exponent below which that state's value is needed, no lower than the
+    limits of the states it reaches.  The image pass then keeps V mod
+    2^(w (limit - o)) (``_windowed_edges`` cuts each weight, and a merged
+    state is cut, or dropped once o >= limit), exact since q -> 2^w induces a
+    ring map Z[q]/(q^L) -> Z/2^(wL) that sums, integer weights and shifts by
+    q^s, s >= 0, respect; a negative shift raises.  ``limits`` holds the
+    finals' limits, each read back below its own; the l1 pass is the
+    untruncated chain's, whose bounds cover every coefficient read.
+    """
+    norm = lambda p: (sum(map(abs, p.coeffs.values())), 0)
+    l1_step = lambda states, edges, limit=None: _kron_step(states, edges, 0)
+    bounds = [bound for bound, _ in route(_l1_binom, lambda d: 2 if d else 0, l1_step, *([norm] if image else []))]
+    w = _width(max(bounds, default=0))
+    windowed = False
+
+    def step(states: dict, edges, limit=None) -> dict:
+        nonlocal windowed
+        if limit is None:
+            return _kron_step(states, edges, w)
+        windowed = True
+        out = {}
+        for state, (v, o) in _kron_step(states, partial(_windowed_edges, edges, limit, w), w).items():
+            top = limit(state)
+            if o < top:
+                out[state] = (v & ((1 << (top - o) * w) - 1), o)
+        return out
+
+    at_w = lambda p: (_pack(p.coeffs, p.min_exp(), w), p.min_exp()) if p else (0, 0)
+    finals = route(lambda n, k: _binom_image(n, k, w), lambda d: 1 - (1 << d * w), step, *([at_w] if image else []))
+    if windowed and limits is None:
+        raise ValueError("a windowed route is read back only below its limits")
+    reads = [None] * len(bounds) if limits is None else limits
+    return [
+        (_read_back(v, o, w, bound, limit), bound)
+        for (v, o), bound, limit in zip(finals, bounds, reads, strict=True)
+    ]
+
+
+def root_pass(order: int, route, w: int) -> int:
+    """One pass of a chain over Z[zeta_order] at q = zeta, on plain ints.
+
+    ``route(binom, poch, step)`` builds its chain from what it is handed and
+    returns its final (V, o), as each final of a ``kronecker`` route:
+    ``binom(a, b)`` stands for [a choose b] and ``poch(k)`` for (q)_k
+    (k < order), and ``step`` is ``laurent._kron_step`` at the pass's width,
+    followed by one settle per merged state.
+
+    Both passes read [a, b] by q-Lucas, C(a // N, b // N) [a mod N, b mod N],
+    from the zeta tables.  At w = 0 every value is an l1 norm in
+    Z[q]/(q^order - 1): a table entry is the norm of its reduced vector,
+    which a power of q only rotates, so offsets cost nothing and settle to 0.
+    At w > 0 every value is its image under zeta -> X = 2^w in
+    Z / Phi_order(X), where X^order = 1: the settle multiplies V by
+    X^(o mod order) and reduces it mod M once, and o becomes 0.
+    """
+    rows, norms, poch_vecs, poch_norms, _ = _root_tables(order)
+    if w:
+        m_w = _pack_vec(_context(order)[1], w)
+        entry = lru_cache(maxsize=None)(lambda i, j: _pack_vec(rows[i][j], w))  # for this pass only
+        poch = lambda k: _pack_vec(poch_vecs[k], w)
+        settle = lambda v, o: ((v << w * (o % order)) % m_w, 0)
+    else:
+        entry = lambda i, j: norms[i][j]
+        poch = poch_norms.__getitem__
+        settle = lambda v, o: (v, 0)
+
+    def binom(a: int, b: int) -> int:
+        if b < 0 or b > a or b % order > a % order:
+            return 0
+        return math.comb(a // order, b // order) * entry(a % order, b % order)
+
+    def step(states, edges):
+        return {s: settle(*value) for s, value in _kron_step(states, edges, w).items()}
+
+    return settle(*route(binom, poch, step))[0]
+
+
+def root_sum(order: int, route) -> tuple[CycloNum, int]:
+    """Sum a chain over Z[zeta_order] at q = zeta and read it back once.
+
+    zeta -> 2^w is a ring map Z[zeta] -> Z / Phi(2^w), so the route runs on
+    plain ints (``_root_pass``).  The first pass sums l1 norms of reduced
+    operands in Z[q]/(q^order - 1), where l1 is submultiplicative, so the
+    result is the image of a group-ring element of l1 norm at most L; each
+    q^j is a power-basis vector with entries at most c_N, so every power-basis
+    coefficient of the result is at most B = max(L, 1) c_N.  The second pass
+    runs at the width w = bitlength(B) + 2, the least with B < 2^(w-2), and
+    ``_root_read`` reads the result back once.  Returns it and B.
+    """
+    bound = max(root_pass(order, route, 0), 1) * _root_tables(order)[4]
+    w = bound.bit_length() + 2
+    return _root_read(root_pass(order, route, w), order, w, bound), bound

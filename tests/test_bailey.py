@@ -26,7 +26,7 @@ from qknot.cyclotomic_coeffs import c_multisum
 from qknot.laurent import ExactnessError, XLaurent, poch_q
 from qknot.series import Mono, QSeries, WindowError, first_difference, qpochhammer
 
-from bailey_oracles import beta_chain_closed
+from bailey_oracles import beta_chain_closed, jones_alpha
 from kernel_oracles import invert
 
 
@@ -47,6 +47,14 @@ def test_jones_pair_trefoil_beta_is_one():
     pair = make_named_pair("jones", t=1)
     for n in range(5):
         assert pair.beta(n, 25) == QSeries.one()
+
+
+def test_jones_alpha_matches_its_product_oracle():
+    for t in range(1, 5):
+        for m in range(1, t + 1):
+            pair = make_named_pair("jones", t=t, m=m)
+            for n in range(14):
+                assert pair.alpha(n, 30) == jones_alpha(t, m, n, 30), (t, m, n)
 
 
 def test_jones_pairs_verify():

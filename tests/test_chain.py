@@ -11,14 +11,19 @@ library's ``*`` is the scalar product only and a field element has no sum)
 and read their Gaussian binomials from the full q-Pascal table at zeta^(+-1)
 (``_field_poch``, ``_field_qbinomials`` and ``_binom_at``, also verbatim but
 for those sums); the library now sums
-those chains on plain ints in Z / Phi_N(2^w) (``cyclo._root_sum``), at zeta
-only, conjugates for zeta^-1, and must reproduce them exactly.
+those chains on plain ints in Z / Phi_N(2^w) (``laurent._chain`` on the ring
+``cyclo._root``), at zeta only, conjugates for zeta^-1, and must reproduce
+them exactly.
 
 The ``*_chain`` oracles are the ``XLaurent`` bodies of ``_c_sum``,
 ``c_multisum``, ``jones_hyper`` and ``bailey._chain_poly`` on the former
 generic step ``_chain_step``, which is kept below, all verbatim but for their
 names and the dropped cache.  The library now sums these chains on plain
-ints at q = 2^w (``laurent._kronecker``) and must reproduce them exactly.
+ints at q = 2^w (``laurent._chain`` on the ring ``laurent._zq``) and must
+reproduce them exactly.  ``_chain_runs`` records what ``laurent._chain``
+returns and checks every run against the verbatim former chain sum of its ring
+(``kernel_oracles.kronecker`` or ``root_sum``): the same results and bounds,
+read back at the same width.
 
 ``u_series``, ``_first_failure``, ``bailey_step`` and ``_limit_sides`` are
 verbatim copies of builders that applied the whole Pochhammer product of each
@@ -44,6 +49,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import Callable
 
 import pytest
@@ -66,8 +72,8 @@ from bailey_oracles import _lemma, _neg_val_bound
 import kernel_oracles
 from kernel_oracles import (
     c_series, chain_poly, cyclo_add, cyclo_mul, cyclo_sub, divexact, habiro_reconstruct, has_integer_coeffs,
-    keyed_c_sum, keyed_staircase_at, multisum, nested_habiro_reconstruct, per_edge_jones_chain,
-    per_term_habiro_inverse, product_close_c_sum, same_field,
+    keyed_c_sum, keyed_staircase_at, kronecker, multisum, nested_habiro_reconstruct, per_edge_jones_chain,
+    per_term_habiro_inverse, product_close_c_sum, root_sum, same_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -844,7 +850,7 @@ def test_root_values_match_their_oracles(t, m):
 
 def _root_value(order: int, pick) -> CycloNum:
     """One binomial or Pochhammer at zeta, as a one-factor route of the engine."""
-    return cyclo._root_sum(order, lambda binom, poch, step: (pick(binom, poch), 0))[0]
+    return laurent._chain(partial(cyclo._root, order), lambda r: [(pick(r.binom, r.poch), 0)])[0][0]
 
 
 def _conjugate(value: CycloNum) -> CycloNum:
@@ -905,17 +911,11 @@ _ROOT_GRID = [
 
 
 def _root_sums(monkeypatch) -> list:
-    """(value, bound) of every root value on the grid, as ``cyclo._root_sum`` returns
-    them; inverse None stands for U(-1; zeta), a bool for F at zeta^(+-1)."""
-    seen = []
-    real = cyclo._root_sum
-
-    def spy(order, route):
-        out = real(order, route)
-        seen.append((order, route, *out))
-        return out
-
-    monkeypatch.setattr(useries, "_root_sum", spy)
+    """(value, bound) of every root value on the grid, as ``laurent._chain``
+    returns them, each checked against ``kernel_oracles.root_sum`` by
+    ``_chain_runs``; inverse None stands for U(-1; zeta), a bool for F at
+    zeta^(+-1)."""
+    seen = _chain_runs(monkeypatch, useries)
     for t, m, n_root, inverse in _ROOT_GRID:
         if inverse is None:
             useries.u_eval_at_root(t, m, n_root)
@@ -927,8 +927,8 @@ def _root_sums(monkeypatch) -> list:
 def test_root_bound_covers_every_decoded_coefficient(monkeypatch):
     seen = _root_sums(monkeypatch)
     assert len(seen) == len(_ROOT_GRID)
-    for order, _, value, bound in seen:
-        assert max(map(abs, value.coeffs)) <= bound, order
+    for value, bound in seen:
+        assert max(map(abs, value.coeffs)) <= bound, value.order
 
 
 def test_root_bound_covers_every_power_of_zeta():
@@ -936,7 +936,7 @@ def test_root_bound_covers_every_power_of_zeta():
     for order in (12, 105):
         for k in range(-order, order):  # q^k as the shift of a one-edge step, of either sign
             edges = lambda state, low: ((None, 1, k, False),)
-            value, bound = cyclo._root_sum(order, lambda b, p, step: step({0: (1, 0)}, edges)[None])
+            [(value, bound)] = laurent._chain(partial(cyclo._root, order), lambda r: [r.step({0: (1, 0)}, edges)[None]])
             assert value == CycloNum.zeta(order, k), (order, k)
             assert max(map(abs, value.coeffs)) <= bound, (order, k)
     assert max(max(map(abs, CycloNum.zeta(105, k).coeffs)) for k in range(105)) == 2
@@ -958,23 +958,36 @@ def test_root_read_back_edges():
         cyclo._root_read(image(mod) - 1 - bias, 5, 8, 0)
 
 
+def _narrowed(ring, guarded: bool = True):
+    """``ring`` with 8-bit slots whatever the bound; unguarded, each final is
+    read back as though its bound were 0."""
+
+    def narrow(w: int) -> SimpleNamespace:
+        r = ring(w)
+        read, r.width = r.read, lambda bound: 8
+        if not guarded:
+            r.read = lambda v, o, bound, limit=None: read(v, o, 0, limit)
+        return r
+
+    return narrow
+
+
 def test_a_narrow_root_slot_is_rejected_not_wrapped(monkeypatch):
     seen = []
-    real = cyclo._root_sum
-    monkeypatch.setattr(useries, "_root_sum", lambda *args: seen.append(args) or real(*args))
+    real = laurent._chain
+    monkeypatch.setattr(useries, "_chain", lambda *args: seen.append(args) or real(*args))
     values = [
         useries.u_eval_at_root(3, 2, 24),
         useries.eval_f_at_root(3, 1, 24),
         useries.eval_f_at_root(4, 2, 24),
     ]
-    for true, (order, route) in zip(values, seen, strict=True):
+    for true, (ring, route) in zip(values, seen, strict=True):
         assert max(map(abs, true.coeffs)) >= 1 << 7
-        r = cyclo._root_pass(order, route, 8)
-        bound = max(cyclo._root_pass(order, route, 0), 1) * cyclo._root_tables(order)[4]
         with pytest.raises(ExactnessError, match="8-bit slots"):
-            cyclo._root_read(r, order, 8, bound)
+            laurent._chain(_narrowed(ring), route)
         # without the guard, the 8-bit image would read back as a wrong value
-        assert cyclo._root_read(r, order, 8, 0) != true
+        [(wrong, _)] = laurent._chain(_narrowed(ring, guarded=False), route)
+        assert wrong != true
 
 
 def _bailey_chains():
@@ -1053,24 +1066,52 @@ def test_bailey_chain_betas_match_their_chain_oracle():
     _assert_same_chains(_bailey_chains(), _oracle_bailey_chains(_chain_poly_chain))
 
 
-def _kronecker_runs(monkeypatch, *modules) -> list:
-    """Every (result, bound) that the modules' ``_kronecker`` returns from now on."""
-    runs, real = [], laurent._kronecker
+def _old_contract(route, *names: str):
+    """A route of one pass under the former contract, which handed the
+    primitives ``names`` of the pass to the route as its arguments."""
+    return lambda *args: route(SimpleNamespace(**dict(zip(names, args))))
 
-    def recording(*args):
-        out = real(*args)
+
+def _chain_runs(monkeypatch, *modules) -> list:
+    """Every (result, bound) that the modules' ``_chain`` returns from now on.
+
+    Each run is checked against the verbatim former chain sum of its ring,
+    ``kernel_oracles.kronecker`` or ``root_sum``, on the same route: the same
+    (result, bound) pairs, each read back at the same width."""
+    runs, real, oracle_widths = [], laurent._chain, []
+    for name in ("_read_back", "_root_read"):
+        read = getattr(kernel_oracles, name)
+        monkeypatch.setattr(kernel_oracles, name, lambda *args, read=read: oracle_widths.append(args[2]) or read(*args))
+
+    def recording(ring, route, limits=None):
+        widths = []
+        out = real(lambda w: widths.append(w) or ring(w), route, limits)
+        oracle_widths.clear()
+        if ring is laurent._zq:
+            old = kronecker(_old_contract(route, "binom", "one_minus", "step", "image"), limits, image=True)
+        else:
+            final = lambda *args: _old_contract(route, "binom", "poch", "step")(*args)[0]
+            old = [root_sum(*ring.args, final)]
+        assert out == old and oracle_widths == widths[1:] * len(out), route
         runs.extend(out)
         return out
 
     for module in modules:
-        monkeypatch.setattr(module, "_kronecker", recording)
+        monkeypatch.setattr(module, "_chain", recording)
+    return runs
+
+
+def _kronecker_runs(monkeypatch) -> list:
+    """Every (result, bound) that the oracles' ``kronecker`` returns from now on."""
+    runs = []
+    monkeypatch.setattr(kernel_oracles, "kronecker", lambda *args: runs.extend(out := kronecker(*args)) or out)
     return runs
 
 
 def test_bailey_chains_match_the_kronecker_oracle_and_its_bounds(monkeypatch):
     # the closed chain's beta now lives with the oracles, on the library's chain
-    new_runs = _kronecker_runs(monkeypatch, bailey, bailey_oracles)
-    old_runs = _kronecker_runs(monkeypatch, kernel_oracles)
+    new_runs = _chain_runs(monkeypatch, bailey, bailey_oracles)
+    old_runs = _kronecker_runs(monkeypatch)
     new, old = _bailey_chains(), _oracle_bailey_chains(chain_poly)
     _assert_same_chains(new, old)
     # same chains, same l1 bounds, so the same slot widths; star(k=1)'s beta ran
@@ -1083,15 +1124,15 @@ def test_bailey_chains_match_the_kronecker_oracle_and_its_bounds(monkeypatch):
 def test_multisum_staircase_matches_its_oracle_route(t, m):
     # the same polynomials and the same l1 bounds, per n and batched
     for ns in [(n,) for n in range(15)] + [range(15), range(6, 15)]:
-        new = laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, ns))
-        assert new == laurent._kronecker(partial(multisum, t, m, ns)), ns
+        new = laurent._chain(laurent._zq, partial(cyclotomic_coeffs._multisum, t, m, ns))
+        assert new == kronecker(partial(multisum, t, m, ns)), ns
 
 
 @pytest.mark.parametrize("t, m", _TM)
 def test_multisum_passes_match_the_keyed_staircase(t, m, monkeypatch):
     # the same polynomials and the same l1 bounds, so the same slot widths
     grid = [(n,) for n in range(15)] + [range(15), range(6, 15)]
-    multisums = lambda: [laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, ns)) for ns in grid]
+    multisums = lambda: [laurent._chain(laurent._zq, partial(cyclotomic_coeffs._multisum, t, m, ns)) for ns in grid]
     new = multisums()
     monkeypatch.setattr(cyclotomic_coeffs, "_staircase", keyed_staircase_at)
     assert multisums() == new
@@ -1099,7 +1140,7 @@ def test_multisum_passes_match_the_keyed_staircase(t, m, monkeypatch):
 
 def test_bailey_betas_on_passes_match_the_keyed_staircase(monkeypatch):
     def betas() -> list:
-        runs = _kronecker_runs(monkeypatch, bailey)
+        runs = _chain_runs(monkeypatch, bailey)
         for t, n in itertools.product(range(1, 4), range(9)):
             for ell in range(t):
                 bailey._lovejoy_s.__wrapped__(t, ell, n)
@@ -1120,27 +1161,28 @@ def test_product_close_on_the_general_pass_matches_its_oracle(t, m):
     for window in (None, *range(-2, 61)):
         limits = None if window is None else [window - (n + 1 - t) for n in ns]
         new, old = (partial(route, t, m, ns, window) for route in (cyclotomic_coeffs._c_sum, product_close_c_sum))
-        assert laurent._kronecker(new, limits) == laurent._kronecker(old, limits), window
+        assert laurent._chain(laurent._zq, new, limits) == kronecker(old, limits), window
 
 
 def _image_reads(route) -> list:
     """(the states' keys, the (a, b) asked) for every step of ``route`` that asks
-    ``binom`` for an image, over both passes of ``laurent._kronecker``."""
+    ``binom`` for an image, over both passes of ``laurent._chain``."""
     reads: list = []
 
-    def spied(binom, one_minus, step):
+    def spied(r):
         asked: list = []
 
         def spied_step(states, edges, *limit):
             asked.clear()
-            out = step(states, edges, *limit)
+            out = r.step(states, edges, *limit)
             if asked:
                 reads.append((set(states), sorted(asked)))
             return out
 
-        return route(lambda a, b: asked.append((a, b)) or binom(a, b), one_minus, spied_step)
+        spy = lambda a, b: asked.append((a, b)) or r.binom(a, b)
+        return route(SimpleNamespace(**{**vars(r), "binom": spy, "step": spied_step}))
 
-    laurent._kronecker(spied)
+    laurent._chain(laurent._zq, spied)
     return reads
 
 
@@ -1154,7 +1196,7 @@ def test_only_steps_with_no_work_to_share_read_images(monkeypatch):
         assert reads == [first, ladder] * 2, (t, m)
     # the betas close into one bound by one image per state
     routes: list = []
-    monkeypatch.setattr(bailey, "_kronecker", lambda route: routes.append(_image_reads(route)) or laurent._kronecker(route))
+    monkeypatch.setattr(bailey, "_chain", lambda ring, route: routes.append(_image_reads(route)) or laurent._chain(ring, route))
     for t, ell in ((1, 0), (2, 1), (3, 0), (3, 2)):
         bailey._lovejoy_s.__wrapped__(t, ell, 8)
     for k, ell in ((1, 0), (2, 1), (3, 2)):
@@ -1169,7 +1211,7 @@ def test_only_steps_with_no_work_to_share_read_images(monkeypatch):
 def test_a_staircase_pass_one_slot_width_below_the_bound_raises(monkeypatch):
     width = laurent._width
     for t, m, top in ((3, 2, 16), (2, 1, 24)):
-        bounds = [bound for _, bound in laurent._kronecker(partial(cyclotomic_coeffs._multisum, t, m, range(top + 1)))]
+        bounds = [bound for _, bound in laurent._chain(laurent._zq, partial(cyclotomic_coeffs._multisum, t, m, range(top + 1)))]
         assert width(max(bounds)) >= 64
     monkeypatch.setattr(laurent, "_width", lambda bound: width(bound) - 32)
     for t, m, top in ((3, 2, 16), (2, 1, 24)):
@@ -1205,17 +1247,18 @@ def test_one_windowed_chain_matches_the_per_n_chains(t, m):
 def test_a_windowed_step_keeps_each_state_below_its_limit():
     # [4, 2] = 1 + q + 2q^2 + q^3 + q^4 enters a at q^1 (needed below q^3) and
     # b at q^5 (needed below q^4): a keeps q + q^2, b is dropped
-    def route(binom, one_minus, step, shift=1):
-        edges = lambda state, low: (("a", binom(4, 2), shift, False), ("b", binom(4, 2), 5, True))
-        out = step({None: (1, 0)}, edges, {"a": 3, "b": 4}.get)
+    def route(r, shift=1):
+        edges = lambda state, low: (("a", r.binom(4, 2), shift, False), ("b", r.binom(4, 2), 5, True))
+        out = r.step({None: (1, 0)}, edges, {"a": 3, "b": 4}.get)
         return [out.get("a", (0, 0)), out.get("b", (0, 0))]
 
-    assert laurent._kronecker(route, [3, 4]) == [(XLaurent({1: 1, 2: 1}), 6), (XLaurent(), 6)]
-    assert laurent._kronecker(route, [2, 4])[0] == (XLaurent({1: 1}), 6)
+    chain = partial(laurent._chain, laurent._zq)
+    assert chain(route, [3, 4]) == [(XLaurent({1: 1, 2: 1}), 6), (XLaurent(), 6)]
+    assert chain(route, [2, 4])[0] == (XLaurent({1: 1}), 6)
     with pytest.raises(ValueError, match="limits"):
-        laurent._kronecker(route)
+        chain(route)
     with pytest.raises(ValueError, match="shift a value down"):
-        laurent._kronecker(partial(route, shift=-1), [3, 4])
+        chain(partial(route, shift=-1), [3, 4])
 
 
 @pytest.mark.parametrize("t, m", _TM)
@@ -1260,20 +1303,33 @@ def test_kronecker_jones_hyper_matches_its_chain_oracle(t):
         assert jones.jones_hyper(t, n_color) == jones_hyper_chain(t, n_color), n_color
 
 
+def _zq_chain(route, limits=None) -> list:
+    return laurent._chain(laurent._zq, route, limits)
+
+
 def _routes():
-    """Every chain route at every grid point, as the arguments that
-    ``laurent._kronecker`` takes: the route, and a windowed route's limits."""
+    """Every chain route over Z[q] at every grid point, as a call of the library
+    function that runs it on ``laurent._chain``, or of ``_zq_chain``."""
     for (t, m), n in itertools.product(_TM, range(15)):
-        yield (partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), None),)
-        yield partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), 3 * n), [2 * n - 1 + t]
-        yield (partial(cyclotomic_coeffs._multisum, t, m, (n,)),)
+        yield partial(cyclotomic_coeffs.c_product.__wrapped__, t, m, n)
+        yield partial(_zq_chain, partial(cyclotomic_coeffs._c_sum, t, m, range(n, n + 1), 3 * n), [2 * n - 1 + t])
+        yield partial(cyclotomic_coeffs.c_multisum, t, m, n)
     for t, m in _TM:
-        yield (partial(cyclotomic_coeffs._c_sum, t, m, range(15), None),)
-        yield partial(cyclotomic_coeffs._c_sum, t, m, range(15), 20), [19 - n + t for n in range(15)]
-        yield (partial(cyclotomic_coeffs._multisum, t, m, range(15)),)
+        yield partial(cyclotomic_coeffs.c_products, t, m, 14)
+        yield partial(cyclotomic_coeffs.c_series, t, m, 14, 20)
+        yield partial(cyclotomic_coeffs.c_multisums, t, m, 14)
     for t in range(1, 5):
         for n_color in range(1, 15):
-            yield (partial(jones._jones_chain, t, n_color),)
+            yield partial(jones.jones_hyper, t, n_color)
+    for t, m in [(t, m) for t, m in _TM if t <= 3]:
+        colour = {ell: jones.jones_left(t, m, ell) for ell in range(1, 14)}.__getitem__
+        yield partial(jones.habiro_inverses, colour, 12)
+        coeffs = cyclotomic_coeffs.c_products(t, m, 12)
+        for n_color in range(1, 14):
+            yield partial(jones.habiro_reconstruct, coeffs, n_color)
+    for n in range(15):
+        for k in range(-1, n + 2):
+            yield partial(laurent.qbinomial.__wrapped__, n, k)
 
 
 def _rewritten_routes():
@@ -1293,21 +1349,21 @@ def _rewritten_routes():
 def test_generating_function_passes_match_the_per_binomial_routes():
     # same results and same l1 bounds, so the same slot widths and read-backs
     for new, old in _rewritten_routes():
-        assert laurent._kronecker(new) == laurent._kronecker(old), new
+        assert _zq_chain(new) == kronecker(old), new
     # an empty range closes nothing (the oracle indexed ns[-1] and could not run)
     for t, m in _TM:
         for ns in (range(0), range(5, 5)):
-            assert laurent._kronecker(partial(cyclotomic_coeffs._c_sum, t, m, ns, None)) == []
+            assert _zq_chain(partial(cyclotomic_coeffs._c_sum, t, m, ns, None)) == []
 
 
 def _binomials_asked(route) -> list:
     """Every (a, b) that ``route`` hands to ``binom``, over both passes."""
     asked: list = []
 
-    def spied(binom, one_minus, step):
-        return route(lambda a, b: asked.append((a, b)) or binom(a, b), one_minus, step)
+    def spied(r):
+        return route(SimpleNamespace(**{**vars(r), "binom": lambda a, b: asked.append((a, b)) or r.binom(a, b)}))
 
-    laurent._kronecker(spied)
+    _zq_chain(spied)
     return asked
 
 
@@ -1316,8 +1372,8 @@ def test_only_the_product_form_levels_read_binomials():
         assert _binomials_asked(partial(jones._jones_chain, t, 12)) == [], t
     for (t, m), ns in itertools.product(_TM, (range(9, 10), range(12))):
 
-        def levels_only(binom, one_minus, step):
-            cyclotomic_coeffs._c_levels(t, m, ns[-1] + 1, None, binom, step)
+        def levels_only(r):
+            cyclotomic_coeffs._c_levels(t, m, ns[-1] + 1, None, r)
             return []
 
         levels = _binomials_asked(levels_only)
@@ -1327,30 +1383,33 @@ def test_only_the_product_form_levels_read_binomials():
 
 def test_the_l1_pass_sums_the_norm_of_every_factor():
     # ||[6, 3]||_1 = C(6, 3) and ||1 - q^3||_1 = 2; signs cancel in the image only
-    single = lambda factor: lambda binom, one_minus, step: [(factor(binom, one_minus), 0)]
-    assert laurent._kronecker(single(lambda b, o: b(6, 3))) == [(qbinomial(6, 3), 20)]
-    assert laurent._kronecker(single(lambda b, o: o(3))) == [(XLaurent({0: 1, 3: -1}), 2)]
+    single = lambda factor: lambda r: [(factor(r.binom, r.one_minus), 0)]
+    assert _zq_chain(single(lambda b, o: b(6, 3))) == [(qbinomial(6, 3), 20)]
+    assert _zq_chain(single(lambda b, o: o(3))) == [(XLaurent({0: 1, 3: -1}), 2)]
 
-    def route(binom, one_minus, step):
+    def route(r):
         edges = lambda state, low: (
-            (None, binom(2, 1), 1, False),
-            (None, binom(2, 1), 1, True),
-            (None, one_minus(1), -1, True),
+            (None, r.binom(2, 1), 1, False),
+            (None, r.binom(2, 1), 1, True),
+            (None, r.one_minus(1), -1, True),
         )
-        return [step({0: (1, 0)}, edges)[None]]
+        return [r.step({0: (1, 0)}, edges)[None]]
 
-    assert laurent._kronecker(route) == [(XLaurent({-1: -1, 0: 1}), 6)]
+    assert _zq_chain(route) == [(XLaurent({-1: -1, 0: 1}), 6)]
 
 
-def test_l1_bound_covers_every_decoded_coefficient():
-    for args in _routes():
-        for result, bound in laurent._kronecker(*args):
-            assert max(map(abs, result.coeffs.values()), default=0) <= bound, args
+def test_l1_bound_covers_every_decoded_coefficient(monkeypatch):
+    # _chain_runs also checks each run against kernel_oracles.kronecker
+    runs = _chain_runs(monkeypatch, laurent, cyclotomic_coeffs, jones)
+    for run in _routes():
+        run()
+    for result, bound in runs:
+        assert max(map(abs, result.coeffs.values()), default=0) <= bound
 
 
 def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
     route = partial(cyclotomic_coeffs._c_sum, 3, 1, range(8, 9), None)
-    [(true, _)] = laurent._kronecker(route)
+    [(true, _)] = _zq_chain(route)
     assert max(true.coeffs.values()) >= 1 << 7
     monkeypatch.setattr(laurent, "_width", lambda bound: 8)
     with pytest.raises(ExactnessError, match="8-bit slots"):
@@ -1360,19 +1419,15 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
     with pytest.raises(ExactnessError, match="8-bit slots"):
         jones.jones_hyper(3, 12)
     # without the guard, the 8-bit image would read back as a wrong polynomial
-    [(v, o)] = route(
-        lambda a, b: laurent._binom_image(a, b, 8),
-        lambda d: 1 - (1 << 8 * d),
-        lambda states, edges: laurent._kron_step(states, edges, 8),
-    )
-    assert laurent._read_back(v, o, 8, 0) != true
+    [(wrong, _)] = laurent._chain(_narrowed(laurent._zq, guarded=False), route)
+    assert wrong != true
     with pytest.raises(ExactnessError, match="8-bit slots"):
         cyclotomic_coeffs.c_multisums(3, 1, 8)
     # the batched route reads each n back under its own bound: every n whose
     # bound needs more than 8 bits raises, and the others read back true
     monkeypatch.undo()
     batched = partial(cyclotomic_coeffs._multisum, 3, 1, range(9))
-    truths = laurent._kronecker(batched)
+    truths = _zq_chain(batched)
     read_back, outcomes = laurent._read_back, []
 
     def recording(v, o, w, bound, limit=None):
@@ -1383,7 +1438,7 @@ def test_a_narrow_slot_is_rejected_not_wrapped(monkeypatch):
 
     monkeypatch.setattr(laurent, "_width", lambda bound: 8)
     monkeypatch.setattr(laurent, "_read_back", recording)
-    laurent._kronecker(batched)
+    _zq_chain(batched)
     assert len(outcomes) == len(truths) == 9
     for n, (outcome, (true, bound)) in enumerate(zip(outcomes, truths)):
         if bound >= 1 << 7:
