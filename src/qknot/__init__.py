@@ -31,12 +31,11 @@ from .laurent import (
     XLaurent,
     bernoulli_b2,
     cyclotomic_polynomial,
-    poch_q,
     qbinomial,
 )
 from .modular import bernoulli_lhs, bernoulli_rhs, chi_periodic, theta_phi
 from .report import CheckReport
-from .series import Mono, QSeries, WindowError, first_difference, qpochhammer
+from .series import Mono, QSeries, WindowError, first_difference
 from .useries import eval_f_at_root, u_eval_at_root, u_series
 from .verify import run_suite
 
@@ -75,9 +74,7 @@ __all__ = [
     "jones_morton",
     "make_named_pair",
     "mirror",
-    "poch_q",
     "qbinomial",
-    "qpochhammer",
     "run_suite",
     "theta_phi",
     "u_eval_at_root",

@@ -109,7 +109,7 @@ def _jacobi_cube(window: int) -> dict[int, int]:
 def _euler(window: int) -> dict[int, int]:
     """(q)_inf below q^window: sum_{k in Z} (-1)^k q^(k(3k-1)/2) (Euler)."""
     pentagonal = lambda k: k * (3 * k - 1) // 2
-    return {e: (-1) ** k for origin in (0, -1) for (k,), e in _lattice(pentagonal, window, 1, origin)}
+    return {e: -1 if k % 2 else 1 for origin in (0, -1) for (k,), e in _lattice(pentagonal, window, 1, origin)}
 
 
 def _hecke_rows(t: int, m: int, trunc: int, pad: int, flip: bool) -> QSeries:

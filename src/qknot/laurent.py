@@ -47,7 +47,6 @@ __all__ = [
     "ONE",
     "bernoulli_b2",
     "cyclotomic_polynomial",
-    "poch_q",
     "qbinomial",
 ]
 
@@ -184,18 +183,6 @@ class XLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "XLaurent":
-        if n < 0:
-            raise ValueError("negative powers require division; use _over_binomials")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # -- exponent manipulation ----------------------------------------------
 
     def shift(self, k: int) -> "XLaurent":
@@ -309,16 +296,6 @@ def _product(a: _Rows, b: _Rows, limit: int | None = None) -> dict[int, dict[int
 
 ZERO = XLaurent()
 ONE = XLaurent({0: 1})
-
-
-def poch_q(first: int, count: int) -> XLaurent:
-    """Finite q-shifted factorial (q^first)_count = prod_{j<count} (1 - q^(first+j))."""
-    if count < 0:
-        raise ValueError("negative Pochhammer length")
-    out = ONE
-    for e in range(first, first + count):
-        out = out - out.shift(e)
-    return out
 
 
 @lru_cache(maxsize=4096)

@@ -52,7 +52,6 @@ __all__ = [
     "QSeries",
     "WindowError",
     "first_difference",
-    "qpochhammer",
 ]
 
 _INF = math.inf
@@ -281,14 +280,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("negative powers need a window: use _by_binomials(..., trunc=...)")
-        out = QSeries.one(self.scale)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def mul_mono(self, m: Mono) -> "QSeries":
         if m == _UNIT:
             return self
@@ -338,37 +329,6 @@ def _one_scale(a: QSeries, b: QSeries) -> int:
     if a.scale != b.scale:
         raise ValueError(f"series at scales {a.scale} and {b.scale} do not combine")
     return a.scale
-
-
-def qpochhammer(
-    a: Mono,
-    n: int | None,
-    *,
-    scale: int = 1,
-    trunc: int | None = None,
-    base: Mono | None = None,
-) -> QSeries:
-    """q-shifted factorial (a; base)_n = prod_{k<n} (1 - a*base^k) as a QSeries.
-
-    base defaults to q itself (scaled exponent = scale).  n=None is the
-    formal infinite product, which requires a strictly positive q-exponent
-    on both a and base, plus a truncation window; it is the finite product of
-    the factors below the window.  Both are one multiplication pass of
-    ``_by_binomials``, so the window follows its rule.
-    """
-    if base is None:
-        base = Mono(1, 0, scale)
-    if n is None:
-        if a.q_exp <= 0:
-            raise ValueError("infinite product needs a monomial with positive q-exponent")
-        if base.q_exp <= 0:
-            raise ValueError("infinite product needs a base with positive q-exponent")
-        if trunc is None:
-            raise WindowError("infinite product needs a truncation window")
-        n = max(0, -((a.q_exp - trunc) // base.q_exp))
-    if n < 0:
-        raise ValueError("negative Pochhammer length")
-    return _by_binomials(QSeries.one(scale, trunc), _poch(a, n, base))
 
 
 def _poch(a: Mono, n: int, base: Mono = Mono(1, 0, 1)) -> list[Mono]:

@@ -26,9 +26,11 @@ from functools import partial
 from qknot.bailey import BaileyPair, FloorFn, TermFn, _exact, _q, _req
 from qknot.cyclotomic_coeffs import _staircase
 from qknot.jones import jones_left
-from qknot.laurent import XLaurent, _chain, _zq, poch_q
+from qknot.laurent import XLaurent, _chain, _zq
 from qknot.report import diff_qseries
 from qknot.series import Mono, QSeries, _by_binomials, _lattice, _poch
+
+from kernel_oracles import poch_q
 
 
 def _neg_val_bound(mono: Mono) -> int:

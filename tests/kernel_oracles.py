@@ -7,9 +7,17 @@ that ``series._by_binomials`` replaced for every Pochhammer quotient, and
 ``has_integer_coeffs`` tests a polynomial for integer coefficients, and
 ``cyclo_mul``, ``cyclo_add``, ``cyclo_neg`` and ``cyclo_sub`` (with
 ``same_field``) are the products, sums and differences in a cyclotomic field,
-a rational allowed as the second operand of a sum or difference.  They are the
-former ``QSeries``, ``XLaurent`` and ``CycloNum`` methods, verbatim but for
-taking the series, polynomial or field element as their first argument.
+a rational allowed as the second operand of a sum or difference, and
+``power`` raises a series to a nonnegative power by repeated products.  They
+are the former ``QSeries``, ``XLaurent`` and ``CycloNum`` methods, verbatim but
+for taking the series, polynomial or field element as their first argument.
+
+``poch_q`` (the finite q-shifted factorial as an ``XLaurent``) and
+``qpochhammer`` (the q-shifted factorial (a; base)_n as a ``QSeries``, one
+``series._by_binomials`` pass over ``series._poch``'s factors) are the former
+``laurent.poch_q`` and ``series.qpochhammer``, verbatim.  The library takes
+every Pochhammer factor from ``series._poch`` or from a chain ring's
+``one_minus`` and ``poch``.
 
 ``binom_image`` (the division recurrence that q-Pascal replaced) and
 ``over_binomials`` (the block pass that the per-class running sums
@@ -94,11 +102,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 from qknot.cyclo import CycloNum, _context, _pack as _pack_vec, _reduce, _root_read, _root_tables
 from qknot.cyclotomic_coeffs import _c_levels, _validate
 from qknot.laurent import (
-    _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _binom_image, _kron_step, _norm, _over_binomials,
-    _pack, _read_back, _width, _windowed_edges, poch_q, qbinomial,
+    ONE, _PACK_MIN_OPS, ExactnessError, Scalar, XLaurent, _binom_image, _kron_step, _norm, _over_binomials,
+    _pack, _read_back, _width, _windowed_edges, qbinomial,
 )
 from qknot.hecke import _double_exp, _triple_sum
-from qknot.series import _INF, _UNIT, Mono, QSeries, WindowError, _axpy, _by_binomials, _lattice, _val, _wrap_rows
+from qknot.series import (
+    _INF, _UNIT, Mono, QSeries, WindowError, _axpy, _by_binomials, _lattice, _poch, _val, _wrap_rows,
+)
 
 
 def is_monomial(p: XLaurent) -> bool:
@@ -192,6 +202,56 @@ def invert(self: QSeries, trunc: int | None = None) -> QSeries:
         if acc is not None and not acc.is_zero():
             inverse[m] = -acc
     return QSeries(inverse, self.scale, w_core).mul_mono(inv0)
+
+
+def power(self: QSeries, n: int) -> QSeries:
+    if n < 0:
+        raise ValueError("negative powers need a window: use _by_binomials(..., trunc=...)")
+    out = QSeries.one(self.scale)
+    for _ in range(n):
+        out = out * self
+    return out
+
+
+def poch_q(first: int, count: int) -> XLaurent:
+    """Finite q-shifted factorial (q^first)_count = prod_{j<count} (1 - q^(first+j))."""
+    if count < 0:
+        raise ValueError("negative Pochhammer length")
+    out = ONE
+    for e in range(first, first + count):
+        out = out - out.shift(e)
+    return out
+
+
+def qpochhammer(
+    a: Mono,
+    n: int | None,
+    *,
+    scale: int = 1,
+    trunc: int | None = None,
+    base: Mono | None = None,
+) -> QSeries:
+    """q-shifted factorial (a; base)_n = prod_{k<n} (1 - a*base^k) as a QSeries.
+
+    base defaults to q itself (scaled exponent = scale).  n=None is the
+    formal infinite product, which requires a strictly positive q-exponent
+    on both a and base, plus a truncation window; it is the finite product of
+    the factors below the window.  Both are one multiplication pass of
+    ``_by_binomials``, so the window follows its rule.
+    """
+    if base is None:
+        base = Mono(1, 0, scale)
+    if n is None:
+        if a.q_exp <= 0:
+            raise ValueError("infinite product needs a monomial with positive q-exponent")
+        if base.q_exp <= 0:
+            raise ValueError("infinite product needs a base with positive q-exponent")
+        if trunc is None:
+            raise WindowError("infinite product needs a truncation window")
+        n = max(0, -((a.q_exp - trunc) // base.q_exp))
+    if n < 0:
+        raise ValueError("negative Pochhammer length")
+    return _by_binomials(QSeries.one(scale, trunc), _poch(a, n, base))
 
 
 def has_integer_coeffs(self: XLaurent) -> bool:

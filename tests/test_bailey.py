@@ -23,11 +23,11 @@ from qknot.bailey import (
     _limit_sides,
 )
 from qknot.cyclotomic_coeffs import c_multisum
-from qknot.laurent import ExactnessError, XLaurent, poch_q
-from qknot.series import Mono, QSeries, WindowError, first_difference, qpochhammer
+from qknot.laurent import ExactnessError, XLaurent
+from qknot.series import Mono, QSeries, WindowError, first_difference
 
 from bailey_oracles import beta_chain_closed, jones_alpha
-from kernel_oracles import invert
+from kernel_oracles import invert, poch_q, qpochhammer
 
 
 def test_unit_pair_definition():

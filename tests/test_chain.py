@@ -61,7 +61,7 @@ from qknot.bailey import (
 from qknot.cyclo import CycloNum
 from qknot.cyclotomic_coeffs import _validate
 from qknot.laurent import (
-    ONE, ExactnessError, XLaurent, bernoulli_b2, cyclotomic_polynomial, poch_q, qbinomial,
+    ONE, ExactnessError, XLaurent, bernoulli_b2, cyclotomic_polynomial, qbinomial,
 )
 from qknot.modular import chi_periodic
 from qknot.report import diff_qseries
@@ -73,7 +73,7 @@ import kernel_oracles
 from kernel_oracles import (
     c_series, chain_poly, cyclo_add, cyclo_mul, cyclo_sub, divexact, habiro_reconstruct, has_integer_coeffs,
     keyed_c_sum, keyed_staircase_at, kronecker, multisum, nested_habiro_reconstruct, per_edge_jones_chain,
-    per_term_habiro_inverse, product_close_c_sum, root_sum, same_field,
+    per_term_habiro_inverse, poch_q, product_close_c_sum, root_sum, same_field,
 )
 
 # ---------------------------------------------------------------------------

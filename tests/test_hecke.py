@@ -4,13 +4,16 @@ route they replaced, and the product identities they rest on."""
 import pytest
 
 import qknot.hecke as hecke
+from qknot import verify
 from qknot.hecke import _triple_sum, hecke_u1_double, hecke_u_series, hecke_u_series_x
 from qknot.jones import jones_left
 from qknot.laurent import ExactnessError, XLaurent, _width
-from qknot.series import Mono, QSeries, first_difference, qpochhammer
+from qknot.series import Mono, QSeries, first_difference
 from qknot.useries import u_series
 
-from kernel_oracles import invert, pass_hecke_u1_double, pass_hecke_u_series, triple_sum_series
+from kernel_oracles import (
+    invert, pass_hecke_u1_double, pass_hecke_u_series, power, qpochhammer, triple_sum_series,
+)
 
 
 def test_lowest_coefficients_t1():
@@ -59,6 +62,12 @@ def test_double_sum_matches_triple_route():
 def test_double_sum_vanishes_at_x_one():
     s = hecke_u1_double(15).substitute_x(1)
     assert not s.terms
+
+
+def test_double_sum_stays_exact_past_float_precision():
+    # with float signs in (q)_inf, q^294 read 3304551037617434.0 for 3304551037617435
+    report = verify.check_hecke_double(300)
+    assert report.passed, report.witness
 
 
 def test_enumeration_is_stable_under_padding():
@@ -115,7 +124,7 @@ def test_prefactor_normalization():
     pref = (
         qpochhammer(Mono(1, 1, 1), None, trunc=w)
         * qpochhammer(Mono(1, -1, 1), None, trunc=w)
-        * invert(qpochhammer(Mono(1, 0, 1), None, trunc=w)) ** 2
+        * power(invert(qpochhammer(Mono(1, 0, 1), None, trunc=w)), 2)
     )
     core = triple_sum_series(t, m, w)
     assert first_difference(-(pref * core), full, through=w) is None
@@ -204,7 +213,7 @@ def test_jacobi_cube_and_euler_pentagonal():
     poch = qpochhammer(Mono(1, 0, 1), None, trunc=200)
     jacobi = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(20)}
     euler = {k * (3 * k - 1) // 2: (-1) ** k for k in range(-12, 13)}
-    assert poch**3 == _sparse(jacobi, 200)
+    assert power(poch, 3) == _sparse(jacobi, 200)
     assert poch == _sparse(euler, 200)
     # every window up to 200: each triangular and pentagonal number is a stop
     # of the lattice walk, and the x-row sweep counts the keys of the cube
@@ -214,6 +223,11 @@ def test_jacobi_cube_and_euler_pentagonal():
         assert hecke._euler(w) == {e: c for e, c in euler.items() if e < w}, w
         assert len(cube) == sum(n * (n + 1) // 2 < w for n in range(20)), w
         assert list(cube) == sorted(cube), w
+
+
+def test_euler_signs_are_ints():
+    # (-1) ** k is a float for k < 0, and a float 1/(q)_inf is not exact
+    assert all(type(c) is int for c in hecke._euler(30).values())
 
 
 @pytest.mark.parametrize("route", [hecke_u_series, hecke_u_series_x, jones_left])

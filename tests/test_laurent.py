@@ -27,11 +27,10 @@ from qknot.laurent import (
     _width,
     bernoulli_b2,
     cyclotomic_polynomial,
-    poch_q,
     qbinomial,
 )
 
-from kernel_oracles import binom_image, divexact, over_binomials, packed_rows_product, sliced_read_back
+from kernel_oracles import binom_image, divexact, over_binomials, packed_rows_product, poch_q, sliced_read_back
 
 
 def lp(d):

@@ -17,10 +17,9 @@ from qknot.series import (
     _by_binomials,
     _lattice,
     first_difference,
-    qpochhammer,
 )
 
-from kernel_oracles import invert, swap_x
+from kernel_oracles import invert, qpochhammer, swap_x
 
 
 def coeffs_of(s):

@@ -4,10 +4,10 @@ import pytest
 
 from qknot.cyclo import CycloNum
 from qknot.laurent import XLaurent
-from qknot.series import Mono, QSeries, first_difference, qpochhammer
+from qknot.series import Mono, QSeries, first_difference
 from qknot.useries import eval_f_at_root, u_eval_at_root, u_series
 
-from kernel_oracles import cyclo_add, swap_x
+from kernel_oracles import cyclo_add, qpochhammer, swap_x
 
 
 def xs(series, e):
